@@ -65,7 +65,9 @@ def _run_pretrain(config_path, train_overrides=None, quiet=False):
     model = Model(enc_cfg, seed=cfg.train.seed)
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config({**json.load(open(config_path, encoding="utf-8"))}, run_dir / "config.json")
+    with open(config_path, encoding="utf-8") as fh:
+        config_dict = json.load(fh)
+    save_config(config_dict, run_dir / "config.json")
     if not quiet:
         log.info("pretraining: %d sequences, |V|=%d, %d steps",
                  len(seqs), len(vocab), cfg.train.total_steps)
@@ -86,7 +88,8 @@ def cmd_sweep(args):
         overrides["seed"] = run.seed
         run_dir = Path(manifest.output_dir) / run.name
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))
-        cfg_dict = json.load(open(manifest.config_path, encoding="utf-8"))
+        with open(manifest.config_path, encoding="utf-8") as fh:
+            cfg_dict = json.load(fh)
         cfg_dict.update({k: v for k, v in overrides.items() if k != "seed"})
         cfg_dict["seed"] = run.seed
         cfg_dict["run_dir"] = str(run_dir)

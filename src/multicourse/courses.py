@@ -268,3 +268,8 @@ class CourseBatch:
     rtd_views: list = field(default_factory=list)
     std_views: list = field(default_factory=list)
     itd_views: list = field(default_factory=list)
+
+    @property
+    def kept_plans(self):
+        """Plans of the sequences whose insert view fits max_seq_len."""
+        return [self.plans[j] for j in self.itd_kept]

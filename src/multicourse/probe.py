@@ -84,8 +84,8 @@ def probe_train_eval(model, examples, seed=0, holdout_fraction=0.2, fine_tune=Fa
     """Train the probe layer, return held-out accuracy.
 
     Splits deterministically under `seed`. A dataset with a single class
-    cannot be probed and raises. `fine_tune=True` also updates the
-    discriminator with a few low-rate Adam epochs before featurizing.
+    cannot be probed and raises. `fine_tune=True` first runs two epochs of
+    plain low-rate SGD on the discriminator, in place on the caller's model.
     """
     labels = np.asarray([label for _, label in examples], dtype=np.int64)
     if len(np.unique(labels)) < 2:

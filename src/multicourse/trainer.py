@@ -1,14 +1,15 @@
 """Joint training of generator and discriminator over all enabled courses.
 
-One step builds every view from the same batch, runs the generator on the
-masked/swapped/inserted/regeneration inputs and the discriminator on the
-spliced and rediscrimination inputs, backprops the lambda-balanced sum of
-all enabled losses, and applies one clipped AdamW update. Metrics mirror
-the replace-rate / replace-accuracy diagnostics plus confusion-cell counts.
+One step builds every view from the same batch and walks the course table
+COURSES: generator passes that sample, discriminator passes on the spliced
+samples, then the rtd and std self-correction courses; the same walk replays
+a captured step. One clipped AdamW update follows on the lambda-balanced sum
+of the enabled losses. Metrics: replace rate/accuracy, confusion-cell counts.
 """
 
 import csv
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,6 +118,46 @@ class StepInfo:
     std_probs: list = field(default_factory=list)
     rtd_notebooks: list = field(default_factory=list)
     std_notebooks: list = field(default_factory=list)
+    corrected: bool = False  # whether the step ran the self-correction courses
+
+
+@dataclass(frozen=True)
+class Course:
+    """One encoder pass of the step, switched on by enabled_losses() `name`.
+
+    It encodes CourseBatch field `view` and applies the `courses` function
+    named `loss`, looked up at call time, to the hidden states and the
+    CourseBatch fields in `args`; a row without a loss samples off the tape.
+    `corrupted` is the plan field of the course's positions: a generator row
+    splices its samples there into `spliced`; a discriminator row with
+    `corrections` (regeneration, rediscrimination loss) sorts them into notebooks.
+    """
+    name: str
+    encoder: str
+    view: str
+    loss: str | None
+    args: tuple = ()
+    plans: str = "plans"
+    corrupted: str | None = None
+    spliced: str | None = None
+    corrections: tuple = ()
+
+
+# One step: the generator phase, the discriminator phase on its spliced
+# samples, then self-correction from the rtd and std notebooks.
+COURSES = (
+    Course("mlm", "generator", "masked", "loss_mlm", ("plans", "originals"),
+           corrupted="mask_positions", spliced="rtd_views"),
+    Course("slm", "generator", "swapped", "loss_slm", ("plans", "originals"),
+           corrupted="swap_positions", spliced="std_views"),
+    Course("itd", "generator", "inserted", None, plans="kept_plans",
+           corrupted="insert_positions", spliced="itd_views"),
+    Course("rtd", "discriminator", "rtd_views", "loss_rtd", ("rtd_views", "originals"),
+           corrupted="mask_positions", corrections=("re_mlm", "re_rtd")),
+    Course("std", "discriminator", "std_views", "loss_std", ("std_views", "originals"),
+           corrupted="swap_positions", corrections=("re_slm", "re_std")),
+    Course("itd", "discriminator", "itd_views", "loss_itd", ("itd_views", "kept_plans")),
+)
 
 
 def build_views(seqs, rates, rng, max_seq_len):
@@ -140,104 +181,10 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
     Returns (losses, info); losses maps enabled loss names to scalar
     tensors, info carries the detached views/probabilities for metrics.
     """
-    max_len = model.config.max_seq_len
-    batch = build_views(seqs, rates, rng, max_len)
-    plans = batch.plans
-    info = StepInfo(originals=seqs, plans=plans, batch=batch)
-    losses = {}
-    correcting = step >= cfg.correction_start_step
-
-    # generator: cloze course
-    ids, mask = crs.pad_batch(batch.masked)
-    h_mask = model.encode_generator(ids, mask, rng)
-    losses["mlm"] = crs.loss_mlm(model, h_mask, plans, seqs)
-    batch.rtd_views = [
-        crs.splice_generator_samples(model, v, h_mask.data[i, : len(v.ids)], p.mask_positions, rng)
-        for i, (v, p) in enumerate(zip(batch.masked, plans))
-    ]
-
-    # generator: rearrangement course
-    if cfg.std_course:
-        ids, mask = crs.pad_batch(batch.swapped)
-        h_swap = model.encode_generator(ids, mask, rng)
-        losses["slm"] = crs.loss_slm(model, h_swap, plans, seqs)
-        batch.std_views = [
-            crs.splice_generator_samples(model, v, h_swap.data[i, : len(v.ids)], p.swap_positions, rng)
-            for i, (v, p) in enumerate(zip(batch.swapped, plans))
-        ]
-
-    # generator: insertion course (sampling only, no generation loss exists there)
-    if cfg.itd_course and batch.itd_kept:
-        ids, mask = crs.pad_batch(batch.inserted)
-        with ad.no_tape():
-            h_ins = model.encode_generator(ids, mask, rng)
-        batch.itd_views = [
-            crs.splice_generator_samples(
-                model, v, h_ins.data[i, : len(v.ids)], plans[j].insert_positions, rng)
-            for i, (j, v) in enumerate(zip(batch.itd_kept, batch.inserted))
-        ]
-
-    # discriminator losses + detached probabilities for notebooks/metrics
-    ids, mask = crs.pad_batch(batch.rtd_views)
-    h_rtd = model.encode_discriminator(ids, mask, rng)
-    losses["rtd"] = crs.loss_rtd(model, h_rtd, batch.rtd_views, seqs)
-    probs = model.detection_probs_detached(h_rtd.data, "rtd")
-    info.rtd_probs = [probs[i, : len(v.ids)] for i, v in enumerate(batch.rtd_views)]
-
-    if cfg.std_course:
-        ids, mask = crs.pad_batch(batch.std_views)
-        h_std = model.encode_discriminator(ids, mask, rng)
-        losses["std"] = crs.loss_std(model, h_std, batch.std_views, seqs)
-        probs = model.detection_probs_detached(h_std.data, "std")
-        info.std_probs = [probs[i, : len(v.ids)] for i, v in enumerate(batch.std_views)]
-
-    if cfg.itd_course and batch.itd_views:
-        ids, mask = crs.pad_batch(batch.itd_views)
-        h_itd = model.encode_discriminator(ids, mask, rng)
-        kept_plans = [plans[j] for j in batch.itd_kept]
-        losses["itd"] = crs.loss_itd(model, h_itd, batch.itd_views, kept_plans)
-
-    # confusion notebooks from the same detached discriminator outputs
-    info.rtd_notebooks = [
-        corr.classify_confusion(x, v, p, plan.mask_positions, course="rtd")
-        for x, v, p, plan in zip(seqs, batch.rtd_views, info.rtd_probs, plans)
-    ]
-    if cfg.std_course:
-        info.std_notebooks = [
-            corr.classify_confusion(x, v, p, plan.swap_positions, course="std")
-            for x, v, p, plan in zip(seqs, batch.std_views, info.std_probs, plans)
-        ]
-
-    # self-correction courses
-    if correcting and (cfg.re_mlm or cfg.re_rtd):
-        regen = [corr.build_regeneration(x, p.mask_positions, nb)
-                 for x, p, nb in zip(seqs, plans, info.rtd_notebooks)]
-        redisc = [corr.build_rediscrimination(x, v, nb)
-                  for x, v, nb in zip(seqs, batch.rtd_views, info.rtd_notebooks)]
-        if cfg.re_mlm:
-            ids, mask = crs.pad_batch([r[0] for r in regen])
-            h = model.encode_generator(ids, mask, rng)
-            losses["re_mlm"] = corr.loss_regeneration(model, h, regen)
-        if cfg.re_rtd:
-            ids, mask = crs.pad_batch([r[0] for r in redisc])
-            h = model.encode_discriminator(ids, mask, rng)
-            losses["re_rtd"] = corr.loss_rediscrimination(model, h, "rtd", redisc)
-
-    if correcting and (cfg.re_slm or cfg.re_std):
-        regen = [corr.build_regeneration(x, p.swap_positions, nb)
-                 for x, p, nb in zip(seqs, plans, info.std_notebooks)]
-        redisc = [corr.build_rediscrimination(x, v, nb)
-                  for x, v, nb in zip(seqs, batch.std_views, info.std_notebooks)]
-        if cfg.re_slm:
-            ids, mask = crs.pad_batch([r[0] for r in regen])
-            h = model.encode_generator(ids, mask, rng)
-            losses["re_slm"] = corr.loss_regeneration(model, h, regen)
-        if cfg.re_std:
-            ids, mask = crs.pad_batch([r[0] for r in redisc])
-            h = model.encode_discriminator(ids, mask, rng)
-            losses["re_std"] = corr.loss_rediscrimination(model, h, "std", redisc)
-
-    return losses, info
+    batch = build_views(seqs, rates, rng, model.config.max_seq_len)
+    info = StepInfo(originals=seqs, plans=batch.plans, batch=batch,
+                    corrected=step >= cfg.correction_start_step)
+    return run_courses(model, info, cfg, rng, sample=True), info
 
 
 def evaluate_losses(model, info: StepInfo, cfg: TrainConfig, rng=None):
@@ -247,54 +194,59 @@ def evaluate_losses(model, info: StepInfo, cfg: TrainConfig, rng=None):
     and hence the regeneration/rediscrimination inputs are data. Used for
     gradient checking and fixed-point evaluations.
     """
-    seqs, plans, batch = info.originals, info.plans, info.batch
+    return run_courses(model, info, cfg, rng, sample=False)
+
+
+def run_courses(model, info: StepInfo, cfg: TrainConfig, rng, sample):
+    """Walk COURSES, then the correction courses, in the order rng is drawn.
+
+    Sampling splices generator samples into the batch and keeps the detached
+    discriminator probabilities and notebooks in `info`; a replay reads them
+    from `info` and skips the sampling-only insert pass.
+    """
+    on = cfg.enabled_losses()
+    batch = info.batch
     losses = {}
+    for c in COURSES:
+        views = getattr(batch, c.view)
+        if c.name not in on or not views or not (sample or c.loss):
+            continue
+        ids, mask = crs.pad_batch(views)
+        with ad.no_tape() if c.loss is None else nullcontext():
+            h = getattr(model, f"encode_{c.encoder}")(ids, mask, rng)
+        if c.loss:
+            losses[c.name] = getattr(crs, c.loss)(model, h, *(getattr(batch, a) for a in c.args))
+        plans = getattr(batch, c.plans)
+        if sample and c.spliced:
+            setattr(batch, c.spliced, [
+                crs.splice_generator_samples(
+                    model, v, h.data[i, : len(v.ids)], getattr(p, c.corrupted), rng)
+                for i, (v, p) in enumerate(zip(views, plans))
+            ])
+        elif sample and c.corrections:
+            probs = model.detection_probs_detached(h.data, c.name)
+            probs = [probs[i, : len(v.ids)] for i, v in enumerate(views)]
+            setattr(info, f"{c.name}_probs", probs)
+            setattr(info, f"{c.name}_notebooks", [
+                corr.classify_confusion(x, v, pr, getattr(p, c.corrupted), course=c.name)
+                for x, v, pr, p in zip(batch.originals, views, probs, plans)
+            ])
 
-    ids, mask = crs.pad_batch(batch.masked)
-    losses["mlm"] = crs.loss_mlm(model, model.encode_generator(ids, mask, rng), plans, seqs)
-    if cfg.std_course:
-        ids, mask = crs.pad_batch(batch.swapped)
-        losses["slm"] = crs.loss_slm(model, model.encode_generator(ids, mask, rng), plans, seqs)
-
-    ids, mask = crs.pad_batch(batch.rtd_views)
-    losses["rtd"] = crs.loss_rtd(model, model.encode_discriminator(ids, mask, rng),
-                                 batch.rtd_views, seqs)
-    if cfg.std_course:
-        ids, mask = crs.pad_batch(batch.std_views)
-        losses["std"] = crs.loss_std(model, model.encode_discriminator(ids, mask, rng),
-                                     batch.std_views, seqs)
-    if cfg.itd_course and batch.itd_views:
-        ids, mask = crs.pad_batch(batch.itd_views)
-        kept_plans = [plans[j] for j in batch.itd_kept]
-        losses["itd"] = crs.loss_itd(model, model.encode_discriminator(ids, mask, rng),
-                                     batch.itd_views, kept_plans)
-
-    if cfg.re_mlm or cfg.re_rtd:
-        regen = [corr.build_regeneration(x, p.mask_positions, nb)
-                 for x, p, nb in zip(seqs, plans, info.rtd_notebooks)]
+    for c in COURSES:
+        if not (info.corrected and set(c.corrections) & set(on)):
+            continue
+        regen_name, redisc_name = c.corrections
+        notebooks = getattr(info, f"{c.name}_notebooks")
+        regen = [corr.build_regeneration(x, getattr(p, c.corrupted), nb)
+                 for x, p, nb in zip(batch.originals, batch.plans, notebooks)]
         redisc = [corr.build_rediscrimination(x, v, nb)
-                  for x, v, nb in zip(seqs, batch.rtd_views, info.rtd_notebooks)]
-        if cfg.re_mlm:
-            ids, mask = crs.pad_batch([r[0] for r in regen])
-            losses["re_mlm"] = corr.loss_regeneration(
-                model, model.encode_generator(ids, mask, rng), regen)
-        if cfg.re_rtd:
-            ids, mask = crs.pad_batch([r[0] for r in redisc])
-            losses["re_rtd"] = corr.loss_rediscrimination(
-                model, model.encode_discriminator(ids, mask, rng), "rtd", redisc)
-    if cfg.re_slm or cfg.re_std:
-        regen = [corr.build_regeneration(x, p.swap_positions, nb)
-                 for x, p, nb in zip(seqs, plans, info.std_notebooks)]
-        redisc = [corr.build_rediscrimination(x, v, nb)
-                  for x, v, nb in zip(seqs, batch.std_views, info.std_notebooks)]
-        if cfg.re_slm:
-            ids, mask = crs.pad_batch([r[0] for r in regen])
-            losses["re_slm"] = corr.loss_regeneration(
-                model, model.encode_generator(ids, mask, rng), regen)
-        if cfg.re_std:
-            ids, mask = crs.pad_batch([r[0] for r in redisc])
-            losses["re_std"] = corr.loss_rediscrimination(
-                model, model.encode_discriminator(ids, mask, rng), "std", redisc)
+                  for x, v, nb in zip(batch.originals, getattr(batch, c.view), notebooks)]
+        if regen_name in on:
+            h = model.encode_generator(*crs.pad_batch([r[0] for r in regen]), rng)
+            losses[regen_name] = corr.loss_regeneration(model, h, regen)
+        if redisc_name in on:
+            h = model.encode_discriminator(*crs.pad_batch([r[0] for r in redisc]), rng)
+            losses[redisc_name] = corr.loss_rediscrimination(model, h, c.name, redisc)
     return losses
 
 
@@ -307,14 +259,10 @@ def total_loss(losses, cfg: TrainConfig):
     for name, t in losses.items():
         if not np.isfinite(t.data):
             raise NonFiniteLossError(f"loss {name} is {float(t.data)} — aborting step")
-    parts = []
-    for name in G_LOSSES:
-        if name in losses:
-            parts.append(ad.scale(losses[name], getattr(cfg, f"weight_{name}")))
-    for name in D_LOSSES:
-        if name in losses:
-            parts.append(ad.scale(losses[name], cfg.lambda_disc * getattr(cfg, f"weight_{name}")))
-    return ad.add_n(parts)
+    return ad.add_n([
+        ad.scale(losses[n], (cfg.lambda_disc if n in D_LOSSES else 1.0) * getattr(cfg, f"weight_{n}"))
+        for n in LOSS_NAMES if n in losses
+    ])
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -338,9 +286,12 @@ def active_parameter_names(model, cfg: TrainConfig):
 
 
 def clip_gradients(tensors, max_norm):
-    """Scale gradients in place so the global norm is at most max_norm."""
+    """Scale gradients in place so the global norm is at most max_norm; a
+    non-finite norm raises NonFiniteLossError and leaves every gradient as it was."""
     total = np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum())
                         for t in tensors if t.grad is not None))
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"global gradient norm is {total} — aborting step")
     if max_norm > 0 and total > max_norm:
         factor = np.float32(max_norm / total)
         for t in tensors:
@@ -412,8 +363,7 @@ def compute_metrics(step, losses, total, info: StepInfo, lr, cfg: TrainConfig):
             d_nonorig += int((view.ids[s] != x.ids[s]).sum())
     itd_nonorig = itd_total = 0
     if cfg.itd_course:
-        for j in info.batch.itd_kept:
-            plan = info.plans[j]
+        for plan in info.batch.kept_plans:
             itd_nonorig += len(plan.insert_positions)
             itd_total += plan.extended_length
         d_nonorig += itd_nonorig
@@ -438,7 +388,7 @@ def compute_metrics(step, losses, total, info: StepInfo, lr, cfg: TrainConfig):
 
 
 def train_step(model, seqs, opt: Adam, cfg: TrainConfig, rates, rng, step=0):
-    """One co-training step; a non-finite loss aborts before any update."""
+    """One co-training step; a non-finite loss or gradient norm aborts before any update."""
     model.zero_grad()
     with ad.Tape() as tape:
         losses, info = step_losses(model, seqs, cfg, rates, rng, step)
@@ -528,7 +478,7 @@ def train(model, sequences, cfg: TrainConfig, rates, run_dir=None, vocab=None,
             try:
                 rec = train_step(model, batch, opt, cfg, rates, rng, step)
             except NonFiniteLossError:
-                log.exception("non-finite loss at step %d; parameters left unchanged", step)
+                log.exception("step %d aborted, parameters left unchanged", step)
                 raise
             records.append(rec)
             if writer:

@@ -175,6 +175,18 @@ def test_clip_leaves_small_gradients_alone():
     np.testing.assert_allclose(t1.grad, [0.3, 0.4])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_rejects_non_finite_norm(bad):
+    t1 = ad.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    t2 = ad.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    t1.grad = np.array([30.0, 40.0], dtype=np.float32)
+    t2.grad = np.array([bad, 1.0], dtype=np.float32)
+    with pytest.raises(NonFiniteLossError):
+        clip_gradients([t1, t2], 2.0)
+    np.testing.assert_array_equal(t1.grad, [30.0, 40.0])
+    np.testing.assert_array_equal(t2.grad, [bad, 1.0])
+
+
 # -- total loss --------------------------------------------------------------------
 
 
@@ -414,13 +426,14 @@ def test_label_balance_floor_holds_each_step(setup):
 # -- evaluate_losses consistency ----------------------------------------------------
 
 
-def test_evaluate_losses_matches_step_losses_without_dropout(corpus):
+@pytest.mark.parametrize("correction_start_step", [0, 3])
+def test_evaluate_losses_matches_step_losses_without_dropout(corpus, correction_start_step):
     vocab, seqs = corpus
     model = Model(small_encoder(len(vocab), dropout=0.0), seed=2)
-    cfg = small_train()
+    cfg = small_train(correction_start_step=correction_start_step)
     rng = np.random.default_rng(14)
     with ad.Tape():
-        losses, info = step_losses(model, seqs[:4], cfg, RATES, rng)
+        losses, info = step_losses(model, seqs[:4], cfg, RATES, rng, step=0)
     replay = evaluate_losses(model, info, cfg)
     assert set(replay) == set(losses)
     for name in losses:
