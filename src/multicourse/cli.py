@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import shutil
@@ -16,7 +15,7 @@ from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
-from .runconfig import load_config, save_config
+from .runconfig import parse_config, read_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
 
@@ -55,48 +54,38 @@ def _setup_parser():
     return parser
 
 
-def _run_pretrain(config_path, train_overrides=None, quiet=False):
-    cfg = load_config(config_path)
-    if train_overrides:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train_overrides))
+def _run_pretrain(config):
+    """Train one run from a flat config mapping; returns its final checkpoint."""
+    cfg = parse_config(config)
     vocab = build_vocab(cfg.corpus_path, cfg.max_vocab_size)
     enc_cfg = cfg.encoder_config(len(vocab))
     seqs = load_corpus_sequences(cfg.corpus_path, vocab, enc_cfg.max_seq_len)
     model = Model(enc_cfg, seed=cfg.train.seed)
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(config_path, encoding="utf-8") as fh:
-        config_dict = json.load(fh)
-    save_config(config_dict, run_dir / "config.json")
-    if not quiet:
-        log.info("pretraining: %d sequences, |V|=%d, %d steps",
-                 len(seqs), len(vocab), cfg.train.total_steps)
+    if (run_dir / "config.json").exists():
+        raise InputError(f"{run_dir / 'config.json'} already exists; use a new run directory")
+    save_config(config, run_dir / "config.json")
+    log.info("pretraining: %d sequences, |V|=%d, %d steps",
+             len(seqs), len(vocab), cfg.train.total_steps)
     train(model, seqs, cfg.train, cfg.rates, run_dir=run_dir, vocab=vocab)
     return run_dir / "checkpoint_final.bin"
 
 
 def cmd_pretrain(args):
-    final = _run_pretrain(args.config)
+    final = _run_pretrain(read_config(args.config))
     print(f"final checkpoint: {final}")
     return 0
 
 
 def cmd_sweep(args):
     manifest = soups.load_manifest(args.manifest)
+    base = read_config(manifest.config_path)
     for run in manifest.runs:
-        overrides = {loss: (loss in run.losses) for loss in soups.CORRECTION_LOSSES}
-        overrides["seed"] = run.seed
         run_dir = Path(manifest.output_dir) / run.name
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))
-        with open(manifest.config_path, encoding="utf-8") as fh:
-            cfg_dict = json.load(fh)
-        cfg_dict.update({k: v for k, v in overrides.items() if k != "seed"})
-        cfg_dict["seed"] = run.seed
-        cfg_dict["run_dir"] = str(run_dir)
-        tmp_cfg = run_dir / "config.json"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        save_config(cfg_dict, tmp_cfg)
-        final = _run_pretrain(tmp_cfg)
+        switches = {loss: loss in run.losses for loss in soups.CORRECTION_LOSSES}
+        final = _run_pretrain({**base, **switches, "seed": run.seed, "run_dir": str(run_dir)})
         target = Path(run.checkpoint)
         if target.resolve() != final.resolve():
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -109,7 +98,8 @@ def cmd_sweep(args):
                                                       ckpt.config.max_seq_len)
             run.score = probe_mod.probe_train_eval(model, examples, seed=run.seed)
             log.info("run %s probe accuracy %.4f", run.name, run.score)
-    soups.save_manifest(manifest, args.manifest)
+        # saved per run so a later failure keeps every score taken so far
+        soups.save_manifest(manifest, args.manifest)
     print(f"sweep complete: {len(manifest.runs)} runs under {manifest.output_dir}")
     return 0
 

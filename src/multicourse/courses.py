@@ -207,24 +207,23 @@ def original_labels(view: TokenSequence, x: TokenSequence):
     return real, (view.ids[real] == x.ids[real]).astype(np.float32)
 
 
-def loss_rtd(model, d_hidden, views, originals):
-    """BCE with the rtd head over all non-padding positions."""
+def _original_detection_loss(model, d_hidden, head, views, originals):
     positions, labels = [], []
     for view, x in zip(views, originals):
         real, lab = original_labels(view, x)
         positions.append(real)
         labels.append(lab)
-    return binary_detection_loss(model, d_hidden, "rtd", positions, labels)
+    return binary_detection_loss(model, d_hidden, head, positions, labels)
+
+
+def loss_rtd(model, d_hidden, views, originals):
+    """BCE with the rtd head over all non-padding positions."""
+    return _original_detection_loss(model, d_hidden, "rtd", views, originals)
 
 
 def loss_std(model, d_hidden, views, originals):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    positions, labels = [], []
-    for view, x in zip(views, originals):
-        real, lab = original_labels(view, x)
-        positions.append(real)
-        labels.append(lab)
-    return binary_detection_loss(model, d_hidden, "std", positions, labels)
+    return _original_detection_loss(model, d_hidden, "std", views, originals)
 
 
 def itd_labels(plan: CorruptionPlan):

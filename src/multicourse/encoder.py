@@ -31,6 +31,8 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        if self.attention_heads < 1:
+            raise ConfigError(f"attention_heads must be at least 1, got {self.attention_heads}")
         if self.hidden_size % self.attention_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by attention_heads {self.attention_heads}"
@@ -40,6 +42,8 @@ class EncoderConfig:
                 f"generator_layers {self.generator_layers} must not exceed "
                 f"discriminator_layers {self.discriminator_layers}"
             )
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the reserved ids and UNK")
 

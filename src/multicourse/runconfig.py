@@ -1,40 +1,21 @@
-"""Flat key-value run configuration with a strict schema.
+"""Flat key-value run configuration whose schema is the config dataclasses.
 
-The config file is a single flat JSON object. Unknown keys are errors, not
-warnings: a silently ignored typo in a course switch would invalidate an
-experiment. Validation happens before any model memory is allocated.
+The config file is a single flat JSON object. Its keys are the fields of
+EncoderConfig (less vocab_size, which the vocabulary decides), of
+CorruptionRates and of TrainConfig, plus RunConfig's corpus_path, run_dir and
+max_vocab_size; each key takes its field's type and default. Unknown keys are
+errors, not warnings: a silently ignored typo in a course switch would
+invalidate an experiment. Validation happens before any model memory is
+allocated.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .trainer import TrainConfig
-
-_ENCODER_KEYS = {
-    "hidden_size": int,
-    "generator_layers": int,
-    "discriminator_layers": int,
-    "attention_heads": int,
-    "ffn_inner_size": int,
-    "max_relative_position": int,
-    "max_seq_len": int,
-    "dropout_rate": float,
-}
-_RATE_KEYS = {"mask_rate": float, "swap_rate": float, "insert_rate": float}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_PATH_KEYS = {"corpus_path": str, "run_dir": str, "max_vocab_size": int}
-
-_ALL_KEYS = set(_ENCODER_KEYS) | set(_RATE_KEYS) | set(_PATH_KEYS) | _TRAIN_KEYS
-
-_BOOL_TRAIN_KEYS = {"std_course", "itd_course", "re_mlm", "re_rtd", "re_slm", "re_std"}
-_FLOAT_TRAIN_KEYS = {
-    "lambda_disc", "learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
-    "grad_clip_norm", "weight_decay",
-} | {f"weight_{n}" for n in
-     ("mlm", "slm", "re_mlm", "re_slm", "rtd", "std", "itd", "re_rtd", "re_std")}
 
 
 @dataclass(frozen=True)
@@ -50,86 +31,66 @@ class RunConfig:
         return EncoderConfig(vocab_size=vocab_size, **self.encoder_overrides)
 
 
+def _fields(cls, exclude=()):
+    return {f.name: f for f in fields(cls) if f.name not in exclude}
+
+
+_RUN = _fields(RunConfig, exclude=("encoder_overrides", "rates", "train"))
+_ENCODER = _fields(EncoderConfig, exclude=("vocab_size",))
+_RATES = _fields(CorruptionRates)
+_TRAIN = _fields(TrainConfig)
+_SCHEMA = {**_RUN, **_ENCODER, **_RATES, **_TRAIN}
+
+
 def _coerce(key, value):
-    if key in _BOOL_TRAIN_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
-        return value
-    if key in _FLOAT_TRAIN_KEYS or key in _RATE_KEYS or key == "dropout_rate":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        return float(value)
-    if key in ("corpus_path", "run_dir"):
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+    kind = _SCHEMA[key].type
+    accepted = (int, float) if kind is float else kind
+    # bool is an int subclass: only a bool field takes true/false, and only those
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a flat mapping and split it into the typed config objects."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
-    unknown = set(raw) - _ALL_KEYS
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("corpus_path", "run_dir"):
-        if required not in raw:
-            raise ConfigError(f"missing required config key {required!r}")
+    for key, field in _SCHEMA.items():
+        if field.default is MISSING and key not in raw:
+            raise ConfigError(f"missing required config key {key!r}")
     values = {k: _coerce(k, v) for k, v in raw.items()}
 
-    rates = CorruptionRates(**{k: values[k] for k in _RATE_KEYS if k in values})
-    train = TrainConfig(**{k: values[k] for k in _TRAIN_KEYS if k in values})
-    encoder_overrides = {k: values[k] for k in _ENCODER_KEYS if k in values}
+    def pick(schema):
+        return {k: values[k] for k in schema if k in values}
+
+    rates = CorruptionRates(**pick(_RATES))
+    train = TrainConfig(**pick(_TRAIN))
+    encoder_overrides = pick(_ENCODER)
     # fail fast on bad encoder fields without needing the vocabulary yet
-    EncoderConfig(vocab_size=8, **{**encoder_overrides, "max_seq_len": 8})
-    return RunConfig(
-        encoder_overrides=encoder_overrides,
-        rates=rates,
-        train=train,
-        corpus_path=values["corpus_path"],
-        run_dir=values["run_dir"],
-        max_vocab_size=values.get("max_vocab_size", 8192),
-    )
+    EncoderConfig(vocab_size=8, **encoder_overrides)
+    return RunConfig(encoder_overrides=encoder_overrides, rates=rates, train=train, **pick(_RUN))
+
+
+def read_config(path) -> dict:
+    """The flat mapping a JSON config file holds, not yet validated."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(read_config(path))
 
 
 def default_config_dict(corpus_path, run_dir, **overrides):
-    """A complete flat config with the desk-scale defaults."""
-    base = {
-        "corpus_path": str(corpus_path),
-        "run_dir": str(run_dir),
-        "max_vocab_size": 8192,
-        "hidden_size": 128,
-        "generator_layers": 2,
-        "discriminator_layers": 4,
-        "attention_heads": 4,
-        "ffn_inner_size": 512,
-        "max_relative_position": 128,
-        "max_seq_len": 128,
-        "dropout_rate": 0.1,
-        "mask_rate": 0.15,
-        "swap_rate": 0.15,
-        "insert_rate": 0.15,
-        "lambda_disc": 50.0,
-        "learning_rate": 5e-4,
-        "warmup_steps": 400,
-        "total_steps": 5000,
-        "batch_size": 32,
-        "seed": 0,
-    }
-    base.update(overrides)
-    return base
+    """A complete flat config: every key at its dataclass default."""
+    defaults = {k: f.default for k, f in _SCHEMA.items() if f.default is not MISSING}
+    return {"corpus_path": str(corpus_path), "run_dir": str(run_dir), **defaults, **overrides}
 
 
 def save_config(config_dict, path):

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_steps {self.warmup_steps} must be below total_steps {self.total_steps}"
             )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if (self.re_slm or self.re_std) and not self.std_course:
             raise ConfigError("re_slm/re_std need the swap course enabled")
 
@@ -401,15 +403,16 @@ def train_step(model, seqs, opt: Adam, cfg: TrainConfig, rates, rng, step=0):
 
 
 class MetricsWriter:
-    """Appends one fixed-schema CSV row per step."""
+    """Writes one fixed-schema CSV row per step to a new file; an existing one is another run's."""
 
     def __init__(self, path):
         self.path = Path(path)
-        new = not self.path.exists()
-        self._fh = open(self.path, "a", newline="", encoding="utf-8")
+        try:
+            self._fh = open(self.path, "x", newline="", encoding="utf-8")
+        except FileExistsError:
+            raise InputError(f"{self.path} already exists; use a new run directory") from None
         self._writer = csv.writer(self._fh)
-        if new:
-            self._writer.writerow(METRICS_COLUMNS)
+        self._writer.writerow(METRICS_COLUMNS)
 
     def append(self, record: MetricsRecord):
         self._writer.writerow(record.csv_row())

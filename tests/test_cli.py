@@ -43,6 +43,15 @@ def test_pretrain_writes_metrics_and_checkpoint(workspace, capsys):
     assert "checkpoint" in out
 
 
+def test_pretrain_refuses_a_used_run_directory(workspace):
+    run_dir = workspace / "run1"
+    before = {name: (run_dir / name).read_bytes() for name in ("config.json", "metrics.csv")}
+    cfg_path = workspace / "cfg_again.json"
+    save_config(tiny_overrides(workspace, run_dir, seed=1), cfg_path)
+    assert cli(["pretrain", "--config", str(cfg_path)]) == 1
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+
 def test_missing_config_flag_exits_2():
     assert cli(["pretrain"]) == 2
 
@@ -152,3 +161,25 @@ def test_sweep_runs_all_manifest_entries(workspace, tmp_path):
     run_cfg = json.loads((tmp_path / "sweep" / "re_mlm" / "config.json").read_text())
     assert run_cfg["re_mlm"] is True and run_cfg["re_rtd"] is False
     assert run_cfg["re_slm"] is False and run_cfg["re_std"] is False
+
+
+def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path):
+    cfg_path = tmp_path / "sweep_cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "unused", total_steps=3, warmup_steps=1,
+                               batch_size=4), cfg_path)
+    write_probe_dataset(tmp_path / "probe.tsv", 40, seed=5)
+    sweep = tmp_path / "sweep"
+    manifest = SweepManifest(
+        config_path=str(cfg_path), output_dir=str(sweep), probe_data=str(tmp_path / "probe.tsv"),
+        runs=[SweepRun(name=n, losses=(n,), seed=1, checkpoint=str(sweep / n / "checkpoint_final.bin"))
+              for n in ("re_mlm", "re_rtd")],
+    )
+    mpath = tmp_path / "manifest.json"
+    save_manifest(manifest, mpath)
+    (sweep / "re_rtd").mkdir(parents=True)
+    (sweep / "re_rtd" / "metrics.csv").write_text("another run\n", encoding="utf-8")
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    runs = json.loads(mpath.read_text())["runs"]
+    assert 0.0 <= runs[0]["score"] <= 1.0
+    assert "score" not in runs[1]
+    assert (sweep / "re_rtd" / "metrics.csv").read_text(encoding="utf-8") == "another run\n"

@@ -1,9 +1,33 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from multicourse.courses import CorruptionRates
+from multicourse.encoder import EncoderConfig
 from multicourse.errors import ConfigError
-from multicourse.runconfig import default_config_dict, load_config, parse_config, save_config
+from multicourse.runconfig import (
+    RunConfig,
+    default_config_dict,
+    load_config,
+    parse_config,
+    save_config,
+)
+from multicourse.trainer import TrainConfig
+
+# the config keys are exactly these dataclass fields
+SCHEMA_FIELDS = (
+    [f for f in fields(RunConfig) if f.name in ("corpus_path", "run_dir", "max_vocab_size")]
+    + [f for f in fields(EncoderConfig) if f.name != "vocab_size"]
+    + list(fields(CorruptionRates))
+    + list(fields(TrainConfig))
+)
+WRONG_VALUES = {
+    bool: [1, 0, "true", None],
+    int: [True, 2.0, "3", None, [1]],
+    float: [True, "0.1", None, [1]],
+    str: [True, 7, None],
+}
 
 
 def base_dict(**overrides):
@@ -27,6 +51,39 @@ def test_unknown_keys_are_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(base_dict(std_corse=True))  # typo'd switch must not pass silently
     assert "std_corse" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_dict(vocab_size=100))  # the vocabulary decides it
+    assert "vocab_size" in str(err.value)
+
+
+def test_default_config_dict_holds_every_key_at_its_default():
+    raw = base_dict()
+    assert set(raw) == {f.name for f in SCHEMA_FIELDS}
+    cfg = parse_config(raw)
+    bare = parse_config({"corpus_path": "corpus.txt", "run_dir": "rundir"})
+    assert cfg.train == bare.train == TrainConfig()
+    assert cfg.rates == bare.rates == CorruptionRates()
+    assert cfg.encoder_config(100) == bare.encoder_config(100) == EncoderConfig(vocab_size=100)
+    assert cfg.max_vocab_size == bare.max_vocab_size == 8192
+
+
+@pytest.mark.parametrize("field", SCHEMA_FIELDS, ids=lambda f: f.name)
+def test_wrongly_typed_values_rejected(field):
+    for value in WRONG_VALUES[field.type]:
+        with pytest.raises(ConfigError) as err:
+            parse_config({**base_dict(), field.name: value})
+        assert field.name in str(err.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("attention_heads", 0), ("attention_heads", -2),
+    ("batch_size", 0), ("batch_size", -1),
+    ("dropout_rate", 1.0), ("dropout_rate", -0.1),
+])
+def test_out_of_range_values_rejected_at_parse_time(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_dict(**{key: value}))
+    assert key in str(err.value)
 
 
 def test_rate_out_of_range_rejected_before_model_exists():

@@ -8,7 +8,7 @@ from multicourse import autodiff as ad
 from multicourse import trainer as tr
 from multicourse.courses import CorruptionRates, TokenSequence
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ConfigError, NonFiniteLossError
+from multicourse.errors import ConfigError, InputError, NonFiniteLossError
 from multicourse.trainer import (
     Adam,
     BatchSampler,
@@ -457,6 +457,19 @@ def test_train_decreases_loss_and_writes_outputs(corpus, tmp_path):
     with open(tmp_path / "run" / "metrics.csv") as fh:
         header = fh.readline().strip().split(",")
     assert tuple(header) == tr.METRICS_COLUMNS
+
+
+def test_train_refuses_a_used_run_directory(corpus, tmp_path):
+    vocab, seqs = corpus
+    cfg = small_train(total_steps=3, warmup_steps=1)
+    train(Model(small_encoder(len(vocab)), seed=0), seqs, cfg, RATES, run_dir=tmp_path, vocab=vocab)
+    metrics = tmp_path / "metrics.csv"
+    before = metrics.read_bytes()
+    model = Model(small_encoder(len(vocab)), seed=1)
+    with pytest.raises(InputError, match="metrics.csv"):
+        train(model, seqs, dataclasses.replace(cfg, seed=1), RATES, run_dir=tmp_path, vocab=vocab,
+              step_callback=lambda rec: pytest.fail("a step ran"))
+    assert metrics.read_bytes() == before
 
 
 def test_batch_sampler_covers_epoch():
