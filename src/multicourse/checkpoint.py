@@ -16,6 +16,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, Model
 from .errors import CheckpointFormatError, DigestMismatchError
+from .fileio import atomic_open
 
 MAGIC = b"MCL1"
 
@@ -41,7 +42,10 @@ def config_digest(config: EncoderConfig, vocab_tokens):
 
 
 def save_checkpoint(path, model_or_checkpoint, vocab=None):
-    """Write parameters in canonical order; save->load round-trips bit-exactly."""
+    """Write parameters in canonical order; save->load round-trips bit-exactly.
+
+    The file is replaced whole: a failed save leaves any previous file as it was.
+    """
     if isinstance(model_or_checkpoint, Checkpoint):
         ckpt = model_or_checkpoint
         config, tokens, params = ckpt.config, ckpt.vocab_tokens, ckpt.params
@@ -64,7 +68,7 @@ def save_checkpoint(path, model_or_checkpoint, vocab=None):
     table_len = sum(len(e) + 8 for e, _ in table)
     header_len = fixed + table_len
 
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", header_len))
         fh.write(digest)

@@ -31,6 +31,8 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
+        if self.hidden_size < 1:
+            raise ConfigError(f"hidden_size must be at least 1, got {self.hidden_size}")
         if self.attention_heads < 1:
             raise ConfigError(f"attention_heads must be at least 1, got {self.attention_heads}")
         if self.hidden_size % self.attention_heads != 0:
@@ -216,9 +218,8 @@ class Model:
         if head not in DETECTION_HEADS:
             raise ConfigError(f"unknown detection head {head!r}")
         b, n, hid = h.data.shape
-        w = ad.reshape(self.params[f"head.{head}.w"], (hid, 1))
-        flat = ad.matmul(ad.reshape(h, (b * n, hid)), w)
-        return ad.reshape(ad.add(flat, self.params[f"head.{head}.b"]), (b, n))
+        w_col = ad.reshape(self.params[f"head.{head}.w"], (hid, 1))
+        return ad.reshape(ad.add(ad.matmul(h, w_col), self.params[f"head.{head}.b"]), (b, n))
 
     def detection_probs_detached(self, h_data, head):
         """Sigmoid probability-of-original per position, outside the graph."""

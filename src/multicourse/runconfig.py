@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
 from .errors import ConfigError
+from .fileio import atomic_open
 from .trainer import TrainConfig
 
 
@@ -94,6 +95,6 @@ def default_config_dict(corpus_path, run_dir, **overrides):
 
 
 def save_config(config_dict, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(config_dict, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ConfigError, InputError, MergeError
+from .fileio import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +109,7 @@ def load_manifest(path) -> SweepManifest:
 
 
 def save_manifest(manifest: SweepManifest, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest.to_dict(), fh, indent=2)
         fh.write("\n")
 

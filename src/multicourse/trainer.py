@@ -66,6 +66,8 @@ class TrainConfig:
     weight_re_std: float = 1.0
 
     def __post_init__(self):
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.lambda_disc <= 0:
             raise ConfigError(f"lambda_disc must be positive, got {self.lambda_disc}")
         if not 0 <= self.warmup_steps < self.total_steps:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as exact_erf
 
 from multicourse import autodiff as ad
 from multicourse.errors import ContractError, DimensionError
@@ -60,20 +61,51 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def test_matmul_batched_broadcast_gradients():
-    tensors = {
-        "a": t(np.random.default_rng(0).normal(size=(2, 3, 4))),
-        "b": t(np.random.default_rng(1).normal(size=(4, 5))),
-    }
+    # a 2-D b takes the folded path; a batched b broadcasts over a's batch axis
+    for b_shape in [(4, 5), (1, 4, 5)]:
+        tensors = {
+            "a": t(np.random.default_rng(0).normal(size=(2, 3, 4))),
+            "b": t(np.random.default_rng(1).normal(size=b_shape)),
+        }
+
+        def make_loss(ts):
+            return ad.tensor_sum(ad.mul(ad.matmul(ts["a"], ts["b"]), ts["a_like"]))
+
+        # weight the sum so gradients are non-uniform
+        weights = np.random.default_rng(2).normal(size=(2, 3, 5))
+        tensors["a_like"] = ad.Tensor(weights.astype(np.float32))
+        twins = float64_twin(tensors)
+        b_end = (0,) * (len(b_shape) - 2)
+        coords = [("a", (0, 1, 2)), ("a", (1, 2, 3)), ("b", b_end + (0, 0)), ("b", b_end + (3, 4))]
+        assert check_gradients(make_loss, tensors, twins, coords) == [], b_shape
+
+
+@pytest.mark.parametrize("a_shape, strided, a_grad, b_grad", [
+    ((2, 2, 3, 4), False, True, True),
+    ((2, 3, 4), True, True, True),
+    ((2, 3, 4), False, False, True),
+    ((2, 3, 4), False, True, False),
+], ids=["4d", "strided", "a_frozen", "b_frozen"])
+def test_folded_matmul_matches_numpy_and_finite_differences(a_shape, strided, a_grad, b_grad):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=a_shape).astype(np.float32)
+    if strided:
+        a = np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)
+        assert not a.flags.c_contiguous
+    b = rng.normal(size=(4, 5)).astype(np.float32)
+    tensors = {"a": ad.Tensor(a, requires_grad=a_grad), "b": ad.Tensor(b, requires_grad=b_grad),
+               "w": ad.Tensor(rng.normal(size=a_shape[:-1] + (5,)).astype(np.float32))}
+    np.testing.assert_allclose(ad.matmul(tensors["a"], tensors["b"]).data, np.matmul(a, b),
+                               rtol=1e-5, atol=1e-6)
 
     def make_loss(ts):
-        return ad.tensor_sum(ad.mul(ad.matmul(ts["a"], ts["b"]), ts["a_like"]))
+        return ad.tensor_sum(ad.mul(ad.matmul(ts["a"], ts["b"]), ts["w"]))
 
-    # weight the sum so gradients are non-uniform
-    weights = np.random.default_rng(2).normal(size=(2, 3, 5))
-    tensors["a_like"] = ad.Tensor(weights.astype(np.float32))
-    twins = float64_twin(tensors)
-    coords = [("a", (0, 1, 2)), ("a", (1, 2, 3)), ("b", (0, 0)), ("b", (3, 4))]
-    assert check_gradients(make_loss, tensors, twins, coords) == []
+    coords = [(name, tuple(int(rng.integers(s)) for s in tensors[name].shape))
+              for name in ("a", "b") if tensors[name].requires_grad for _ in range(4)]
+    assert check_gradients(make_loss, tensors, float64_twin(tensors), coords) == []
+    for name in ("a", "b"):
+        assert (tensors[name].grad is None) != tensors[name].requires_grad
 
 
 # -- fused losses -----------------------------------------------------------
@@ -340,6 +372,14 @@ def test_dropout_gradient_uses_same_mask():
         keep = (out.data != 0).astype(np.float32) / 0.6
         tape.backward(ad.tensor_sum(out))
     np.testing.assert_allclose(x.grad, keep)
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float32, 5e-7), (np.float64, 1e-7)])
+def test_rational_erf_max_error_against_scipy(dtype, bound):
+    x = np.linspace(-10.0, 10.0, 2_000_001).astype(dtype)
+    got = ad._erf(x)
+    assert got.dtype == dtype
+    assert np.abs(got.astype(np.float64) - exact_erf(x.astype(np.float64))).max() <= bound
 
 
 def test_all_forward_values_finite_on_finite_inputs():

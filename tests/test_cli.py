@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multicourse
 from multicourse.checkpoint import load_checkpoint
 from multicourse.cli import cli
 from multicourse.runconfig import default_config_dict, save_config
@@ -183,3 +188,13 @@ def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path):
     assert 0.0 <= runs[0]["score"] <= 1.0
     assert "score" not in runs[1]
     assert (sweep / "re_rtd" / "metrics.csv").read_text(encoding="utf-8") == "another run\n"
+
+
+def test_cli_imports_without_scipy():
+    code = ("import sys, multicourse.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(multicourse.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

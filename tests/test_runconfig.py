@@ -79,6 +79,8 @@ def test_wrongly_typed_values_rejected(field):
     ("attention_heads", 0), ("attention_heads", -2),
     ("batch_size", 0), ("batch_size", -1),
     ("dropout_rate", 1.0), ("dropout_rate", -0.1),
+    ("hidden_size", 0), ("hidden_size", -4),
+    ("learning_rate", 0.0), ("learning_rate", -1.0),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
     with pytest.raises(ConfigError) as err:
