@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import json
 import logging
 import shutil
 import sys
@@ -15,7 +14,8 @@ from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
-from .runconfig import parse_config, read_config, save_config
+from .fileio import read_json
+from .runconfig import parse_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
 
@@ -73,14 +73,14 @@ def _run_pretrain(config):
 
 
 def cmd_pretrain(args):
-    final = _run_pretrain(read_config(args.config))
+    final = _run_pretrain(read_json(args.config))
     print(f"final checkpoint: {final}")
     return 0
 
 
 def cmd_sweep(args):
     manifest = soups.load_manifest(args.manifest)
-    base = read_config(manifest.config_path)
+    base = read_json(manifest.config_path)
     for run in manifest.runs:
         run_dir = Path(manifest.output_dir) / run.name
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))
@@ -105,20 +105,22 @@ def cmd_sweep(args):
 
 
 def _load_weight_file(path, manifest):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if isinstance(raw, dict):
         missing = [r.name for r in manifest.runs if r.name not in raw]
         if missing:
-            raise ConfigError(f"weight file missing runs: {missing}")
-        values = [float(raw[r.name]) for r in manifest.runs]
-    else:
-        if len(raw) != len(manifest.runs):
-            raise ConfigError(f"{len(raw)} weights for {len(manifest.runs)} runs")
+            raise ConfigError(f"{path}: weight file missing runs: {missing}")
+        raw = [raw[r.name] for r in manifest.runs]
+    elif not isinstance(raw, list) or len(raw) != len(manifest.runs):
+        raise ConfigError(f"{path}: expected {len(manifest.runs)} weights, a list or "
+                          f"an object keyed by run name")
+    try:
         values = [float(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: weights must be numbers, got {raw}") from None
     total = sum(values)
-    if total <= 0:
-        raise ConfigError("weights must have a positive sum")
+    if not 0 < total < float("inf"):
+        raise ConfigError(f"{path}: weights must be finite with a positive sum")
     return soups.SoupWeights(np.asarray(values) / total)
 
 

@@ -257,7 +257,8 @@ def pad_batch(seqs, pad_id=0):
 
 @dataclass(eq=False)
 class CourseBatch:
-    """Everything one step derives from the same underlying sequences."""
+    """Everything one step derives from the same underlying sequences: its
+    views, the discriminator's notebooks and whether it ran self-correction."""
     originals: list
     plans: list
     masked: list
@@ -267,6 +268,8 @@ class CourseBatch:
     rtd_views: list = field(default_factory=list)
     std_views: list = field(default_factory=list)
     itd_views: list = field(default_factory=list)
+    notebooks: dict = field(default_factory=dict)  # course name -> per-sequence notebooks
+    corrected: bool = False
 
     @property
     def kept_plans(self):

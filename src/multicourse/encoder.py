@@ -46,6 +46,10 @@ class EncoderConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if self.max_relative_position <= NUM_REL_BUCKETS // 4:
+            # the log buckets span (NUM_REL_BUCKETS // 4, max_relative_position]
+            raise ConfigError(f"max_relative_position must exceed {NUM_REL_BUCKETS // 4}, "
+                              f"got {self.max_relative_position}")
         if self.vocab_size < 4:
             raise ConfigError("vocab_size must cover the reserved ids and UNK")
 

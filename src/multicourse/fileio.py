@@ -1,8 +1,20 @@
-"""Whole-file writes that leave either the old file or the new one, never a mix."""
+"""Whole-file JSON reads, and writes that leave either the old file or the new one, never a mix."""
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import ConfigError
+
+
+def read_json(path):
+    """The value a JSON file holds; invalid JSON raises ConfigError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 @contextmanager

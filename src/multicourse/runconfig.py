@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json
 from .trainer import TrainConfig
 
 
@@ -75,17 +75,8 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(encoder_overrides=encoder_overrides, rates=rates, train=train, **pick(_RUN))
 
 
-def read_config(path) -> dict:
-    """The flat mapping a JSON config file holds, not yet validated."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def load_config(path) -> RunConfig:
-    return parse_config(read_config(path))
+    return parse_config(read_json(path))
 
 
 def default_config_dict(corpus_path, run_dir, **overrides):

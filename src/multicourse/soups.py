@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import ConfigError, InputError, MergeError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_json
 
 log = logging.getLogger(__name__)
 
@@ -88,17 +88,25 @@ def default_manifest(config_path, output_dir, base_seed=0, probe_data=None) -> S
 
 
 def load_manifest(path) -> SweepManifest:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = {"config", "output_dir", "runs", "probe_data"}
-    unknown = set(raw) - known
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: a manifest must be a JSON object")
+    unknown = set(raw) - {"config", "output_dir", "runs", "probe_data"}
     if unknown:
-        raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown manifest keys: {sorted(unknown)}")
+    if "config" not in raw:
+        raise ConfigError(f"{path}: missing manifest key 'config'")
+    entries = raw.get("runs", [])
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"{path}: 'runs' must be a list of JSON objects")
     runs = []
-    for entry in raw.get("runs", []):
+    for entry in entries:
         extra = set(entry) - {"name", "losses", "seed", "checkpoint", "score"}
         if extra:
-            raise ConfigError(f"unknown run keys: {sorted(extra)}")
+            raise ConfigError(f"{path}: unknown run keys: {sorted(extra)}")
+        missing = {"name", "losses", "checkpoint"} - set(entry)
+        if missing:
+            raise ConfigError(f"{path}: run {len(runs)} misses keys {sorted(missing)}")
         runs.append(SweepRun(name=entry["name"], losses=tuple(entry["losses"]),
                              seed=int(entry.get("seed", 0)), checkpoint=entry["checkpoint"],
                              score=entry.get("score")))
@@ -120,8 +128,8 @@ class SoupWeights:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if (self.values < 0).any():
-            raise ConfigError("soup weights must be nonnegative")
+        if not (np.isfinite(self.values) & (self.values >= 0)).all():
+            raise ConfigError(f"soup weights must be finite and nonnegative, got {self.values}")
         if abs(float(self.values.sum()) - 1.0) > 1e-9:
             raise ConfigError(f"soup weights must sum to 1, got {float(self.values.sum())}")
 
@@ -139,8 +147,8 @@ def score_runs(manifest: SweepManifest, scores=None) -> SoupWeights:
         log.warning("missing scores; falling back to uniform soup weights")
         return SoupWeights.uniform(k)
     scores = np.asarray(scores, dtype=np.float64)
-    if (scores < 0).any():
-        raise InputError("scores must be nonnegative")
+    if not (np.isfinite(scores) & (scores >= 0)).all():
+        raise InputError(f"scores must be finite and nonnegative, got {scores}")
     total = float(scores.sum())
     if total == 0.0:
         log.warning("all scores are zero; falling back to uniform soup weights")

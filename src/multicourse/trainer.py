@@ -3,14 +3,16 @@
 One step builds every view from the same batch and walks the course table
 COURSES: generator passes that sample, discriminator passes on the spliced
 samples, then the rtd and std self-correction courses; the same walk replays
-a captured step. One clipped AdamW update follows on the lambda-balanced sum
-of the enabled losses. Metrics: replace rate/accuracy, confusion-cell counts.
+a captured step. The step's CourseBatch is its one record: views, notebooks
+and whether correction ran. One clipped AdamW update follows on the enabled
+generator losses plus lambda-scaled discriminator losses. Metrics: replace
+rate/accuracy and confusion-cell counts, read off the notebooks.
 """
 
 import csv
 import logging
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +56,6 @@ class TrainConfig:
     re_std: bool = True
     correction_start_step: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
-    # per-loss weights, unit by default; lambda_disc additionally scales D losses
-    weight_mlm: float = 1.0
-    weight_slm: float = 1.0
-    weight_re_mlm: float = 1.0
-    weight_re_slm: float = 1.0
-    weight_rtd: float = 1.0
-    weight_std: float = 1.0
-    weight_itd: float = 1.0
-    weight_re_rtd: float = 1.0
-    weight_re_std: float = 1.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -110,19 +102,6 @@ class MetricsRecord:
         row += list(self.pos_counts)
         row.append(fmt(self.learning_rate))
         return row
-
-
-@dataclass(eq=False)
-class StepInfo:
-    """Detached per-step artifacts shared by losses, correction, and metrics."""
-    originals: list
-    plans: list
-    batch: crs.CourseBatch = None
-    rtd_probs: list = field(default_factory=list)   # per-sequence arrays
-    std_probs: list = field(default_factory=list)
-    rtd_notebooks: list = field(default_factory=list)
-    std_notebooks: list = field(default_factory=list)
-    corrected: bool = False  # whether the step ran the self-correction courses
 
 
 @dataclass(frozen=True)
@@ -182,34 +161,32 @@ def build_views(seqs, rates, rng, max_seq_len):
 def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
     """All enabled losses for one batch, recorded on the active tape.
 
-    Returns (losses, info); losses maps enabled loss names to scalar
-    tensors, info carries the detached views/probabilities for metrics.
+    Returns (losses, batch); losses maps enabled loss names to scalar
+    tensors, batch is the step's CourseBatch with its views and notebooks.
     """
     batch = build_views(seqs, rates, rng, model.config.max_seq_len)
-    info = StepInfo(originals=seqs, plans=batch.plans, batch=batch,
-                    corrected=step >= cfg.correction_start_step)
-    return run_courses(model, info, cfg, rng, sample=True), info
+    batch.corrected = step >= cfg.correction_start_step
+    return run_courses(model, batch, cfg, rng, sample=True), batch
 
 
-def evaluate_losses(model, info: StepInfo, cfg: TrainConfig, rng=None):
+def evaluate_losses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     """Recompute enabled losses from a captured step's frozen views.
 
     Unlike step_losses this resamples nothing: spliced views, notebooks,
     and hence the regeneration/rediscrimination inputs are data. Used for
     gradient checking and fixed-point evaluations.
     """
-    return run_courses(model, info, cfg, rng, sample=False)
+    return run_courses(model, batch, cfg, rng, sample=False)
 
 
-def run_courses(model, info: StepInfo, cfg: TrainConfig, rng, sample):
+def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng, sample):
     """Walk COURSES, then the correction courses, in the order rng is drawn.
 
-    Sampling splices generator samples into the batch and keeps the detached
-    discriminator probabilities and notebooks in `info`; a replay reads them
-    from `info` and skips the sampling-only insert pass.
+    Sampling splices generator samples into the batch and files the
+    discriminator's notebooks in `batch.notebooks`; a replay reads both
+    from the batch and skips the sampling-only insert pass.
     """
     on = cfg.enabled_losses()
-    batch = info.batch
     losses = {}
     for c in COURSES:
         views = getattr(batch, c.view)
@@ -229,18 +206,17 @@ def run_courses(model, info: StepInfo, cfg: TrainConfig, rng, sample):
             ])
         elif sample and c.corrections:
             probs = model.detection_probs_detached(h.data, c.name)
-            probs = [probs[i, : len(v.ids)] for i, v in enumerate(views)]
-            setattr(info, f"{c.name}_probs", probs)
-            setattr(info, f"{c.name}_notebooks", [
-                corr.classify_confusion(x, v, pr, getattr(p, c.corrupted), course=c.name)
-                for x, v, pr, p in zip(batch.originals, views, probs, plans)
-            ])
+            batch.notebooks[c.name] = [
+                corr.classify_confusion(x, v, probs[i, : len(v.ids)], getattr(p, c.corrupted),
+                                        course=c.name)
+                for i, (x, v, p) in enumerate(zip(batch.originals, views, plans))
+            ]
 
     for c in COURSES:
-        if not (info.corrected and set(c.corrections) & set(on)):
+        if not (batch.corrected and set(c.corrections) & set(on)):
             continue
         regen_name, redisc_name = c.corrections
-        notebooks = getattr(info, f"{c.name}_notebooks")
+        notebooks = batch.notebooks[c.name]
         regen = [corr.build_regeneration(x, getattr(p, c.corrupted), nb)
                  for x, p, nb in zip(batch.originals, batch.plans, notebooks)]
         redisc = [corr.build_rediscrimination(x, v, nb)
@@ -255,7 +231,7 @@ def run_courses(model, info: StepInfo, cfg: TrainConfig, rng, sample):
 
 
 def total_loss(losses, cfg: TrainConfig):
-    """Unit-weight generator losses plus lambda-weighted discriminator losses.
+    """Generator losses plus lambda_disc-scaled discriminator losses.
 
     Absent (disabled) courses contribute exactly zero. Any non-finite
     component aborts the step before gradients exist.
@@ -263,10 +239,8 @@ def total_loss(losses, cfg: TrainConfig):
     for name, t in losses.items():
         if not np.isfinite(t.data):
             raise NonFiniteLossError(f"loss {name} is {float(t.data)} — aborting step")
-    return ad.add_n([
-        ad.scale(losses[n], (cfg.lambda_disc if n in D_LOSSES else 1.0) * getattr(cfg, f"weight_{n}"))
-        for n in LOSS_NAMES if n in losses
-    ])
+    return ad.add_n([ad.scale(losses[n], cfg.lambda_disc) if n in D_LOSSES else losses[n]
+                     for n in LOSS_NAMES if n in losses])
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -339,35 +313,31 @@ class Adam:
 # -- metrics -------------------------------------------------------------------
 
 
-def compute_metrics(step, losses, total, info: StepInfo, lr, cfg: TrainConfig):
+def compute_metrics(step, losses, total, batch: crs.CourseBatch, lr, cfg: TrainConfig):
     """Replace rate/accuracy on the rtd stream, confusion-cell counts, and
-    the discriminator label-balance tallies. Reads detached data only."""
-    replaced = kept = 0
-    caught = 0
-    for x, view, plan, probs in zip(info.originals, info.batch.rtd_views, info.plans, info.rtd_probs):
-        r = plan.mask_positions
-        kept += len(r)
-        is_replaced = view.ids[r] != x.ids[r]
-        replaced += int(is_replaced.sum())
-        caught += int((probs[r][is_replaced] < 0.5).sum())
-    replace_rate = replaced / kept if kept else None
-    replace_accuracy = caught / replaced if replaced else None
+    the discriminator label-balance tallies. Reads detached data only.
 
+    A course's view differs from its original only at the course's corrupted
+    positions, so a notebook's pos2|pos4 are the replaced tokens and pos4
+    the ones the discriminator caught.
+    """
     cells = [0, 0, 0, 0]
-    for nb in info.rtd_notebooks:
+    for nb in batch.notebooks["rtd"]:
         for i, cell in enumerate(nb.cells()):
             cells[i] += len(cell)
+    kept = sum(len(plan.mask_positions) for plan in batch.plans)
+    replaced = cells[1] + cells[3]
+    replace_rate = replaced / kept if kept else None
+    replace_accuracy = cells[3] / replaced if replaced else None
 
     d_nonorig = replaced
     d_corrupted = kept
     if cfg.std_course:
-        for x, view, plan in zip(info.originals, info.batch.std_views, info.plans):
-            s = plan.swap_positions
-            d_corrupted += len(s)
-            d_nonorig += int((view.ids[s] != x.ids[s]).sum())
+        d_corrupted += sum(len(plan.swap_positions) for plan in batch.plans)
+        d_nonorig += sum(len(nb.pos2) + len(nb.pos4) for nb in batch.notebooks["std"])
     itd_nonorig = itd_total = 0
     if cfg.itd_course:
-        for plan in info.batch.kept_plans:
+        for plan in batch.kept_plans:
             itd_nonorig += len(plan.insert_positions)
             itd_total += plan.extended_length
         d_nonorig += itd_nonorig
@@ -395,13 +365,13 @@ def train_step(model, seqs, opt: Adam, cfg: TrainConfig, rates, rng, step=0):
     """One co-training step; a non-finite loss or gradient norm aborts before any update."""
     model.zero_grad()
     with ad.Tape() as tape:
-        losses, info = step_losses(model, seqs, cfg, rates, rng, step)
+        losses, batch = step_losses(model, seqs, cfg, rates, rng, step)
         total = total_loss(losses, cfg)
         tape.backward(total)
     params = model.named_parameters()
     clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
     lr = opt.step(model)
-    return compute_metrics(step, losses, float(total.data), info, lr, cfg)
+    return compute_metrics(step, losses, float(total.data), batch, lr, cfg)
 
 
 class MetricsWriter:

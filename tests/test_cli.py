@@ -95,7 +95,8 @@ def test_probe_cli_runs(workspace, capsys):
     assert "probe accuracy" in capsys.readouterr().out
 
 
-def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path):
+def _two_copies_manifest(workspace, tmp_path):
+    """A manifest of runs "a" and "b", each a copy of run1's final checkpoint."""
     src = workspace / "run1" / "checkpoint_final.bin"
     c1, c2 = tmp_path / "a.bin", tmp_path / "b.bin"
     c1.write_bytes(src.read_bytes())
@@ -107,6 +108,12 @@ def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path)
     )
     mpath = tmp_path / "manifest.json"
     save_manifest(manifest, mpath)
+    return mpath
+
+
+def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path):
+    src = workspace / "run1" / "checkpoint_final.bin"
+    mpath = _two_copies_manifest(workspace, tmp_path)
     out = tmp_path / "soup.bin"
     assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform", "--out", str(out)]) == 0
     merged = load_checkpoint(out)
@@ -121,23 +128,41 @@ def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path)
 
 
 def test_soup_weighted_uses_weight_file(workspace, tmp_path):
-    src = workspace / "run1" / "checkpoint_final.bin"
-    c1, c2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    c1.write_bytes(src.read_bytes())
-    c2.write_bytes(src.read_bytes())
-    manifest = SweepManifest(
-        config_path="unused.json", output_dir=str(tmp_path),
-        runs=[SweepRun(name="a", losses=("re_mlm",), seed=0, checkpoint=str(c1)),
-              SweepRun(name="b", losses=("re_rtd",), seed=0, checkpoint=str(c2))],
-    )
-    mpath = tmp_path / "manifest.json"
-    save_manifest(manifest, mpath)
+    mpath = _two_copies_manifest(workspace, tmp_path)
     wpath = tmp_path / "weights.json"
     wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
     out = tmp_path / "soup_w.bin"
     assert cli(["soup", "--manifest", str(mpath), "--mode", "weighted",
                 "--weights", str(wpath), "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1.0,', '{"a": NaN, "b": 1.0}', '[Infinity, 1.0]', '3', '["x", 1.0]', '{"a": 1.0}',
+], ids=["bad_json", "nan", "inf", "number", "string", "missing_run"])
+def test_soup_with_a_malformed_weight_file_exits_1(workspace, tmp_path, capsys, text):
+    mpath = _two_copies_manifest(workspace, tmp_path)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(text, encoding="utf-8")
+    out = tmp_path / "soup_w.bin"
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "weighted",
+                "--weights", str(wpath), "--out", str(out)]) == 1
+    assert f"error: {wpath}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"config": "c", "runs": [', '[1, 2]', '{"runs": []}', '{"config": "c", "runs": [3]}',
+    '{"config": "c", "runs": 3}',
+    '{"config": "c", "runs": [{"losses": ["re_mlm"], "checkpoint": "x.bin"}]}',
+    '{"config": "c", "runs": [{"name": "a", "losses": ["re_mlm"]}]}',
+], ids=["bad_json", "not_object", "no_config", "run_not_object", "runs_not_list", "run_no_name",
+        "run_no_checkpoint"])
+def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(text, encoding="utf-8")
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform"]) == 1
+    assert f"error: {mpath}" in capsys.readouterr().err
 
 
 def test_sweep_runs_all_manifest_entries(workspace, tmp_path):

@@ -54,6 +54,9 @@ def test_unknown_keys_are_errors():
     with pytest.raises(ConfigError) as err:
         parse_config(base_dict(vocab_size=100))  # the vocabulary decides it
     assert "vocab_size" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_dict(weight_mlm=1.0))  # per-loss weights are gone
+    assert "weight_mlm" in str(err.value)
 
 
 def test_default_config_dict_holds_every_key_at_its_default():
@@ -81,6 +84,8 @@ def test_wrongly_typed_values_rejected(field):
     ("dropout_rate", 1.0), ("dropout_rate", -0.1),
     ("hidden_size", 0), ("hidden_size", -4),
     ("learning_rate", 0.0), ("learning_rate", -1.0),
+    ("max_relative_position", 8), ("max_relative_position", 4),
+    ("max_relative_position", 0), ("max_relative_position", -3),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
     with pytest.raises(ConfigError) as err:

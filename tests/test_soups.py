@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from multicourse.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ConfigError, MergeError
+from multicourse.errors import ConfigError, InputError, MergeError
 from multicourse.soups import (
     CORRECTION_LOSSES,
     SoupWeights,
@@ -74,6 +74,12 @@ def test_weights_must_normalize():
         SoupWeights(np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("values", [[np.nan], [0.5, np.nan], [np.inf, 0.0]])
+def test_weights_must_be_finite(values):
+    with pytest.raises(ConfigError):
+        SoupWeights(np.array(values))
+
+
 def _manifest_with_scores(scores):
     runs = [SweepRun(name=f"r{i}", losses=("re_mlm",) if i == 0 else ("re_rtd",),
                      seed=i, checkpoint=f"c{i}.bin", score=s)
@@ -94,6 +100,12 @@ def test_equal_scores_yield_uniform():
 def test_zero_scores_fall_back_to_uniform(caplog):
     w = score_runs(_manifest_with_scores([0.0, 0.0]))
     np.testing.assert_allclose(w.values, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_score_rejected(bad):
+    with pytest.raises(InputError):
+        score_runs(_manifest_with_scores([0.9, bad]))
 
 
 def test_missing_scores_fall_back_to_uniform():

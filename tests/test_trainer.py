@@ -6,7 +6,7 @@ import pytest
 
 from multicourse import autodiff as ad
 from multicourse import trainer as tr
-from multicourse.courses import CorruptionRates, TokenSequence
+from multicourse.courses import CorruptionRates, TokenSequence, pad_batch
 from multicourse.encoder import EncoderConfig, Model
 from multicourse.errors import ConfigError, InputError, NonFiniteLossError
 from multicourse.trainer import (
@@ -354,22 +354,20 @@ def _manual_info(model):
     probs1 = np.full(6, 0.9)
     probs1[p1[0]] = 0.1   # caught
     probs2 = np.full(4, 0.9)  # missed
-    info = tr.StepInfo(originals=[x1, x2], plans=batch.plans, batch=batch,
-                       rtd_probs=[probs1, probs2])
     from multicourse.correction import classify_confusion
-    info.rtd_notebooks = [
+    batch.notebooks["rtd"] = [
         classify_confusion(x, v, pr, pl.mask_positions)
         for x, v, pr, pl in zip([x1, x2], batch.rtd_views, [probs1, probs2], batch.plans)
     ]
-    return info
+    return batch
 
 
 def test_metrics_recount_oracle(corpus):
     vocab, _ = corpus
     model = Model(small_encoder(64), seed=0)
-    info = _manual_info(model)
+    batch = _manual_info(model)
     cfg = small_train(std_course=False, itd_course=False, re_slm=False, re_std=False)
-    rec = compute_metrics(3, {}, 0.0, info, 1e-4, cfg)
+    rec = compute_metrics(3, {}, 0.0, batch, 1e-4, cfg)
     # brute-force recount: 3 corrupted positions, 2 actually replaced, 1 caught
     assert rec.replace_rate == pytest.approx(2 / 3)
     assert rec.replace_accuracy == pytest.approx(1 / 2)
@@ -385,12 +383,10 @@ def test_metrics_omitted_when_no_positions(corpus):
     rng = np.random.default_rng(0)
     batch = build_views([x], CorruptionRates(0, 0, 0), rng, 24)
     batch.rtd_views = [x.copy()]
-    info = tr.StepInfo(originals=[x], plans=batch.plans, batch=batch,
-                       rtd_probs=[np.full(4, 0.9)])
     from multicourse.correction import classify_confusion
-    info.rtd_notebooks = [classify_confusion(x, x.copy(), np.full(4, 0.9), [])]
+    batch.notebooks["rtd"] = [classify_confusion(x, x.copy(), np.full(4, 0.9), [])]
     cfg = small_train(std_course=False, itd_course=False, re_slm=False, re_std=False)
-    rec = compute_metrics(0, {}, 0.0, info, 1e-4, cfg)
+    rec = compute_metrics(0, {}, 0.0, batch, 1e-4, cfg)
     assert rec.replace_rate is None and rec.replace_accuracy is None
     row = rec.csv_row()
     assert row[len(tr.LOSS_NAMES) + 1] == "" and row[len(tr.LOSS_NAMES) + 2] == ""
@@ -401,10 +397,10 @@ def test_metrics_do_not_touch_params_or_rng(setup):
     cfg = small_train()
     rng = np.random.default_rng(12)
     with ad.Tape():
-        losses, info = step_losses(model, seqs[:3], cfg, RATES, rng)
+        losses, batch = step_losses(model, seqs[:3], cfg, RATES, rng)
     before = model.state()
     rng_state = rng.bit_generator.state
-    compute_metrics(0, losses, 1.0, info, 1e-4, cfg)
+    compute_metrics(0, losses, 1.0, batch, 1e-4, cfg)
     after = model.state()
     for name in before:
         np.testing.assert_array_equal(before[name], after[name])
@@ -423,6 +419,42 @@ def test_label_balance_floor_holds_each_step(setup):
         assert rec.d_nonoriginal / rec.d_corrupted >= bound
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_metrics_equal_a_recount_from_the_views(corpus, seed):
+    vocab, seqs = corpus
+    model = Model(small_encoder(len(vocab), dropout=0.0), seed=seed)
+    cfg = small_train()
+    rng = np.random.default_rng(seed)
+    with ad.Tape():
+        losses, batch = step_losses(model, seqs[6 * seed: 6 * seed + 6], cfg, RATES, rng)
+    rec = compute_metrics(0, losses, 1.0, batch, 1e-4, cfg)
+    # a view differs from its original only where its course corrupted it
+    for views, field in ((batch.rtd_views, "mask_positions"), (batch.std_views, "swap_positions")):
+        for x, view, plan in zip(batch.originals, views, batch.plans):
+            assert np.isin(np.flatnonzero(view.ids != x.ids), getattr(plan, field)).all()
+    # brute force: compare the views with the originals, re-judge the rtd views
+    probs = model.detection_probs_detached(
+        model.encode_discriminator(*pad_batch(batch.rtd_views)).data, "rtd")
+    kept = replaced = caught = 0
+    for i, (x, view, plan) in enumerate(zip(batch.originals, batch.rtd_views, batch.plans)):
+        r = plan.mask_positions
+        is_replaced = view.ids[r] != x.ids[r]
+        kept += len(r)
+        replaced += int(is_replaced.sum())
+        caught += int((probs[i, r][is_replaced] < 0.5).sum())
+    swapped = sum(len(p.swap_positions) for p in batch.plans)
+    std_replaced = sum(int((v.ids != x.ids).sum()) for x, v in zip(batch.originals, batch.std_views))
+    inserted = sum(len(p.insert_positions) for p in batch.kept_plans)
+    assert replaced > 0 and std_replaced > 0 and inserted > 0
+    assert rec.replace_rate == replaced / kept
+    assert rec.replace_accuracy == caught / replaced
+    assert rec.pos_counts[1] + rec.pos_counts[3] == replaced and rec.pos_counts[3] == caught
+    assert sum(rec.pos_counts) == sum(x.n_real for x in batch.originals)
+    assert rec.d_nonoriginal == replaced + std_replaced + inserted
+    assert rec.d_corrupted == kept + swapped + inserted
+    assert rec.itd_nonoriginal == inserted
+
+
 # -- evaluate_losses consistency ----------------------------------------------------
 
 
@@ -433,8 +465,8 @@ def test_evaluate_losses_matches_step_losses_without_dropout(corpus, correction_
     cfg = small_train(correction_start_step=correction_start_step)
     rng = np.random.default_rng(14)
     with ad.Tape():
-        losses, info = step_losses(model, seqs[:4], cfg, RATES, rng, step=0)
-    replay = evaluate_losses(model, info, cfg)
+        losses, batch = step_losses(model, seqs[:4], cfg, RATES, rng, step=0)
+    replay = evaluate_losses(model, batch, cfg)
     assert set(replay) == set(losses)
     for name in losses:
         assert float(replay[name].data) == pytest.approx(float(losses[name].data), abs=1e-7)
