@@ -192,7 +192,7 @@ def cli(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (MulticourseError, FileNotFoundError) as exc:
+    except (MulticourseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -81,15 +81,15 @@ def build_rediscrimination(x: TokenSequence, view: TokenSequence, notebook: Conf
     return redisc, positions, labels
 
 
-def loss_regeneration(model, g_hidden, regen_batch):
+def loss_regeneration(model, g_hidden, regen_batch, first_row=0):
     """CE at pos4 only; same functional form as the first-pass cloze loss."""
     positions = [positions for _, _, positions in regen_batch]
     targets = [targets for _, targets, _ in regen_batch]
-    return cross_entropy_at(model, g_hidden, positions, targets)
+    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
 
 
-def loss_rediscrimination(model, d_hidden, head, redisc_batch):
+def loss_rediscrimination(model, d_hidden, head, redisc_batch, first_row=0):
     """BCE at pos2|pos3 only, using the matching course head."""
     positions = [positions for _, positions, _ in redisc_batch]
     labels = [labels for _, _, labels in redisc_batch]
-    return binary_detection_loss(model, d_hidden, head, positions, labels)
+    return binary_detection_loss(model, d_hidden, head, positions, labels, first_row)

@@ -150,18 +150,19 @@ def sample_rows(probs, rng):
 # -- batched loss helpers ----------------------------------------------------
 
 
-def _flatten_positions(position_lists):
-    """(seq_idx, pos_idx) arrays for a list of per-sequence position arrays."""
+def _flatten_positions(position_lists, first_row=0):
+    """(seq_idx, pos_idx) arrays for a list of per-sequence position arrays
+    whose sequences are the rows of a batch from `first_row` on."""
     seq_idx, pos_idx = [], []
-    for i, positions in enumerate(position_lists):
+    for i, positions in enumerate(position_lists, start=first_row):
         seq_idx.extend([i] * len(positions))
         pos_idx.extend(int(p) for p in positions)
     return np.asarray(seq_idx, dtype=np.int64), np.asarray(pos_idx, dtype=np.int64)
 
 
-def cross_entropy_at(model, g_hidden, position_lists, target_lists):
+def cross_entropy_at(model, g_hidden, position_lists, target_lists, first_row=0):
     """Mean CE over pooled positions, full-vocabulary logits from the tied head."""
-    seq_idx, pos_idx = _flatten_positions(position_lists)
+    seq_idx, pos_idx = _flatten_positions(position_lists, first_row)
     if seq_idx.size == 0:
         return ad.constant(0.0, dtype=g_hidden.data.dtype)
     targets = np.concatenate([np.asarray(t, dtype=np.int64) for t in target_lists if len(t)])
@@ -169,9 +170,9 @@ def cross_entropy_at(model, g_hidden, position_lists, target_lists):
     return ad.softmax_cross_entropy(logits, targets)
 
 
-def binary_detection_loss(model, d_hidden, head, position_lists, label_lists):
+def binary_detection_loss(model, d_hidden, head, position_lists, label_lists, first_row=0):
     """Mean BCE with the chosen head over pooled (sequence, position) pairs."""
-    seq_idx, pos_idx = _flatten_positions(position_lists)
+    seq_idx, pos_idx = _flatten_positions(position_lists, first_row)
     if seq_idx.size == 0:
         return ad.constant(0.0, dtype=d_hidden.data.dtype)
     b, n, _ = d_hidden.data.shape
@@ -187,18 +188,18 @@ def binary_detection_loss(model, d_hidden, head, position_lists, label_lists):
 # -- the five self-supervision losses ----------------------------------------
 
 
-def loss_mlm(model, g_hidden, plans, originals):
+def loss_mlm(model, g_hidden, plans, originals, first_row=0):
     """CE at masked positions, targets = original tokens."""
     positions = [p.mask_positions for p in plans]
     targets = [x.ids[p.mask_positions] for x, p in zip(originals, plans)]
-    return cross_entropy_at(model, g_hidden, positions, targets)
+    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
 
 
-def loss_slm(model, g_hidden, plans, originals):
+def loss_slm(model, g_hidden, plans, originals, first_row=0):
     """CE at swapped positions, targets = original tokens, same full-vocab head."""
     positions = [p.swap_positions for p in plans]
     targets = [x.ids[p.swap_positions] for x, p in zip(originals, plans)]
-    return cross_entropy_at(model, g_hidden, positions, targets)
+    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
 
 
 def original_labels(view: TokenSequence, x: TokenSequence):
@@ -207,23 +208,23 @@ def original_labels(view: TokenSequence, x: TokenSequence):
     return real, (view.ids[real] == x.ids[real]).astype(np.float32)
 
 
-def _original_detection_loss(model, d_hidden, head, views, originals):
+def _original_detection_loss(model, d_hidden, head, views, originals, first_row):
     positions, labels = [], []
     for view, x in zip(views, originals):
         real, lab = original_labels(view, x)
         positions.append(real)
         labels.append(lab)
-    return binary_detection_loss(model, d_hidden, head, positions, labels)
+    return binary_detection_loss(model, d_hidden, head, positions, labels, first_row)
 
 
-def loss_rtd(model, d_hidden, views, originals):
+def loss_rtd(model, d_hidden, views, originals, first_row=0):
     """BCE with the rtd head over all non-padding positions."""
-    return _original_detection_loss(model, d_hidden, "rtd", views, originals)
+    return _original_detection_loss(model, d_hidden, "rtd", views, originals, first_row)
 
 
-def loss_std(model, d_hidden, views, originals):
+def loss_std(model, d_hidden, views, originals, first_row=0):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    return _original_detection_loss(model, d_hidden, "std", views, originals)
+    return _original_detection_loss(model, d_hidden, "std", views, originals, first_row)
 
 
 def itd_labels(plan: CorruptionPlan):
@@ -233,12 +234,12 @@ def itd_labels(plan: CorruptionPlan):
     return labels
 
 
-def loss_itd(model, d_hidden, views, plans):
+def loss_itd(model, d_hidden, views, plans, first_row=0):
     """BCE with the itd head over the extended sequences; labels are by
     construction, independent of what the generator sampled."""
     positions = [np.flatnonzero(v.attention_mask) for v in views]
     labels = [itd_labels(p) for p in plans]
-    return binary_detection_loss(model, d_hidden, "itd", positions, labels)
+    return binary_detection_loss(model, d_hidden, "itd", positions, labels, first_row)
 
 
 # -- batch assembly -----------------------------------------------------------

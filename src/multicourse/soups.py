@@ -107,9 +107,13 @@ def load_manifest(path) -> SweepManifest:
         missing = {"name", "losses", "checkpoint"} - set(entry)
         if missing:
             raise ConfigError(f"{path}: run {len(runs)} misses keys {sorted(missing)}")
-        runs.append(SweepRun(name=entry["name"], losses=tuple(entry["losses"]),
-                             seed=int(entry.get("seed", 0)), checkpoint=entry["checkpoint"],
-                             score=entry.get("score")))
+        seed, score = entry.get("seed", 0), entry.get("score")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"{path}: run {entry['name']!r} has seed {seed!r}, not an integer")
+        if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
+            raise ConfigError(f"{path}: run {entry['name']!r} has score {score!r}, not a number")
+        runs.append(SweepRun(name=entry["name"], losses=tuple(entry["losses"]), seed=seed,
+                             checkpoint=entry["checkpoint"], score=score))
     manifest = SweepManifest(config_path=raw["config"], output_dir=raw.get("output_dir", "."),
                              runs=runs, probe_data=raw.get("probe_data"))
     manifest.validate()

@@ -1,11 +1,14 @@
 """Joint training of generator and discriminator over all enabled courses.
 
-One step builds every view from the same batch and walks the course table
-COURSES: generator passes that sample, discriminator passes on the spliced
-samples, then the rtd and std self-correction courses; the same walk replays
-a captured step. The step's CourseBatch is its one record: views, notebooks
-and whether correction ran. One clipped AdamW update follows on the enabled
-generator losses plus lambda-scaled discriminator losses. Metrics: replace
+One step builds every view from the same batch and walks the pass table
+PASSES. Courses whose views have the same padded width share one encoder
+pass over their stacked rows, and each loss reads only its own rows. So a
+step makes three generator passes (mlm+slm, the sampling-only insert pass,
+re_mlm+re_slm) and three discriminator passes (rtd+std on the spliced
+samples, itd, re_rtd+re_std); the same walk replays a captured step. The
+step's CourseBatch is its one record: views, notebooks and whether
+correction ran. One clipped AdamW update follows on the enabled generator
+losses plus lambda-scaled discriminator losses. Metrics: replace
 rate/accuracy and confusion-cell counts, read off the notebooks.
 """
 
@@ -106,40 +109,50 @@ class MetricsRecord:
 
 @dataclass(frozen=True)
 class Course:
-    """One encoder pass of the step, switched on by enabled_losses() `name`.
+    """One course of an encoder pass, switched on by enabled_losses() `name`.
 
     It encodes CourseBatch field `view` and applies the `courses` function
-    named `loss`, looked up at call time, to the hidden states and the
-    CourseBatch fields in `args`; a row without a loss samples off the tape.
-    `corrupted` is the plan field of the course's positions: a generator row
-    splices its samples there into `spliced`; a discriminator row with
-    `corrections` (regeneration, rediscrimination loss) sorts them into notebooks.
+    named `loss`, looked up at call time, to the pass's hidden states, the
+    CourseBatch fields in `args` and the pass row its views start at; a course
+    without a loss samples off the tape. `corrupted` is the plan field of the
+    course's positions: a generator course splices its samples there into
+    `spliced`; a discriminator course sorts them into its notebooks. A course
+    that `corrects` one of those encodes the regeneration (generator) or
+    rediscrimination (discriminator) inputs built from its notebooks and
+    applies the `correction` loss.
     """
     name: str
-    encoder: str
-    view: str
+    view: str | None
     loss: str | None
     args: tuple = ()
     plans: str = "plans"
     corrupted: str | None = None
     spliced: str | None = None
-    corrections: tuple = ()
+    corrects: "Course | None" = None
 
 
-# One step: the generator phase, the discriminator phase on its spliced
-# samples, then self-correction from the rtd and std notebooks.
-COURSES = (
-    Course("mlm", "generator", "masked", "loss_mlm", ("plans", "originals"),
-           corrupted="mask_positions", spliced="rtd_views"),
-    Course("slm", "generator", "swapped", "loss_slm", ("plans", "originals"),
-           corrupted="swap_positions", spliced="std_views"),
-    Course("itd", "generator", "inserted", None, plans="kept_plans",
-           corrupted="insert_positions", spliced="itd_views"),
-    Course("rtd", "discriminator", "rtd_views", "loss_rtd", ("rtd_views", "originals"),
-           corrupted="mask_positions", corrections=("re_mlm", "re_rtd")),
-    Course("std", "discriminator", "std_views", "loss_std", ("std_views", "originals"),
-           corrupted="swap_positions", corrections=("re_slm", "re_std")),
-    Course("itd", "discriminator", "itd_views", "loss_itd", ("itd_views", "kept_plans")),
+_RTD = Course("rtd", "rtd_views", "loss_rtd", ("rtd_views", "originals"), corrupted="mask_positions")
+_STD = Course("std", "std_views", "loss_std", ("std_views", "originals"), corrupted="swap_positions")
+
+# One step's encoder passes, in the order rng is drawn: the generator phase,
+# the discriminator phase on its spliced samples, then self-correction from
+# the rtd and std notebooks. The views of one pass are built position for
+# position from the same originals, so they share a padded width and one
+# encoder call over their stacked rows; the longer insert views pass alone.
+PASSES = (
+    ("generator", (
+        Course("mlm", "masked", "loss_mlm", ("plans", "originals"),
+               corrupted="mask_positions", spliced="rtd_views"),
+        Course("slm", "swapped", "loss_slm", ("plans", "originals"),
+               corrupted="swap_positions", spliced="std_views"))),
+    ("generator", (Course("itd", "inserted", None, plans="kept_plans",
+                          corrupted="insert_positions", spliced="itd_views"),)),
+    ("discriminator", (_RTD, _STD)),
+    ("discriminator", (Course("itd", "itd_views", "loss_itd", ("itd_views", "kept_plans")),)),
+    ("generator", (Course("re_mlm", None, "loss_regeneration", corrects=_RTD),
+                   Course("re_slm", None, "loss_regeneration", corrects=_STD))),
+    ("discriminator", (Course("re_rtd", None, "loss_rediscrimination", corrects=_RTD),
+                       Course("re_std", None, "loss_rediscrimination", corrects=_STD))),
 )
 
 
@@ -180,7 +193,9 @@ def evaluate_losses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
 
 
 def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng, sample):
-    """Walk COURSES, then the correction courses, in the order rng is drawn.
+    """Walk PASSES in the order rng is drawn: one encoder call per pass over
+    the stacked views of its enabled courses, then each course's loss on its
+    own rows of the hidden states.
 
     Sampling splices generator samples into the batch and files the
     discriminator's notebooks in `batch.notebooks`; a replay reads both
@@ -188,46 +203,52 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng, sample):
     """
     on = cfg.enabled_losses()
     losses = {}
-    for c in COURSES:
-        views = getattr(batch, c.view)
-        if c.name not in on or not views or not (sample or c.loss):
+    for encoder, courses in PASSES:
+        inputs = []
+        for c in courses:
+            if c.name in on and (sample or c.loss) and (batch.corrected or not c.corrects):
+                views, args = _course_inputs(batch, c, encoder)
+                if views:
+                    inputs.append((c, views, args))
+        if not inputs:
             continue
-        ids, mask = crs.pad_batch(views)
-        with ad.no_tape() if c.loss is None else nullcontext():
-            h = getattr(model, f"encode_{c.encoder}")(ids, mask, rng)
-        if c.loss:
-            losses[c.name] = getattr(crs, c.loss)(model, h, *(getattr(batch, a) for a in c.args))
-        plans = getattr(batch, c.plans)
-        if sample and c.spliced:
-            setattr(batch, c.spliced, [
-                crs.splice_generator_samples(
-                    model, v, h.data[i, : len(v.ids)], getattr(p, c.corrupted), rng)
-                for i, (v, p) in enumerate(zip(views, plans))
-            ])
-        elif sample and c.corrections:
-            probs = model.detection_probs_detached(h.data, c.name)
-            batch.notebooks[c.name] = [
-                corr.classify_confusion(x, v, probs[i, : len(v.ids)], getattr(p, c.corrupted),
-                                        course=c.name)
-                for i, (x, v, p) in enumerate(zip(batch.originals, views, plans))
-            ]
-
-    for c in COURSES:
-        if not (batch.corrected and set(c.corrections) & set(on)):
-            continue
-        regen_name, redisc_name = c.corrections
-        notebooks = batch.notebooks[c.name]
-        regen = [corr.build_regeneration(x, getattr(p, c.corrupted), nb)
-                 for x, p, nb in zip(batch.originals, batch.plans, notebooks)]
-        redisc = [corr.build_rediscrimination(x, v, nb)
-                  for x, v, nb in zip(batch.originals, getattr(batch, c.view), notebooks)]
-        if regen_name in on:
-            h = model.encode_generator(*crs.pad_batch([r[0] for r in regen]), rng)
-            losses[regen_name] = corr.loss_regeneration(model, h, regen)
-        if redisc_name in on:
-            h = model.encode_discriminator(*crs.pad_batch([r[0] for r in redisc]), rng)
-            losses[redisc_name] = corr.loss_rediscrimination(model, h, c.name, redisc)
+        ids, mask = crs.pad_batch([v for _, views, _ in inputs for v in views])
+        with nullcontext() if inputs[0][0].loss else ad.no_tape():
+            h = getattr(model, f"encode_{encoder}")(ids, mask, rng)
+        row = 0
+        for c, views, args in inputs:
+            if c.loss:
+                losses[c.name] = getattr(corr if c.corrects else crs, c.loss)(model, h, *args, row)
+            plans = getattr(batch, c.plans)
+            if sample and c.spliced:
+                setattr(batch, c.spliced, [
+                    crs.splice_generator_samples(
+                        model, v, h.data[row + i, : len(v.ids)], getattr(p, c.corrupted), rng)
+                    for i, (v, p) in enumerate(zip(views, plans))
+                ])
+            elif sample and c.corrupted:
+                probs = model.detection_probs_detached(h.data[row: row + len(views)], c.name)
+                batch.notebooks[c.name] = [
+                    corr.classify_confusion(x, v, probs[i, : len(v.ids)], getattr(p, c.corrupted),
+                                            course=c.name)
+                    for i, (x, v, p) in enumerate(zip(batch.originals, views, plans))
+                ]
+            row += len(views)
     return losses
+
+
+def _course_inputs(batch: crs.CourseBatch, c: Course, encoder):
+    """The sequences course `c` encodes, and its loss arguments after the hidden states."""
+    if c.corrects is None:
+        return getattr(batch, c.view), tuple(getattr(batch, a) for a in c.args)
+    source, notebooks = c.corrects, batch.notebooks[c.corrects.name]
+    if encoder == "generator":
+        regen = [corr.build_regeneration(x, getattr(p, source.corrupted), nb)
+                 for x, p, nb in zip(batch.originals, batch.plans, notebooks)]
+        return [r[0] for r in regen], (regen,)
+    redisc = [corr.build_rediscrimination(x, v, nb)
+              for x, v, nb in zip(batch.originals, getattr(batch, source.view), notebooks)]
+    return [r[0] for r in redisc], (source.name, redisc)
 
 
 def total_loss(losses, cfg: TrainConfig):

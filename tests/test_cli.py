@@ -74,6 +74,11 @@ def test_nonexistent_config_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_directory_as_config_exits_1(tmp_path, capsys):
+    assert cli(["pretrain", "--config", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_export_metrics_validates_and_copies(workspace, tmp_path):
     run_dir = workspace / "run1"
     out = tmp_path / "copy.csv"
@@ -156,8 +161,11 @@ def test_soup_with_a_malformed_weight_file_exits_1(workspace, tmp_path, capsys, 
     '{"config": "c", "runs": 3}',
     '{"config": "c", "runs": [{"losses": ["re_mlm"], "checkpoint": "x.bin"}]}',
     '{"config": "c", "runs": [{"name": "a", "losses": ["re_mlm"]}]}',
+    *(f'{{"config": "c", "runs": [{{"name": "a", "losses": [], "checkpoint": "x.bin", {kv}}}]}}'
+      for kv in ('"seed": "x"', '"seed": true', '"seed": 1.5', '"score": "high"', '"score": true')),
 ], ids=["bad_json", "not_object", "no_config", "run_not_object", "runs_not_list", "run_no_name",
-        "run_no_checkpoint"])
+        "run_no_checkpoint", "seed_string", "seed_bool", "seed_float", "score_string",
+        "score_bool"])
 def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(text, encoding="utf-8")

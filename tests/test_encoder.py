@@ -81,6 +81,25 @@ def test_generator_covers_mask_positions(model):
     assert np.isfinite(h.data).all()
 
 
+@pytest.mark.parametrize("stack", ["generator", "discriminator"])
+def test_real_positions_ignore_other_rows_and_right_padding(stack):
+    # without dropout a row's states at its real positions are the same in any
+    # batch at any padded width: views of one width can share an encoder pass
+    model = Model(tiny_config(dropout_rate=0.0), seed=3)
+    encode = getattr(model, f"encode_{stack}")
+    rows = [[4, 5, 6, 7, 8, 9, 10], [11, 12, 13], [14, 15, 16, 17, 18]]
+    alone = [encode(*batch([r])).data[0] for r in rows]
+    for width in (7, 12):
+        ids = np.full((len(rows), width), 20, dtype=np.int64)  # padding ids are arbitrary
+        mask = np.zeros_like(ids)
+        for i, r in enumerate(rows):
+            ids[i, : len(r)] = r
+            mask[i, : len(r)] = 1
+        h = encode(ids, mask).data
+        for i, r in enumerate(rows):
+            np.testing.assert_allclose(h[i, : len(r)], alone[i], rtol=1e-6, atol=1e-6)
+
+
 # -- relative position bias ------------------------------------------------------
 
 

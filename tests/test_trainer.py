@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from multicourse import autodiff as ad
+from multicourse import correction as corr
+from multicourse import courses as crs
 from multicourse import trainer as tr
 from multicourse.courses import CorruptionRates, TokenSequence, pad_batch
 from multicourse.encoder import EncoderConfig, Model
@@ -470,6 +472,101 @@ def test_evaluate_losses_matches_step_losses_without_dropout(corpus, correction_
     assert set(replay) == set(losses)
     for name in losses:
         assert float(replay[name].data) == pytest.approx(float(losses[name].data), abs=1e-7)
+
+
+# -- encoder passes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("overrides, replay, passes", [
+    ({}, False, (3, 3)),
+    ({"itd_course": False}, False, (2, 2)),
+    ({"correction_start_step": 1}, False, (2, 2)),
+    ({}, True, (2, 3)),
+], ids=["sampled", "no_itd", "before_correction", "replay"])
+def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
+    model, seqs, _ = setup
+    cfg = small_train(**overrides)
+    calls = {}
+    for stack in ("generator", "discriminator"):
+        def counted(self, ids, mask, rng=None, _stack=stack, _encode=getattr(Model, f"encode_{stack}")):
+            calls[_stack] = calls.get(_stack, 0) + 1
+            return _encode(self, ids, mask, rng)
+        monkeypatch.setattr(Model, f"encode_{stack}", counted)
+    with ad.Tape():
+        _, batch = step_losses(model, seqs[:6], cfg, RATES, np.random.default_rng(15))
+        if replay:
+            calls.clear()
+            evaluate_losses(model, batch, cfg)
+    assert batch.itd_kept and (calls["generator"], calls["discriminator"]) == passes
+
+
+def _one_pass_per_course(model, batch, cfg):
+    """Every enabled loss, each from one encoder pass over its own course's views."""
+    def gen(views):
+        return model.encode_generator(*pad_batch(views))
+
+    def disc(views):
+        return model.encode_discriminator(*pad_batch(views))
+
+    on = cfg.enabled_losses()
+    x, plans = batch.originals, batch.plans
+    losses = {"mlm": crs.loss_mlm(model, gen(batch.masked), plans, x),
+              "rtd": crs.loss_rtd(model, disc(batch.rtd_views), batch.rtd_views, x)}
+    if "slm" in on:
+        losses["slm"] = crs.loss_slm(model, gen(batch.swapped), plans, x)
+        losses["std"] = crs.loss_std(model, disc(batch.std_views), batch.std_views, x)
+    if "itd" in on:
+        losses["itd"] = crs.loss_itd(model, disc(batch.itd_views), batch.itd_views, batch.kept_plans)
+    for course, views, corrupted, regen, redisc in (
+            ("rtd", batch.rtd_views, "mask_positions", "re_mlm", "re_rtd"),
+            ("std", batch.std_views, "swap_positions", "re_slm", "re_std")):
+        notebooks = batch.notebooks.get(course)
+        if regen in on:
+            built = [corr.build_regeneration(xi, getattr(p, corrupted), nb)
+                     for xi, p, nb in zip(x, plans, notebooks)]
+            losses[regen] = corr.loss_regeneration(model, gen([b[0] for b in built]), built)
+        if redisc in on:
+            built = [corr.build_rediscrimination(xi, v, nb) for xi, v, nb in zip(x, views, notebooks)]
+            losses[redisc] = corr.loss_rediscrimination(
+                model, disc([b[0] for b in built]), course, built)
+    return losses
+
+
+def _loss_values_and_gradients(model, make_losses, cfg):
+    model.zero_grad()
+    with ad.Tape() as tape:
+        losses = make_losses()
+        tape.backward(total_loss(losses, cfg))
+    return ({n: float(t.data) for n, t in losses.items()},
+            {n: p.grad for n, p in model.named_parameters().items() if p.grad is not None})
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"std_course": False, "re_slm": False, "re_std": False},
+    {"itd_course": False},
+    {"re_rtd": False, "re_slm": False},
+], ids=["all", "no_std", "no_itd", "re_mlm_re_std"])
+def test_shared_passes_match_one_pass_per_course(corpus, overrides):
+    vocab, seqs = corpus
+    model = Model(small_encoder(len(vocab), dropout=0.0), seed=4)
+    cfg = small_train(**overrides)
+    with ad.Tape():
+        _, batch = step_losses(model, seqs[:6], cfg, RATES, np.random.default_rng(16))
+    shared, shared_grads = _loss_values_and_gradients(
+        model, lambda: evaluate_losses(model, batch, cfg), cfg)
+    alone, alone_grads = _loss_values_and_gradients(
+        model, lambda: _one_pass_per_course(model, batch, cfg), cfg)
+    assert set(shared) == set(alone) == set(cfg.enabled_losses())
+    for name in alone:
+        assert shared[name] == pytest.approx(alone[name], rel=1e-6, abs=1e-12), name
+    # a shared pass sums each weight gradient over more rows in one product,
+    # so gradients agree to float32 rounding of the largest entry, not bitwise
+    assert set(shared_grads) == set(alone_grads)
+    for name, g in alone_grads.items():
+        scale = float(np.abs(g).max())
+        np.testing.assert_allclose(shared_grads[name], g, rtol=1e-6, atol=1e-6 * scale,
+                                   err_msg=name)
 
 
 # -- the loop ---------------------------------------------------------------------
