@@ -125,6 +125,8 @@ def _load_weight_file(path, manifest):
 
 
 def cmd_soup(args):
+    if args.mode == "uniform" and args.weights:
+        raise ConfigError("--weights sets the weights of --mode weighted; --mode uniform takes none")
     manifest = soups.load_manifest(args.manifest)
     checkpoints = [load_checkpoint(run.checkpoint) for run in manifest.runs]
     if args.mode == "uniform":

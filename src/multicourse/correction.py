@@ -23,14 +23,12 @@ class ConfusionNotebook:
     pos2: np.ndarray
     pos3: np.ndarray
     pos4: np.ndarray
-    course: str  # "rtd" or "std"
 
     def cells(self):
         return self.pos1, self.pos2, self.pos3, self.pos4
 
 
-def classify_confusion(x: TokenSequence, view: TokenSequence, d_probs, corrupted,
-                       course="rtd") -> ConfusionNotebook:
+def classify_confusion(x: TokenSequence, view: TokenSequence, d_probs) -> ConfusionNotebook:
     """Partition evaluated positions by (prediction, label).
 
     `d_probs` are detach-copied probabilities-of-original; prediction is
@@ -51,7 +49,6 @@ def classify_confusion(x: TokenSequence, view: TokenSequence, d_probs, corrupted
         pos2=real[pred_orig & ~label_orig],
         pos3=real[~pred_orig & label_orig],
         pos4=real[~pred_orig & ~label_orig],
-        course=course,
     )
 
 

@@ -39,6 +39,12 @@ class EncoderConfig:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by attention_heads {self.attention_heads}"
             )
+        for name in ("generator_layers", "discriminator_layers", "ffn_inner_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_seq_len < 2:
+            # a corruption plan needs two real tokens
+            raise ConfigError(f"max_seq_len must be at least 2, got {self.max_seq_len}")
         if self.generator_layers > self.discriminator_layers:
             raise ConfigError(
                 f"generator_layers {self.generator_layers} must not exceed "

@@ -1,20 +1,15 @@
 """Joint training of generator and discriminator over all enabled courses.
 
-One step builds every view from the same batch and walks the pass table
-PASSES. Courses whose views have the same padded width share one encoder
-pass over their stacked rows, and each loss reads only its own rows. So a
-step makes three generator passes (mlm+slm, the sampling-only insert pass,
-re_mlm+re_slm) and three discriminator passes (rtd+std on the spliced
-samples, itd, re_rtd+re_std); the same walk replays a captured step. The
-step's CourseBatch is its one record: views, notebooks and whether
-correction ran. One clipped AdamW update follows on the enabled generator
-losses plus lambda-scaled discriminator losses. Metrics: replace
-rate/accuracy and confusion-cell counts, read off the notebooks.
+A step corrupts one batch into every course's views and runs the courses
+(`run_courses`) in at most three generator and three discriminator passes.
+Its CourseBatch is its one record: views, notebooks and whether correction
+ran. One clipped AdamW update follows on the generator losses plus
+lambda-scaled discriminator losses. Metrics: replace rate/accuracy and
+confusion-cell counts, read off the notebooks.
 """
 
 import csv
 import logging
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +66,17 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError(f"adam_beta1 and adam_beta2 must lie in [0, 1), "
+                              f"got {self.adam_beta1} and {self.adam_beta2}")
+        if self.adam_epsilon <= 0:
+            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
+        if self.grad_clip_norm < 0:
+            raise ConfigError(f"grad_clip_norm must be nonnegative (0 = no clipping), "
+                              f"got {self.grad_clip_norm}")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every must be nonnegative (0 = final only), "
+                              f"got {self.checkpoint_every}")
         if (self.re_slm or self.re_std) and not self.std_course:
             raise ConfigError("re_slm/re_std need the swap course enabled")
 
@@ -107,67 +113,22 @@ class MetricsRecord:
         return row
 
 
-@dataclass(frozen=True)
-class Course:
-    """One course of an encoder pass, switched on by enabled_losses() `name`.
-
-    It encodes CourseBatch field `view` and applies the `courses` function
-    named `loss`, looked up at call time, to the pass's hidden states, the
-    CourseBatch fields in `args` and the pass row its views start at; a course
-    without a loss samples off the tape. `corrupted` is the plan field of the
-    course's positions: a generator course splices its samples there into
-    `spliced`; a discriminator course sorts them into its notebooks. A course
-    that `corrects` one of those encodes the regeneration (generator) or
-    rediscrimination (discriminator) inputs built from its notebooks and
-    applies the `correction` loss.
-    """
-    name: str
-    view: str | None
-    loss: str | None
-    args: tuple = ()
-    plans: str = "plans"
-    corrupted: str | None = None
-    spliced: str | None = None
-    corrects: "Course | None" = None
-
-
-_RTD = Course("rtd", "rtd_views", "loss_rtd", ("rtd_views", "originals"), corrupted="mask_positions")
-_STD = Course("std", "std_views", "loss_std", ("std_views", "originals"), corrupted="swap_positions")
-
-# One step's encoder passes, in the order rng is drawn: the generator phase,
-# the discriminator phase on its spliced samples, then self-correction from
-# the rtd and std notebooks. The views of one pass are built position for
-# position from the same originals, so they share a padded width and one
-# encoder call over their stacked rows; the longer insert views pass alone.
-PASSES = (
-    ("generator", (
-        Course("mlm", "masked", "loss_mlm", ("plans", "originals"),
-               corrupted="mask_positions", spliced="rtd_views"),
-        Course("slm", "swapped", "loss_slm", ("plans", "originals"),
-               corrupted="swap_positions", spliced="std_views"))),
-    ("generator", (Course("itd", "inserted", None, plans="kept_plans",
-                          corrupted="insert_positions", spliced="itd_views"),)),
-    ("discriminator", (_RTD, _STD)),
-    ("discriminator", (Course("itd", "itd_views", "loss_itd", ("itd_views", "kept_plans")),)),
-    ("generator", (Course("re_mlm", None, "loss_regeneration", corrects=_RTD),
-                   Course("re_slm", None, "loss_regeneration", corrects=_STD))),
-    ("discriminator", (Course("re_rtd", None, "loss_rediscrimination", corrects=_RTD),
-                       Course("re_std", None, "loss_rediscrimination", corrects=_STD))),
-)
-
-
 def build_views(seqs, rates, rng, max_seq_len):
     """Corruption plans plus the mask/swap/insert views for one batch."""
     plans = [crs.plan_corruption(x, rates, rng) for x in seqs]
     batch = crs.CourseBatch(originals=seqs, plans=plans,
                             masked=[crs.apply_mask(x, p) for x, p in zip(seqs, plans)],
                             swapped=[crs.apply_swap(x, p) for x, p in zip(seqs, plans)])
+    skipped = []
     for i, (x, p) in enumerate(zip(seqs, plans)):
         try:
             batch.inserted.append(crs.apply_insert(x, p, max_len=max_seq_len))
             batch.itd_kept.append(i)
         except InputError:
-            log.warning("skipping sequence %d in insert course: extension overflows max_seq_len", i)
+            skipped.append(i)
+    if skipped:
+        log.warning("skipping sequences %s in insert course: extension overflows max_seq_len",
+                    skipped)
     return batch
 
 
@@ -179,76 +140,98 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
     """
     batch = build_views(seqs, rates, rng, model.config.max_seq_len)
     batch.corrected = step >= cfg.correction_start_step
-    return run_courses(model, batch, cfg, rng, sample=True), batch
+    return run_courses(model, batch, cfg, rng), batch
 
 
-def evaluate_losses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
-    """Recompute enabled losses from a captured step's frozen views.
+def evaluate_losses(model, batch: crs.CourseBatch, cfg: TrainConfig):
+    """Recompute enabled losses from a captured step's frozen views, without dropout.
 
     Unlike step_losses this resamples nothing: spliced views, notebooks,
     and hence the regeneration/rediscrimination inputs are data. Used for
     gradient checking and fixed-point evaluations.
     """
-    return run_courses(model, batch, cfg, rng, sample=False)
+    return run_courses(model, batch, cfg)
 
 
-def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng, sample):
-    """Walk PASSES in the order rng is drawn: one encoder call per pass over
-    the stacked views of its enabled courses, then each course's loss on its
-    own rows of the hidden states.
+def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
+    """Every enabled loss of one step; views of one width share an encoder pass.
 
-    Sampling splices generator samples into the batch and files the
-    discriminator's notebooks in `batch.notebooks`; a replay reads both
-    from the batch and skips the sampling-only insert pass.
+    The passes, in order: mlm+slm (generator), the off-tape insert pass,
+    rtd+std (discriminator), itd, then for a `corrected` batch re_mlm+re_slm
+    and re_rtd+re_std from the rtd/std notebooks; each loss reads its own
+    rows. Given an rng the step samples: generator samples fill the
+    rtd/std/itd views and the discriminator files its notebooks in the
+    batch. Without one it replays those from the batch, dropout-free.
     """
     on = cfg.enabled_losses()
+    sample = rng is not None
+    x, n = batch.originals, len(batch.originals)
+    masks, swaps = [p.mask_positions for p in batch.plans], [p.swap_positions for p in batch.plans]
+    swap = "slm" in on
     losses = {}
-    for encoder, courses in PASSES:
-        inputs = []
-        for c in courses:
-            if c.name in on and (sample or c.loss) and (batch.corrected or not c.corrects):
-                views, args = _course_inputs(batch, c, encoder)
-                if views:
-                    inputs.append((c, views, args))
-        if not inputs:
-            continue
-        ids, mask = crs.pad_batch([v for _, views, _ in inputs for v in views])
-        with nullcontext() if inputs[0][0].loss else ad.no_tape():
-            h = getattr(model, f"encode_{encoder}")(ids, mask, rng)
-        row = 0
-        for c, views, args in inputs:
-            if c.loss:
-                losses[c.name] = getattr(corr if c.corrects else crs, c.loss)(model, h, *args, row)
-            plans = getattr(batch, c.plans)
-            if sample and c.spliced:
-                setattr(batch, c.spliced, [
-                    crs.splice_generator_samples(
-                        model, v, h.data[row + i, : len(v.ids)], getattr(p, c.corrupted), rng)
-                    for i, (v, p) in enumerate(zip(views, plans))
-                ])
-            elif sample and c.corrupted:
-                probs = model.detection_probs_detached(h.data[row: row + len(views)], c.name)
-                batch.notebooks[c.name] = [
-                    corr.classify_confusion(x, v, probs[i, : len(v.ids)], getattr(p, c.corrupted),
-                                            course=c.name)
-                    for i, (x, v, p) in enumerate(zip(batch.originals, views, plans))
-                ]
-            row += len(views)
+
+    h = model.encode_generator(*crs.pad_batch(batch.masked + (batch.swapped if swap else [])), rng)
+    losses["mlm"] = crs.loss_mlm(model, h, batch.plans, x)
+    if sample:
+        batch.rtd_views = _splice(model, h.data, batch.masked, masks, rng)
+    if swap:
+        losses["slm"] = crs.loss_slm(model, h, batch.plans, x, n)
+        if sample:
+            batch.std_views = _splice(model, h.data[n:], batch.swapped, swaps, rng)
+    if sample and "itd" in on and batch.inserted:
+        with ad.no_tape():
+            h = model.encode_generator(*crs.pad_batch(batch.inserted), rng)
+        batch.itd_views = _splice(model, h.data, batch.inserted,
+                                  [p.insert_positions for p in batch.kept_plans], rng)
+
+    h = model.encode_discriminator(
+        *crs.pad_batch(batch.rtd_views + (batch.std_views if swap else [])), rng)
+    losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_views, x)
+    if sample:
+        batch.notebooks["rtd"] = _notebooks(model, h.data, "rtd", x, batch.rtd_views)
+    if swap:
+        losses["std"] = crs.loss_std(model, h, batch.std_views, x, n)
+        if sample:
+            batch.notebooks["std"] = _notebooks(model, h.data[n:], "std", x, batch.std_views)
+    if "itd" in on and batch.itd_views:
+        h = model.encode_discriminator(*crs.pad_batch(batch.itd_views), rng)
+        losses["itd"] = crs.loss_itd(model, h, batch.itd_views, batch.kept_plans)
+    if not batch.corrected:
+        return losses
+
+    books = batch.notebooks
+    re_mlm = list(map(corr.build_regeneration, x, masks, books["rtd"])) if "re_mlm" in on else []
+    re_slm = list(map(corr.build_regeneration, x, swaps, books["std"])) if "re_slm" in on else []
+    if re_mlm or re_slm:
+        h = model.encode_generator(*crs.pad_batch([r[0] for r in re_mlm + re_slm]), rng)
+        if re_mlm:
+            losses["re_mlm"] = corr.loss_regeneration(model, h, re_mlm)
+        if re_slm:
+            losses["re_slm"] = corr.loss_regeneration(model, h, re_slm, len(re_mlm))
+    re_rtd = (list(map(corr.build_rediscrimination, x, batch.rtd_views, books["rtd"]))
+              if "re_rtd" in on else [])
+    re_std = (list(map(corr.build_rediscrimination, x, batch.std_views, books["std"]))
+              if "re_std" in on else [])
+    if re_rtd or re_std:
+        h = model.encode_discriminator(*crs.pad_batch([r[0] for r in re_rtd + re_std]), rng)
+        if re_rtd:
+            losses["re_rtd"] = corr.loss_rediscrimination(model, h, "rtd", re_rtd)
+        if re_std:
+            losses["re_std"] = corr.loss_rediscrimination(model, h, "std", re_std, len(re_rtd))
     return losses
 
 
-def _course_inputs(batch: crs.CourseBatch, c: Course, encoder):
-    """The sequences course `c` encodes, and its loss arguments after the hidden states."""
-    if c.corrects is None:
-        return getattr(batch, c.view), tuple(getattr(batch, a) for a in c.args)
-    source, notebooks = c.corrects, batch.notebooks[c.corrects.name]
-    if encoder == "generator":
-        regen = [corr.build_regeneration(x, getattr(p, source.corrupted), nb)
-                 for x, p, nb in zip(batch.originals, batch.plans, notebooks)]
-        return [r[0] for r in regen], (regen,)
-    redisc = [corr.build_rediscrimination(x, v, nb)
-              for x, v, nb in zip(batch.originals, getattr(batch, source.view), notebooks)]
-    return [r[0] for r in redisc], (source.name, redisc)
+def _splice(model, rows, views, positions, rng):
+    """`views` with generator samples at `positions`, read off their `rows` of hidden states."""
+    return [crs.splice_generator_samples(model, v, r[: len(v.ids)], pos, rng)
+            for v, r, pos in zip(views, rows, positions)]
+
+
+def _notebooks(model, rows, head, originals, views):
+    """Confusion notebooks of `views`, judged by `head` on their `rows` of hidden states."""
+    probs = model.detection_probs_detached(rows[: len(views)], head)
+    return [corr.classify_confusion(x, v, pr[: len(v.ids)])
+            for x, v, pr in zip(originals, views, probs)]
 
 
 def total_loss(losses, cfg: TrainConfig):

@@ -142,6 +142,17 @@ def test_soup_weighted_uses_weight_file(workspace, tmp_path):
     assert out.exists()
 
 
+def test_soup_uniform_with_a_weight_file_exits_1(workspace, tmp_path, capsys):
+    mpath = _two_copies_manifest(workspace, tmp_path)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
+    out = tmp_path / "soup_u.bin"
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform",
+                "--weights", str(wpath), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"a": 1.0,', '{"a": NaN, "b": 1.0}', '[Infinity, 1.0]', '3', '["x", 1.0]', '{"a": 1.0}',
 ], ids=["bad_json", "nan", "inf", "number", "string", "missing_run"])

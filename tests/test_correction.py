@@ -42,7 +42,7 @@ def tiny_model():
 
 def test_perfect_generator_and_discriminator_all_pos1():
     x = seq([4, 5, 6])
-    nb = classify_confusion(x, x.copy(), [0.9, 0.9, 0.9], corrupted=[1])
+    nb = classify_confusion(x, x.copy(), [0.9, 0.9, 0.9])
     assert nb.pos1.tolist() == [0, 1, 2]
     assert nb.pos2.size == nb.pos3.size == nb.pos4.size == 0
 
@@ -50,14 +50,14 @@ def test_perfect_generator_and_discriminator_all_pos1():
 def test_missed_replacement_lands_in_pos2():
     x = seq([4, 5, 6])
     view = seq([4, 9, 6])
-    nb = classify_confusion(x, view, [0.9, 0.7, 0.9], corrupted=[1])
+    nb = classify_confusion(x, view, [0.9, 0.7, 0.9])
     assert 1 in nb.pos2.tolist()
 
 
 def test_full_table_mapping():
     x = seq([4, 5, 6])
     view = seq([4, 9, 6])  # position 1 replaced
-    nb = classify_confusion(x, view, [0.2, 0.3, 0.9], corrupted=[1])
+    nb = classify_confusion(x, view, [0.2, 0.3, 0.9])
     assert nb.pos3.tolist() == [0]   # original flagged as replaced
     assert nb.pos4.tolist() == [1]   # replaced and caught
     assert nb.pos1.tolist() == [2]   # original and passed
@@ -68,13 +68,13 @@ def test_length_mismatch_rejected_for_insertion_views():
     x = seq([4, 5, 6])
     extended = seq([4, MASK_ID, 5, 6])
     with pytest.raises(ContractError):
-        classify_confusion(x, extended, [0.5] * 4, corrupted=[1])
+        classify_confusion(x, extended, [0.5] * 4)
 
 
 def test_threshold_boundary_is_original_prediction():
     x = seq([4])
     # pre: n>=1 evaluated; probability exactly 0.5 counts as predicting original
-    nb = classify_confusion(x, x.copy(), [0.5], corrupted=[])
+    nb = classify_confusion(x, x.copy(), [0.5])
     assert nb.pos1.tolist() == [0]
 
 
@@ -96,7 +96,7 @@ def _random_case(rng):
 def test_cells_tile_evaluated_positions(rseed):
     rng = np.random.default_rng(rseed)
     x, view, plan, probs = _random_case(rng)
-    nb = classify_confusion(x, view, probs, plan.mask_positions)
+    nb = classify_confusion(x, view, probs)
     merged = np.concatenate(nb.cells())
     real = np.flatnonzero(x.attention_mask)
     assert sorted(merged.tolist()) == real.tolist()
@@ -110,9 +110,9 @@ def test_cells_tile_evaluated_positions(rseed):
 def test_threshold_monotone(rseed):
     rng = np.random.default_rng(rseed)
     x, view, plan, probs = _random_case(rng)
-    nb_low = classify_confusion(x, view, probs, plan.mask_positions)
+    nb_low = classify_confusion(x, view, probs)
     bumped = np.minimum(probs + rng.random(len(probs)), 1.0)
-    nb_high = classify_confusion(x, view, bumped, plan.mask_positions)
+    nb_high = classify_confusion(x, view, bumped)
     # raising probability-of-original can only move positions toward pos1/pos2
     predicted_original_low = set(nb_low.pos1.tolist()) | set(nb_low.pos2.tolist())
     predicted_original_high = set(nb_high.pos1.tolist()) | set(nb_high.pos2.tolist())
@@ -125,7 +125,7 @@ def test_threshold_monotone(rseed):
 def test_regeneration_masks_exactly_pos4():
     x = seq([4, 5, 6, 7])
     view = seq([4, 9, 6, 8])  # positions 1,3 replaced
-    nb = classify_confusion(x, view, [0.9, 0.2, 0.9, 0.1], corrupted=[1, 3])
+    nb = classify_confusion(x, view, [0.9, 0.2, 0.9, 0.1])
     regen, targets, positions = build_regeneration(x, [1, 3], nb)
     np.testing.assert_array_equal(positions, [1, 3])
     np.testing.assert_array_equal(regen.ids, [4, MASK_ID, 6, MASK_ID])
@@ -136,7 +136,7 @@ def test_regeneration_restores_other_masks():
     # the rtd course view had masks at r={1,3}; only pos4={3} stays masked
     x = seq([4, 5, 6, 7])
     view = seq([4, 5, 6, 8])  # generator resampled position 1 correctly
-    nb = classify_confusion(x, view, [0.9, 0.9, 0.9, 0.2], corrupted=[1, 3])
+    nb = classify_confusion(x, view, [0.9, 0.9, 0.9, 0.2])
     regen, targets, positions = build_regeneration(x, [1, 3], nb)
     np.testing.assert_array_equal(regen.ids, [4, 5, 6, MASK_ID])
     assert regen.ids[1] == 5  # restored, not MASK
@@ -144,7 +144,7 @@ def test_regeneration_restores_other_masks():
 
 def test_regeneration_empty_pos4_emits_nothing():
     x = seq([4, 5, 6])
-    nb = classify_confusion(x, x.copy(), [0.9] * 3, corrupted=[1])
+    nb = classify_confusion(x, x.copy(), [0.9] * 3)
     regen, targets, positions = build_regeneration(x, [1], nb)
     np.testing.assert_array_equal(regen.ids, x.ids)
     assert targets.size == 0 and positions.size == 0
@@ -155,7 +155,7 @@ def test_regeneration_everything_failed_equals_masked_view():
     plan = plan_corruption(x, CorruptionRates(0, 0, 0), np.random.default_rng(0))
     plan.mask_positions = np.array([1, 3])
     view = seq([4, 8, 6, 9])
-    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.1], corrupted=plan.mask_positions)
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.1])
     regen, _, _ = build_regeneration(x, plan.mask_positions, nb)
     np.testing.assert_array_equal(regen.ids, apply_mask(x, plan).ids)
 
@@ -164,7 +164,7 @@ def test_rediscrimination_restores_pos4_and_targets_pos2_pos3():
     x = seq([4, 5, 6, 7, 8])
     view = seq([4, 9, 6, 5, 8])  # 1 and 3 replaced
     probs = [0.9, 0.8, 0.2, 0.1, 0.9]  # 1 missed (pos2), 2 false alarm (pos3), 3 caught (pos4)
-    nb = classify_confusion(x, view, probs, corrupted=[1, 3])
+    nb = classify_confusion(x, view, probs)
     redisc, positions, labels = build_rediscrimination(x, view, nb)
     np.testing.assert_array_equal(redisc.ids, [4, 9, 6, 7, 8])  # pos4 restored
     np.testing.assert_array_equal(positions, [1, 2])
@@ -181,7 +181,7 @@ def test_rediscrimination_differs_from_view_exactly_at_pos4():
         for p in plan.mask_positions:
             if rng.random() < 0.5:
                 view.ids[p] = 4 + (x.ids[p] - 4 + 1) % 6
-        nb = classify_confusion(x, view, rng.random(n), plan.mask_positions)
+        nb = classify_confusion(x, view, rng.random(n))
         redisc, _, _ = build_rediscrimination(x, view, nb)
         differs = np.flatnonzero(redisc.ids != view.ids)
         must_differ = [p for p in nb.pos4 if view.ids[p] != x.ids[p]]
@@ -192,7 +192,7 @@ def test_rediscrimination_differs_from_view_exactly_at_pos4():
 
 def test_rediscrimination_empty_cells_zero_loss(tiny_model):
     x = seq([4, 5, 6])
-    nb = classify_confusion(x, x.copy(), [0.9] * 3, corrupted=[])
+    nb = classify_confusion(x, x.copy(), [0.9] * 3)
     redisc, positions, labels = build_rediscrimination(x, x.copy(), nb)
     ids, mask = pad_batch([redisc])
     h = tiny_model.encode_discriminator(ids, mask)
@@ -206,7 +206,7 @@ def test_rediscrimination_empty_cells_zero_loss(tiny_model):
 def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
     x = seq([4, 5, 6, 7, 8])
     view = seq([4, 9, 6, 9, 8])
-    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9], corrupted=[1, 3])
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9])
     regen = build_regeneration(x, [1, 3], nb)
     ids, mask = pad_batch([regen[0]])
     h = tiny_model.encode_generator(ids, mask)
@@ -222,7 +222,7 @@ def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
 def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
     x = seq([4, 5, 6, 7, 8])
     view = seq([4, 9, 6, 5, 8])
-    nb = classify_confusion(x, view, [0.9, 0.8, 0.2, 0.1, 0.9], corrupted=[1, 3])
+    nb = classify_confusion(x, view, [0.9, 0.8, 0.2, 0.1, 0.9])
     redisc = build_rediscrimination(x, view, nb)
     ids, mask = pad_batch([redisc[0]])
     h = tiny_model.encode_discriminator(ids, mask)
@@ -236,7 +236,7 @@ def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
 
 def test_loss_regeneration_empty_is_zero(tiny_model):
     x = seq([4, 5, 6])
-    nb = classify_confusion(x, x.copy(), [0.9] * 3, corrupted=[])
+    nb = classify_confusion(x, x.copy(), [0.9] * 3)
     regen = build_regeneration(x, [], nb)
     ids, mask = pad_batch([regen[0]])
     h = tiny_model.encode_generator(ids, mask)

@@ -86,11 +86,24 @@ def test_wrongly_typed_values_rejected(field):
     ("learning_rate", 0.0), ("learning_rate", -1.0),
     ("max_relative_position", 8), ("max_relative_position", 4),
     ("max_relative_position", 0), ("max_relative_position", -3),
+    ("ffn_inner_size", 0), ("ffn_inner_size", -1),
+    ("generator_layers", 0), ("generator_layers", -2), ("discriminator_layers", -1),
+    ("max_seq_len", 1), ("max_seq_len", 0),
+    ("grad_clip_norm", -1.0),
+    ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
+    ("adam_epsilon", 0.0),
+    ("checkpoint_every", -1),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(base_dict(**{key: value}))
     assert key in str(err.value)
+
+
+def test_boundary_values_stay_valid():
+    cfg = parse_config(base_dict(grad_clip_norm=0.0, checkpoint_every=0, adam_beta1=0.0,
+                                 generator_layers=1, discriminator_layers=1, max_seq_len=2))
+    assert cfg.train.grad_clip_norm == 0.0 and cfg.train.checkpoint_every == 0
 
 
 def test_rate_out_of_range_rejected_before_model_exists():

@@ -358,8 +358,8 @@ def _manual_info(model):
     probs2 = np.full(4, 0.9)  # missed
     from multicourse.correction import classify_confusion
     batch.notebooks["rtd"] = [
-        classify_confusion(x, v, pr, pl.mask_positions)
-        for x, v, pr, pl in zip([x1, x2], batch.rtd_views, [probs1, probs2], batch.plans)
+        classify_confusion(x, v, pr)
+        for x, v, pr in zip([x1, x2], batch.rtd_views, [probs1, probs2])
     ]
     return batch
 
@@ -386,7 +386,7 @@ def test_metrics_omitted_when_no_positions(corpus):
     batch = build_views([x], CorruptionRates(0, 0, 0), rng, 24)
     batch.rtd_views = [x.copy()]
     from multicourse.correction import classify_confusion
-    batch.notebooks["rtd"] = [classify_confusion(x, x.copy(), np.full(4, 0.9), [])]
+    batch.notebooks["rtd"] = [classify_confusion(x, x.copy(), np.full(4, 0.9))]
     cfg = small_train(std_course=False, itd_course=False, re_slm=False, re_std=False)
     rec = compute_metrics(0, {}, 0.0, batch, 1e-4, cfg)
     assert rec.replace_rate is None and rec.replace_accuracy is None
@@ -546,7 +546,8 @@ def _loss_values_and_gradients(model, make_losses, cfg):
     {"std_course": False, "re_slm": False, "re_std": False},
     {"itd_course": False},
     {"re_rtd": False, "re_slm": False},
-], ids=["all", "no_std", "no_itd", "re_mlm_re_std"])
+    {"re_mlm": False, "re_rtd": False},
+], ids=["all", "no_std", "no_itd", "re_mlm_re_std", "re_slm_re_std"])
 def test_shared_passes_match_one_pass_per_course(corpus, overrides):
     vocab, seqs = corpus
     model = Model(small_encoder(len(vocab), dropout=0.0), seed=4)
@@ -617,3 +618,9 @@ def test_insert_overflow_skips_sequence(caplog):
     assert batch.itd_kept == [1]
     assert len(batch.inserted) == 1
     assert "overflow" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        batch = build_views([x_long, x_short, x_long], CorruptionRates(0.15, 0.15, 0.15), rng, 24)
+    assert batch.itd_kept == [1]
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "[0, 2]" in warnings[0].getMessage()
