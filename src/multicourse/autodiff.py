@@ -388,31 +388,25 @@ def softmax_cross_entropy(logits, targets):
     return out
 
 
-def sigmoid_bce(logits, labels, positions=None):
-    """Mean binary cross-entropy with logits over `positions`.
+def sigmoid_bce(logits, labels):
+    """Mean binary cross-entropy with logits over every element.
 
-    Uses the stable form max(z,0) - y*z + log1p(exp(-|z|)); an empty
-    position set is defined as exact-zero loss with zero gradient.
+    Uses the stable form max(z,0) - y*z + log1p(exp(-|z|)). The labels must
+    have the logits' shape; empty logits give an exact-zero loss with no
+    gradient.
     """
-    labels = np.asarray(labels, dtype=logits.data.dtype)
-    if positions is None:
-        positions = np.arange(logits.data.shape[0])
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size == 0:
+    y = np.asarray(labels, dtype=logits.data.dtype)
+    if y.shape != logits.data.shape:
+        raise DimensionError(f"labels shape {y.shape} != logits shape {logits.data.shape}")
+    if y.size == 0:
         return constant(0.0, dtype=logits.data.dtype)
-    if positions.min() < 0 or positions.max() >= logits.data.shape[0]:
-        raise IndexError(f"position outside [0, {logits.data.shape[0]})")
-    z = logits.data[positions]
-    y = labels[positions]
+    z = logits.data
     losses = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     out = Tensor(np.asarray(losses.mean(), dtype=z.dtype), logits.requires_grad)
-    n = positions.shape[0]
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        acc = np.zeros_like(logits.data)
-        np.add.at(acc, positions, g * (sig - y) / z.dtype.type(n))
-        logits.accumulate_grad(acc)
+        logits.accumulate_grad(g * (sig - y) / z.dtype.type(z.size))
 
     _record(out, backward)
     return out

@@ -3,7 +3,10 @@
 Layout: magic "MCL1", uint64 header length, 32-byte sha256 of the metadata
 JSON, the metadata (encoder config + vocabulary), a named-parameter table
 with shapes and absolute blob offsets, then raw float32 little-endian
-blobs. File size is always header length + 4 * total parameter count.
+blobs in table order. File size is always header length + 4 * total
+parameter count, and each offset is the header length plus 4 * the counts
+of the parameters before it; a reader refuses any other offset, because
+the digest covers the metadata only.
 """
 
 import hashlib
@@ -95,7 +98,8 @@ def _read_exact(fh, n, what):
 def read_header(path):
     """Parse everything before the blobs: (header_len, digest_hex, meta, table).
 
-    The table maps name -> (shape, offset) in file order.
+    The table maps name -> (shape, offset) in file order; every offset must
+    be where the blobs before it end.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
@@ -109,12 +113,17 @@ def read_header(path):
         meta = json.loads(meta_raw.decode("utf-8"))
         n_params = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))[0]
         table = {}
+        expected = header_len
         for _ in range(n_params):
             name_len = struct.unpack("<H", _read_exact(fh, 2, "name length"))[0]
             name = _read_exact(fh, name_len, "name").decode("utf-8")
             ndim = struct.unpack("<B", _read_exact(fh, 1, "ndim"))[0]
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim))
             offset = struct.unpack("<Q", _read_exact(fh, 8, "offset"))[0]
+            if offset != expected:
+                raise CheckpointFormatError(
+                    f"{path}: parameter {name} at offset {offset}, expected {expected}")
+            expected += 4 * int(np.prod(shape))
             table[name] = (shape, offset)
         if fh.tell() != header_len:
             raise CheckpointFormatError(f"{path}: header length field disagrees with table")

@@ -128,6 +128,10 @@ def cmd_soup(args):
     if args.mode == "uniform" and args.weights:
         raise ConfigError("--weights sets the weights of --mode weighted; --mode uniform takes none")
     manifest = soups.load_manifest(args.manifest)
+    seeds = sorted({run.seed for run in manifest.runs})
+    if len(seeds) > 1:
+        # weights from different initialisations do not average into one model
+        raise ConfigError(f"{args.manifest}: soup ingredients must share one seed, got {seeds}")
     checkpoints = [load_checkpoint(run.checkpoint) for run in manifest.runs]
     if args.mode == "uniform":
         weights = soups.SoupWeights.uniform(len(checkpoints))
@@ -150,6 +154,8 @@ def cmd_soup(args):
 
 
 def cmd_probe(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     ckpt = load_checkpoint(args.checkpoint)
     if not ckpt.vocab_tokens:
         raise InputError(f"{args.checkpoint} carries no vocabulary; cannot tokenize probe data")

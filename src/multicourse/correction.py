@@ -29,26 +29,24 @@ class ConfusionNotebook:
 
 
 def classify_confusion(x: TokenSequence, view: TokenSequence, d_probs) -> ConfusionNotebook:
-    """Partition evaluated positions by (prediction, label).
+    """Partition every position of x by (prediction, label).
 
-    `d_probs` are detach-copied probabilities-of-original; prediction is
-    original iff prob >= 0.5, label is original iff the view token equals
-    the source token. Only equal-length views qualify (insertion views are
-    rejected: there is nothing to restore at an inserted slot).
+    `d_probs` are detach-copied probabilities-of-original, one per position;
+    prediction is original iff prob >= 0.5, label is original iff the view
+    token equals the source token. Only equal-length views qualify (insertion
+    views are rejected: there is nothing to restore at an inserted slot).
     """
-    if len(view.ids) != len(x.ids):
-        raise ContractError(
-            f"confusion cells need aligned sequences, got {len(view.ids)} vs {len(x.ids)}"
-        )
     d_probs = np.asarray(d_probs)
-    real = np.flatnonzero(x.attention_mask)
-    label_orig = view.ids[real] == x.ids[real]
-    pred_orig = d_probs[real] >= 0.5
+    if len(view.ids) != len(x.ids) or len(d_probs) != len(x.ids):
+        raise ContractError(f"confusion cells need aligned sequences, got view {len(view.ids)}, "
+                            f"probabilities {len(d_probs)} vs {len(x.ids)} tokens")
+    label_orig = view.ids == x.ids
+    pred_orig = d_probs >= 0.5
     return ConfusionNotebook(
-        pos1=real[pred_orig & label_orig],
-        pos2=real[pred_orig & ~label_orig],
-        pos3=real[~pred_orig & label_orig],
-        pos4=real[~pred_orig & ~label_orig],
+        pos1=np.flatnonzero(pred_orig & label_orig),
+        pos2=np.flatnonzero(pred_orig & ~label_orig),
+        pos3=np.flatnonzero(~pred_orig & label_orig),
+        pos4=np.flatnonzero(~pred_orig & ~label_orig),
     )
 
 

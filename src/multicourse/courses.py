@@ -3,7 +3,9 @@
 Every view of a training step derives from the same original sequence.
 The generator fills corrupted slots by sampling its own softmax (detached,
 temperature 1, full vocabulary); the discriminator then labels each token
-original-or-not. Position sets never touch padding.
+original-or-not. A sequence is its unpadded ids: padding exists only in
+the rectangular arrays `pad_batch` builds for an encoder pass, and every
+loss gathers the hidden rows it scores before applying its head.
 """
 
 from dataclasses import dataclass, field
@@ -17,26 +19,18 @@ from .vocab import MASK_ID
 
 @dataclass(eq=False)
 class TokenSequence:
+    """One sentence's token ids, unpadded: every position is a real token."""
     ids: np.ndarray
-    attention_mask: np.ndarray
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.attention_mask = np.asarray(self.attention_mask, dtype=np.int64)
-        if self.ids.shape != self.attention_mask.shape:
-            raise InputError("ids and attention_mask lengths differ")
-
-    @classmethod
-    def from_ids(cls, ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        return cls(ids, np.ones_like(ids))
 
     @property
     def n_real(self):
-        return int(self.attention_mask.sum())
+        return len(self.ids)
 
     def copy(self):
-        return TokenSequence(self.ids.copy(), self.attention_mask.copy())
+        return TokenSequence(self.ids.copy())
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,7 @@ class CorruptionRates:
 
 @dataclass(eq=False)
 class CorruptionPlan:
-    mask_positions: np.ndarray   # sorted, within non-padding prefix
+    mask_positions: np.ndarray   # sorted
     swap_positions: np.ndarray   # sorted
     swap_sources: np.ndarray     # permuted: view[swap_positions[k]] = x[swap_sources[k]]
     insert_positions: np.ndarray  # sorted indices into the extended sequence
@@ -78,13 +72,12 @@ def plan_corruption(x: TokenSequence, rates: CorruptionRates, rng) -> Corruption
     n_real = x.n_real
     if n_real < 2:
         raise InputError(f"sequence too short to corrupt (n_real={n_real})")
-    real = np.flatnonzero(x.attention_mask)
     n_mask = _round_count(rates.mask_rate, n_real)
     n_swap = _round_count(rates.swap_rate, n_real)
     n_ins = _round_count(rates.insert_rate, n_real)
 
-    mask_pos = np.sort(rng.choice(real, size=n_mask, replace=False))
-    swap_pos = np.sort(rng.choice(real, size=n_swap, replace=False))
+    mask_pos = np.sort(rng.choice(n_real, size=n_mask, replace=False))
+    swap_pos = np.sort(rng.choice(n_real, size=n_swap, replace=False))
     swap_src = swap_pos[rng.permutation(n_swap)]
     gaps = np.sort(rng.choice(n_real + 1, size=n_ins, replace=False))
     insert_pos = gaps + np.arange(n_ins)
@@ -111,7 +104,6 @@ def apply_swap(x: TokenSequence, plan: CorruptionPlan) -> TokenSequence:
 
 def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None) -> TokenSequence:
     """Extended view with MASK at the planned slots; deleting them recovers x."""
-    n_real = x.n_real
     ext = plan.extended_length
     if max_len is not None and ext > max_len:
         raise InputError(f"extended length {ext} exceeds max_seq_len {max_len}")
@@ -119,8 +111,8 @@ def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None) -> TokenS
     keep = np.ones(ext, dtype=bool)
     keep[plan.insert_positions] = False
     ids[plan.insert_positions] = MASK_ID
-    ids[keep] = x.ids[:n_real]
-    return TokenSequence(ids, np.ones(ext, dtype=np.int64))
+    ids[keep] = x.ids
+    return TokenSequence(ids)
 
 
 def splice_generator_samples(model, view: TokenSequence, g_hidden, positions, rng) -> TokenSequence:
@@ -130,8 +122,6 @@ def splice_generator_samples(model, view: TokenSequence, g_hidden, positions, rn
     the sampled token identities.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    if positions.size == 0:
-        return view.copy()
     h = g_hidden.data if isinstance(g_hidden, ad.Tensor) else np.asarray(g_hidden)
     probs = model.lm_probs_detached(h[positions])
     out = view.copy()
@@ -150,39 +140,29 @@ def sample_rows(probs, rng):
 # -- batched loss helpers ----------------------------------------------------
 
 
-def _flatten_positions(position_lists, first_row=0):
-    """(seq_idx, pos_idx) arrays for a list of per-sequence position arrays
-    whose sequences are the rows of a batch from `first_row` on."""
-    seq_idx, pos_idx = [], []
-    for i, positions in enumerate(position_lists, start=first_row):
-        seq_idx.extend([i] * len(positions))
-        pos_idx.extend(int(p) for p in positions)
-    return np.asarray(seq_idx, dtype=np.int64), np.asarray(pos_idx, dtype=np.int64)
+def _pooled(arrays, dtype):
+    """The per-sequence arrays end to end, as one flat array."""
+    return np.concatenate(arrays).astype(dtype, copy=False)
+
+
+def _select_rows(hidden, position_lists, first_row=0):
+    """The (k, hidden) rows at each sequence's positions, pooled in order; the
+    sequences are the rows of the batch from `first_row` on."""
+    counts = [len(p) for p in position_lists]
+    seq_idx = np.repeat(np.arange(first_row, first_row + len(counts)), counts)
+    return ad.gather_rows(hidden, seq_idx, _pooled(position_lists, np.int64))
 
 
 def cross_entropy_at(model, g_hidden, position_lists, target_lists, first_row=0):
     """Mean CE over pooled positions, full-vocabulary logits from the tied head."""
-    seq_idx, pos_idx = _flatten_positions(position_lists, first_row)
-    if seq_idx.size == 0:
-        return ad.constant(0.0, dtype=g_hidden.data.dtype)
-    targets = np.concatenate([np.asarray(t, dtype=np.int64) for t in target_lists if len(t)])
-    logits = model.lm_logits(g_hidden, seq_idx, pos_idx)
-    return ad.softmax_cross_entropy(logits, targets)
+    logits = model.lm_logits(_select_rows(g_hidden, position_lists, first_row))
+    return ad.softmax_cross_entropy(logits, _pooled(target_lists, np.int64))
 
 
 def binary_detection_loss(model, d_hidden, head, position_lists, label_lists, first_row=0):
     """Mean BCE with the chosen head over pooled (sequence, position) pairs."""
-    seq_idx, pos_idx = _flatten_positions(position_lists, first_row)
-    if seq_idx.size == 0:
-        return ad.constant(0.0, dtype=d_hidden.data.dtype)
-    b, n, _ = d_hidden.data.shape
-    logits = ad.reshape(model.detection_logits(d_hidden, head), (b * n,))
-    flat_positions = seq_idx * n + pos_idx
-    labels = np.zeros(b * n, dtype=d_hidden.data.dtype)
-    labels[flat_positions] = np.concatenate(
-        [np.asarray(l, dtype=d_hidden.data.dtype) for l in label_lists if len(l)]
-    )
-    return ad.sigmoid_bce(logits, labels, flat_positions)
+    logits = model.detection_logits(_select_rows(d_hidden, position_lists, first_row), head)
+    return ad.sigmoid_bce(logits, _pooled(label_lists, d_hidden.data.dtype))
 
 
 # -- the five self-supervision losses ----------------------------------------
@@ -203,22 +183,18 @@ def loss_slm(model, g_hidden, plans, originals, first_row=0):
 
 
 def original_labels(view: TokenSequence, x: TokenSequence):
-    """1.0 where the view token equals the original, over real positions."""
-    real = np.flatnonzero(x.attention_mask)
-    return real, (view.ids[real] == x.ids[real]).astype(np.float32)
+    """(positions, labels) over every position of x: label 1.0 where the
+    view token equals the original."""
+    return np.arange(len(x.ids)), (view.ids == x.ids).astype(np.float32)
 
 
 def _original_detection_loss(model, d_hidden, head, views, originals, first_row):
-    positions, labels = [], []
-    for view, x in zip(views, originals):
-        real, lab = original_labels(view, x)
-        positions.append(real)
-        labels.append(lab)
+    positions, labels = zip(*map(original_labels, views, originals))
     return binary_detection_loss(model, d_hidden, head, positions, labels, first_row)
 
 
 def loss_rtd(model, d_hidden, views, originals, first_row=0):
-    """BCE with the rtd head over all non-padding positions."""
+    """BCE with the rtd head over every position of each sequence."""
     return _original_detection_loss(model, d_hidden, "rtd", views, originals, first_row)
 
 
@@ -237,7 +213,7 @@ def itd_labels(plan: CorruptionPlan):
 def loss_itd(model, d_hidden, views, plans, first_row=0):
     """BCE with the itd head over the extended sequences; labels are by
     construction, independent of what the generator sampled."""
-    positions = [np.flatnonzero(v.attention_mask) for v in views]
+    positions = [np.arange(len(v.ids)) for v in views]
     labels = [itd_labels(p) for p in plans]
     return binary_detection_loss(model, d_hidden, "itd", positions, labels, first_row)
 
@@ -246,13 +222,13 @@ def loss_itd(model, d_hidden, views, plans, first_row=0):
 
 
 def pad_batch(seqs, pad_id=0):
-    """Right-pad sequences to a rectangular (ids, mask) pair."""
+    """Right-pad sequences to a rectangular (ids, mask) pair; mask is 1 at real tokens."""
     n = max(len(s.ids) for s in seqs)
     ids = np.full((len(seqs), n), pad_id, dtype=np.int64)
     mask = np.zeros((len(seqs), n), dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, : len(s.ids)] = s.ids
-        mask[i, : len(s.ids)] = s.attention_mask
+        mask[i, : len(s.ids)] = 1
     return ids, mask
 
 

@@ -207,11 +207,10 @@ class Model:
 
     # -- heads ---------------------------------------------------------------
 
-    def lm_logits(self, h, seq_idx, pos_idx):
-        """Tied-head LM logits at selected positions: rows of h dotted with
-        every embedding row, plus the per-vocab bias. Empty selection gives
-        an empty (0, |V|) tensor."""
-        rows = ad.gather_rows(h, seq_idx, pos_idx)
+    def lm_logits(self, rows):
+        """Tied-head LM logits for hidden rows of any leading shape: each row
+        dotted with every embedding row, plus the per-vocab bias. Zero rows
+        give an empty (0, |V|) tensor."""
         table_t = ad.transpose(self.params["embedding.word"], (1, 0))
         return ad.add(ad.matmul(rows, table_t), self.params["lm_head.bias"])
 
@@ -224,12 +223,13 @@ class Model:
         return e / e.sum(axis=-1, keepdims=True)
 
     def detection_logits(self, h, head):
-        """Per-position binary logit for one of the rtd/std/itd heads."""
+        """One binary logit per hidden row, for one of the rtd/std/itd heads;
+        `h` has any leading shape, which the logits keep."""
         if head not in DETECTION_HEADS:
             raise ConfigError(f"unknown detection head {head!r}")
-        b, n, hid = h.data.shape
-        w_col = ad.reshape(self.params[f"head.{head}.w"], (hid, 1))
-        return ad.reshape(ad.add(ad.matmul(h, w_col), self.params[f"head.{head}.b"]), (b, n))
+        w_col = ad.reshape(self.params[f"head.{head}.w"], (h.data.shape[-1], 1))
+        return ad.reshape(ad.add(ad.matmul(h, w_col), self.params[f"head.{head}.b"]),
+                          h.data.shape[:-1])
 
     def detection_probs_detached(self, h_data, head):
         """Sigmoid probability-of-original per position, outside the graph."""

@@ -40,7 +40,7 @@ def load_labeled_dataset(path, vocab, max_seq_len):
 
 
 def _cls_sequences(examples):
-    return [TokenSequence.from_ids([CLS_ID] + list(ids)) for ids, _ in examples]
+    return [TokenSequence([CLS_ID] + list(ids)) for ids, _ in examples]
 
 
 def _featurize(model, examples, batch_size=64):

@@ -108,8 +108,9 @@ def load_manifest(path) -> SweepManifest:
         if missing:
             raise ConfigError(f"{path}: run {len(runs)} misses keys {sorted(missing)}")
         seed, score = entry.get("seed", 0), entry.get("score")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"{path}: run {entry['name']!r} has seed {seed!r}, not an integer")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"{path}: run {entry['name']!r} has seed {seed!r}, "
+                              f"not a nonnegative integer")
         if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
             raise ConfigError(f"{path}: run {entry['name']!r} has score {score!r}, not a number")
         runs.append(SweepRun(name=entry["name"], losses=tuple(entry["losses"]), seed=seed,

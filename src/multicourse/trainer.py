@@ -74,6 +74,10 @@ class TrainConfig:
         if self.grad_clip_norm < 0:
             raise ConfigError(f"grad_clip_norm must be nonnegative (0 = no clipping), "
                               f"got {self.grad_clip_norm}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be nonnegative (0 = final only), "
                               f"got {self.checkpoint_every}")
@@ -408,7 +412,7 @@ def load_corpus_sequences(path, vocab, max_seq_len, min_tokens=2):
             if len(ids) < min_tokens:
                 skipped += 1
                 continue
-            seqs.append(crs.TokenSequence.from_ids(ids[:max_seq_len]))
+            seqs.append(crs.TokenSequence(ids[:max_seq_len]))
     if not seqs:
         raise InputError(f"corpus {path} has no usable sentences")
     if skipped:

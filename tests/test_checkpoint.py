@@ -80,6 +80,19 @@ def test_corrupt_metadata_rejected(saved):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("shift", [4, -4])
+def test_shifted_blob_offset_rejected(saved, shift):
+    path, _, _ = saved
+    raw = bytearray(path.read_bytes())
+    # table entry: name length, name, ndim (1), one uint32 dim, uint64 offset
+    at = raw.index(b"lm_head.bias") + len(b"lm_head.bias") + 1 + 4
+    offset = int.from_bytes(raw[at:at + 8], "little")
+    raw[at:at + 8] = (offset + shift).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="lm_head.bias"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_rejected(saved):
     path, _, _ = saved
     raw = bytearray(path.read_bytes())

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -34,22 +36,30 @@ def tiny_overrides(root, run_dir, **extra):
     return default_config_dict(root / "corpus.txt", run_dir, **cfg)
 
 
-def test_pretrain_writes_metrics_and_checkpoint(workspace, capsys):
+@pytest.fixture(scope="module")
+def run1(workspace):
+    """One 8-step `multicourse pretrain` into workspace/run1: (run dir, exit code, stdout)."""
     run_dir = workspace / "run1"
     cfg_path = workspace / "cfg1.json"
     save_config(tiny_overrides(workspace, run_dir), cfg_path)
-    assert cli(["pretrain", "--config", str(cfg_path)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli(["pretrain", "--config", str(cfg_path)])
+    return run_dir, code, out.getvalue()
+
+
+def test_pretrain_writes_metrics_and_checkpoint(run1):
+    run_dir, code, out = run1
+    assert code == 0
     assert (run_dir / "checkpoint_final.bin").exists()
     with open(run_dir / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_COLUMNS
     assert len(rows) == 9  # header + 8 steps
-    out = capsys.readouterr().out
     assert "checkpoint" in out
 
 
-def test_pretrain_refuses_a_used_run_directory(workspace):
-    run_dir = workspace / "run1"
+def test_pretrain_refuses_a_used_run_directory(workspace, run1):
+    run_dir = run1[0]
     before = {name: (run_dir / name).read_bytes() for name in ("config.json", "metrics.csv")}
     cfg_path = workspace / "cfg_again.json"
     save_config(tiny_overrides(workspace, run_dir, seed=1), cfg_path)
@@ -79,8 +89,17 @@ def test_directory_as_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_export_metrics_validates_and_copies(workspace, tmp_path):
-    run_dir = workspace / "run1"
+@pytest.mark.parametrize("key, value", [("seed", -1), ("weight_decay", -1.0)])
+def test_negative_seed_or_weight_decay_exits_1(workspace, tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "run", **{key: value}), cfg_path)
+    assert cli(["pretrain", "--config", str(cfg_path)]) == 1
+    assert f"error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_export_metrics_validates_and_copies(run1, tmp_path):
+    run_dir = run1[0]
     out = tmp_path / "copy.csv"
     assert cli(["export-metrics", "--run", str(run_dir), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
@@ -92,33 +111,41 @@ def test_export_metrics_missing_run_exits_1(tmp_path):
     assert cli(["export-metrics", "--run", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
 
 
-def test_probe_cli_runs(workspace, capsys):
-    ckpt = workspace / "run1" / "checkpoint_final.bin"
+def test_probe_cli_runs(workspace, run1, capsys):
+    ckpt = run1[0] / "checkpoint_final.bin"
     data = workspace / "probe.tsv"
     write_probe_dataset(data, 60, seed=3)
     assert cli(["probe", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
     assert "probe accuracy" in capsys.readouterr().out
 
 
-def _two_copies_manifest(workspace, tmp_path):
+def test_probe_negative_seed_exits_1(run1, tmp_path, capsys):
+    data = tmp_path / "probe.tsv"
+    write_probe_dataset(data, 60, seed=3)
+    assert cli(["probe", "--checkpoint", str(run1[0] / "checkpoint_final.bin"),
+                "--data", str(data), "--seed", "-1"]) == 1
+    assert "error: --seed" in capsys.readouterr().err
+
+
+def _two_copies_manifest(run1, tmp_path, seeds=(0, 0)):
     """A manifest of runs "a" and "b", each a copy of run1's final checkpoint."""
-    src = workspace / "run1" / "checkpoint_final.bin"
+    src = run1[0] / "checkpoint_final.bin"
     c1, c2 = tmp_path / "a.bin", tmp_path / "b.bin"
     c1.write_bytes(src.read_bytes())
     c2.write_bytes(src.read_bytes())
     manifest = SweepManifest(
         config_path="unused.json", output_dir=str(tmp_path),
-        runs=[SweepRun(name="a", losses=("re_mlm",), seed=0, checkpoint=str(c1)),
-              SweepRun(name="b", losses=("re_rtd",), seed=0, checkpoint=str(c2))],
+        runs=[SweepRun(name="a", losses=("re_mlm",), seed=seeds[0], checkpoint=str(c1)),
+              SweepRun(name="b", losses=("re_rtd",), seed=seeds[1], checkpoint=str(c2))],
     )
     mpath = tmp_path / "manifest.json"
     save_manifest(manifest, mpath)
     return mpath
 
 
-def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path):
-    src = workspace / "run1" / "checkpoint_final.bin"
-    mpath = _two_copies_manifest(workspace, tmp_path)
+def test_soup_uniform_of_identical_checkpoints_is_bit_exact(run1, tmp_path):
+    src = run1[0] / "checkpoint_final.bin"
+    mpath = _two_copies_manifest(run1, tmp_path)
     out = tmp_path / "soup.bin"
     assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform", "--out", str(out)]) == 0
     merged = load_checkpoint(out)
@@ -132,8 +159,8 @@ def test_soup_uniform_of_identical_checkpoints_is_bit_exact(workspace, tmp_path)
     assert rows[0] == ["run", "score", "weight"] and len(rows) == 3
 
 
-def test_soup_weighted_uses_weight_file(workspace, tmp_path):
-    mpath = _two_copies_manifest(workspace, tmp_path)
+def test_soup_weighted_uses_weight_file(run1, tmp_path):
+    mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
     wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
     out = tmp_path / "soup_w.bin"
@@ -142,8 +169,8 @@ def test_soup_weighted_uses_weight_file(workspace, tmp_path):
     assert out.exists()
 
 
-def test_soup_uniform_with_a_weight_file_exits_1(workspace, tmp_path, capsys):
-    mpath = _two_copies_manifest(workspace, tmp_path)
+def test_soup_uniform_with_a_weight_file_exits_1(run1, tmp_path, capsys):
+    mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
     wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
     out = tmp_path / "soup_u.bin"
@@ -153,11 +180,20 @@ def test_soup_uniform_with_a_weight_file_exits_1(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["uniform", "weighted"])
+def test_soup_refuses_runs_of_different_seeds(run1, tmp_path, capsys, mode):
+    mpath = _two_copies_manifest(run1, tmp_path, seeds=(0, 1))
+    out = tmp_path / "soup.bin"
+    assert cli(["soup", "--manifest", str(mpath), "--mode", mode, "--out", str(out)]) == 1
+    assert f"error: {mpath}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"a": 1.0,', '{"a": NaN, "b": 1.0}', '[Infinity, 1.0]', '3', '["x", 1.0]', '{"a": 1.0}',
 ], ids=["bad_json", "nan", "inf", "number", "string", "missing_run"])
-def test_soup_with_a_malformed_weight_file_exits_1(workspace, tmp_path, capsys, text):
-    mpath = _two_copies_manifest(workspace, tmp_path)
+def test_soup_with_a_malformed_weight_file_exits_1(run1, tmp_path, capsys, text):
+    mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
     wpath.write_text(text, encoding="utf-8")
     out = tmp_path / "soup_w.bin"
@@ -173,10 +209,11 @@ def test_soup_with_a_malformed_weight_file_exits_1(workspace, tmp_path, capsys, 
     '{"config": "c", "runs": [{"losses": ["re_mlm"], "checkpoint": "x.bin"}]}',
     '{"config": "c", "runs": [{"name": "a", "losses": ["re_mlm"]}]}',
     *(f'{{"config": "c", "runs": [{{"name": "a", "losses": [], "checkpoint": "x.bin", {kv}}}]}}'
-      for kv in ('"seed": "x"', '"seed": true', '"seed": 1.5', '"score": "high"', '"score": true')),
+      for kv in ('"seed": "x"', '"seed": true', '"seed": 1.5', '"seed": -1', '"score": "high"',
+                 '"score": true')),
 ], ids=["bad_json", "not_object", "no_config", "run_not_object", "runs_not_list", "run_no_name",
-        "run_no_checkpoint", "seed_string", "seed_bool", "seed_float", "score_string",
-        "score_bool"])
+        "run_no_checkpoint", "seed_string", "seed_bool", "seed_float", "seed_negative",
+        "score_string", "score_bool"])
 def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(text, encoding="utf-8")

@@ -26,7 +26,7 @@ from helpers import scalar_bce, scalar_softmax_ce
 
 
 def seq(ids):
-    return TokenSequence.from_ids(ids)
+    return TokenSequence(ids)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,13 @@ def test_length_mismatch_rejected_for_insertion_views():
         classify_confusion(x, extended, [0.5] * 4)
 
 
+def test_probability_count_must_match_sequence():
+    x = seq([4, 5, 6])
+    for probs in ([0.9, 0.9], [0.9] * 4):
+        with pytest.raises(ContractError):
+            classify_confusion(x, x.copy(), probs)
+
+
 def test_threshold_boundary_is_original_prediction():
     x = seq([4])
     # pre: n>=1 evaluated; probability exactly 0.5 counts as predicting original
@@ -98,7 +105,7 @@ def test_cells_tile_evaluated_positions(rseed):
     x, view, plan, probs = _random_case(rng)
     nb = classify_confusion(x, view, probs)
     merged = np.concatenate(nb.cells())
-    real = np.flatnonzero(x.attention_mask)
+    real = np.arange(len(x.ids))
     assert sorted(merged.tolist()) == real.tolist()
     assert np.intersect1d(nb.pos1, nb.pos2).size == 0
     # only corrupted positions can carry the "replaced" label

@@ -137,7 +137,7 @@ def test_lm_logits_inner_product_geometry():
     model.params["lm_head.bias"].data = np.zeros(8, dtype=np.float32)
     h = ad.Tensor(np.zeros((1, 3, 8), dtype=np.float32))
     h.data[0, 1] = 10.0 * table[5]
-    logits = model.lm_logits(h, [0], [1])
+    logits = model.lm_logits(ad.gather_rows(h, [0], [1]))
     assert logits.data.shape == (1, 8)
     assert int(np.argmax(logits.data[0])) == 5
 
@@ -145,7 +145,7 @@ def test_lm_logits_inner_product_geometry():
 def test_lm_logits_softmax_rows_normalize(model):
     ids, mask = batch([[4, 5, 6, 7]])
     h = model.encode_generator(ids, mask)
-    logits = model.lm_logits(h, [0, 0], [1, 3])
+    logits = model.lm_logits(ad.gather_rows(h, [0, 0], [1, 3]))
     probs = ad.softmax(logits).data
     np.testing.assert_allclose(probs.sum(axis=-1), [1.0, 1.0], atol=1e-6)
 
@@ -155,7 +155,7 @@ def test_lm_logits_against_dot_product_loop():
     model = Model(cfg, seed=2)
     rng = np.random.default_rng(3)
     h = ad.Tensor(rng.normal(size=(1, 3, 6)).astype(np.float32))
-    logits = model.lm_logits(h, [0, 0, 0], [0, 1, 2]).data
+    logits = model.lm_logits(ad.gather_rows(h, [0, 0, 0], [0, 1, 2])).data
     table = model.params["embedding.word"].data
     bias = model.params["lm_head.bias"].data
     for p in range(3):
@@ -167,16 +167,16 @@ def test_lm_logits_against_dot_product_loop():
 def test_lm_logits_empty_positions_gives_empty_tensor(model):
     ids, mask = batch([[4, 5, 6]])
     h = model.encode_generator(ids, mask)
-    logits = model.lm_logits(h, [], [])
+    logits = model.lm_logits(ad.gather_rows(h, [], []))
     assert logits.data.shape == (0, 32)
 
 
 def test_tied_head_tracks_embedding_mutation(model):
     ids, mask = batch([[4, 5, 6]])
     h = model.encode_discriminator(ids, mask)  # any hidden source
-    before = model.lm_logits(h, [0], [0]).data.copy()
+    before = model.lm_logits(ad.gather_rows(h, [0], [0])).data.copy()
     model.params["embedding.word"].data[9] += 1.0
-    after = model.lm_logits(h, [0], [0]).data
+    after = model.lm_logits(ad.gather_rows(h, [0], [0])).data
     assert after[0, 9] != before[0, 9]
     unchanged = [v for v in range(32) if v != 9]
     np.testing.assert_array_equal(after[0, unchanged], before[0, unchanged])
@@ -190,7 +190,7 @@ def test_embedding_receives_grads_from_both_paths(model):
     table.grad = None
     with ad.Tape() as tape:
         h = model.encode_generator(ids, mask)
-        loss = ad.softmax_cross_entropy(model.lm_logits(h, [0], [2]), [6])
+        loss = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [0], [2])), [6])
         tape.backward(loss)
     assert table.grad is not None and np.abs(table.grad).sum() > 0
 
@@ -239,6 +239,20 @@ def test_detection_logit_matches_scalar_dot(model):
         assert abs(float(logits[0, p]) - want) < 1e-7
 
 
+def test_heads_keep_any_leading_shape(model):
+    ids, mask = batch([[4, 5, 6, 7], [8, 9, 10, 11]])
+    h = model.encode_discriminator(ids, mask)
+    grid = model.detection_logits(h, "std").data
+    assert grid.shape == (2, 4)
+    rows = model.detection_logits(ad.gather_rows(h, [1, 0], [2, 3]), "std").data
+    assert rows.shape == (2,)
+    np.testing.assert_allclose(rows, [grid[1, 2], grid[0, 3]], rtol=1e-6, atol=1e-7)
+    lm = model.lm_logits(h).data
+    assert lm.shape == (2, 4, 32)
+    np.testing.assert_allclose(lm[1, 2], model.lm_logits(ad.gather_rows(h, [1], [2])).data[0],
+                               rtol=1e-6, atol=1e-7)
+
+
 def test_rtd_only_gradient_leaves_other_heads_untouched(model):
     ids, mask = batch([[4, 5, 6, 7]])
     model.zero_grad()
@@ -265,7 +279,7 @@ def test_tiny_encoder_gradients_match_finite_differences():
 
     def loss_on(model):
         h = model.encode_generator(ids, mask)
-        ce = ad.softmax_cross_entropy(model.lm_logits(h, [0, 0], [1, 3]), [9, 21])
+        ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [0, 0], [1, 3])), [9, 21])
         hd = model.encode_discriminator(ids, mask)
         bce = ad.sigmoid_bce(ad.reshape(model.detection_logits(hd, "rtd"), (5,)),
                              [1, 1, 0, 1, 0])

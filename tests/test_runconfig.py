@@ -93,6 +93,7 @@ def test_wrongly_typed_values_rejected(field):
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
     ("adam_epsilon", 0.0),
     ("checkpoint_every", -1),
+    ("seed", -1), ("weight_decay", -1.0),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
     with pytest.raises(ConfigError) as err:
@@ -102,8 +103,10 @@ def test_out_of_range_values_rejected_at_parse_time(key, value):
 
 def test_boundary_values_stay_valid():
     cfg = parse_config(base_dict(grad_clip_norm=0.0, checkpoint_every=0, adam_beta1=0.0,
-                                 generator_layers=1, discriminator_layers=1, max_seq_len=2))
+                                 generator_layers=1, discriminator_layers=1, max_seq_len=2,
+                                 seed=0, weight_decay=0.0))
     assert cfg.train.grad_clip_norm == 0.0 and cfg.train.checkpoint_every == 0
+    assert cfg.train.seed == 0 and cfg.train.weight_decay == 0.0
 
 
 def test_rate_out_of_range_rejected_before_model_exists():

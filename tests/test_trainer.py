@@ -342,8 +342,8 @@ def test_ten_steps_bit_identical_across_runs(corpus):
 
 
 def _manual_info(model):
-    x1 = TokenSequence.from_ids([4, 5, 6, 7, 8, 9])
-    x2 = TokenSequence.from_ids([10, 11, 12, 13])
+    x1 = TokenSequence([4, 5, 6, 7, 8, 9])
+    x2 = TokenSequence([10, 11, 12, 13])
     rng = np.random.default_rng(0)
     batch = build_views([x1, x2], CorruptionRates(0.34, 0, 0), rng, 24)
     # hand-craft the spliced views: one replacement caught, one missed, one resampled
@@ -381,7 +381,7 @@ def test_metrics_recount_oracle(corpus):
 
 def test_metrics_omitted_when_no_positions(corpus):
     model = Model(small_encoder(64), seed=0)
-    x = TokenSequence.from_ids([4, 5, 6, 7])
+    x = TokenSequence([4, 5, 6, 7])
     rng = np.random.default_rng(0)
     batch = build_views([x], CorruptionRates(0, 0, 0), rng, 24)
     batch.rtd_views = [x.copy()]
@@ -610,8 +610,8 @@ def test_batch_sampler_covers_epoch():
 
 
 def test_insert_overflow_skips_sequence(caplog):
-    x_long = TokenSequence.from_ids(list(range(4, 4 + 24)))
-    x_short = TokenSequence.from_ids([4, 5, 6, 7])
+    x_long = TokenSequence(list(range(4, 4 + 24)))
+    x_short = TokenSequence([4, 5, 6, 7])
     rng = np.random.default_rng(1)
     with caplog.at_level(logging.WARNING):
         batch = build_views([x_long, x_short], CorruptionRates(0.15, 0.15, 0.15), rng, 24)
