@@ -174,16 +174,25 @@ def scale(a, s):
     return out
 
 
-def matmul(a, b):
-    """a @ b. A 2-D `b` folds the leading axes of `a` into one 2-D product,
-    forward and backward; two batched operands broadcast as numpy does."""
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` broadcast over the product's last axis when given.
+
+    A 2-D `b` folds the leading axes of `a` into one 2-D product, forward and
+    backward, and adds the bias in place on it; two batched operands broadcast
+    as numpy does and take no bias."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
     if b.data.ndim > 2:
+        if bias is not None:
+            raise ContractError("a matmul bias needs a 2-D right operand")
         return _batched_matmul(a, b)
     a2 = a.data.reshape(-1, a.data.shape[-1])
-    out = Tensor((a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:]),
-                 a.requires_grad or b.requires_grad)
+    y = a2 @ b.data
+    if bias is not None:
+        y += bias.data
+    bias_grad = bias is not None and bias.requires_grad
+    out = Tensor(y.reshape(a.data.shape[:-1] + b.data.shape[-1:]),
+                 a.requires_grad or b.requires_grad or bias_grad)
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -191,6 +200,8 @@ def matmul(a, b):
             a.accumulate_grad((g2 @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
             b.accumulate_grad(a2.T @ g2)
+        if bias_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
 
     _record(out, backward)
     return out
@@ -245,16 +256,45 @@ def embedding(table, ids):
     return out
 
 
-def gather_rows(x, seq_idx, pos_idx):
-    """Select rows (seq_idx[k], pos_idx[k], :) from a (B, n, h) tensor."""
+def _row_pairs(seq_idx, pos_idx, grid):
+    """int64 (seq, pos) index arrays into a (B, n) grid; a repeated pair raises."""
     seq_idx = np.asarray(seq_idx, dtype=np.int64)
     pos_idx = np.asarray(pos_idx, dtype=np.int64)
+    flat = np.ravel_multi_index((seq_idx, pos_idx), grid)
+    if np.bincount(flat, minlength=1).max() > 1:
+        raise ContractError("row pairs (seq, pos) must be distinct")
+    return seq_idx, pos_idx
+
+
+def gather_rows(x, seq_idx, pos_idx):
+    """Select rows (seq_idx[k], pos_idx[k], :) from a (B, n, h) tensor.
+
+    The pairs must be distinct (ContractError otherwise), so the backward
+    writes the rows' gradient into a zero (B, n, h) array with one assignment.
+    """
+    seq_idx, pos_idx = _row_pairs(seq_idx, pos_idx, x.data.shape[:2])
     out = Tensor(x.data[seq_idx, pos_idx], x.requires_grad)
 
     def backward(g):
         acc = np.zeros_like(x.data)
-        np.add.at(acc, (seq_idx, pos_idx), g)
+        acc[seq_idx, pos_idx] = g
         x.accumulate_grad(acc)
+
+    _record(out, backward)
+    return out
+
+
+def scatter_rows(rows, seq_idx, pos_idx, grid):
+    """Place row k of a (T, h) tensor at (seq_idx[k], pos_idx[k]) of a zero
+    (B, n, h) array, `grid` being (B, n): the inverse of gather_rows, with the
+    same distinct-pairs contract. The backward gathers the rows' gradient."""
+    seq_idx, pos_idx = _row_pairs(seq_idx, pos_idx, grid)
+    data = np.zeros(tuple(grid) + rows.data.shape[1:], dtype=rows.data.dtype)
+    data[seq_idx, pos_idx] = rows.data
+    out = Tensor(data, rows.requires_grad)
+
+    def backward(g):
+        rows.accumulate_grad(g[seq_idx, pos_idx])
 
     _record(out, backward)
     return out
@@ -262,14 +302,16 @@ def gather_rows(x, seq_idx, pos_idx):
 
 def softmax(x):
     """Row softmax over the last axis, shift-stabilized."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s, x.requires_grad)
 
     def backward(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
-        x.accumulate_grad((g - dot) * s)
+        gx = g - dot
+        gx *= s
+        x.accumulate_grad(gx)
 
     _record(out, backward)
     return out
@@ -314,12 +356,15 @@ def gelu(x):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then gain*x+bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
     h = x.data.shape[-1]
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # np.var's own arithmetic, on the centred values already at hand
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / h
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def backward(g):
         if gain.requires_grad:
@@ -328,8 +373,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
             bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
             gx = g * gain.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(term * inv)
+            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= xhat * mean_gx_xhat
+            gx *= inv
+            x.accumulate_grad(gx)
 
     _record(out, backward)
     return out
@@ -339,7 +387,8 @@ def dropout(x, rate, rng):
     """Inverted dropout with a mask drawn from `rng`; identity when rate=0 or rng=None."""
     if rng is None or rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / x.data.dtype.type(1.0 - rate)
+    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    keep /= x.data.dtype.type(1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
 
     def backward(g):

@@ -14,7 +14,7 @@ from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
-from .fileio import read_json
+from .fileio import atomic_open, read_json
 from .runconfig import parse_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
@@ -144,7 +144,7 @@ def cmd_soup(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, merged)
     report = out.parent / "soup_report.csv"
-    with open(report, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(report, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "score", "weight"])
         for run, w in zip(manifest.runs, weights.values):

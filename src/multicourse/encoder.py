@@ -1,8 +1,12 @@
 """Generator/discriminator transformer stacks over a shared embedding table.
 
 Both stacks are post-norm transformer encoders with bucketed relative
-position bias added to attention scores. The LM head is tied to the
-embedding table (plus a learnable per-vocab bias); three independent
+position bias added to attention scores. A pass packs the real tokens of
+its right-padded batch once: the embedding, the output projection, the
+residual adds, both layer norms, the FFN and the dropouts run on those
+(T, h) rows, and only attention reads the padded (B, n) grid. The output
+is that grid again, exactly zero at padded positions. The LM head is tied
+to the embedding table (plus a learnable per-vocab bias); three independent
 binary detection heads (rtd, std, itd) read the discriminator output.
 """
 
@@ -166,15 +170,21 @@ class Model:
         n = ids.shape[1]
         if n > self.config.max_seq_len:
             raise InputError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
-        if ids.size and ids.max() >= self.config.vocab_size:
-            raise InputError(f"token id {ids.max()} outside vocabulary of size {self.config.vocab_size}")
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.config.vocab_size:
+            raise InputError(f"token ids {ids.min()}..{ids.max()} outside vocabulary "
+                             f"of size {self.config.vocab_size}")
+        if not np.isin(mask, (0, 1)).all():
+            raise InputError("attention mask values must be 0 or 1")
 
         c = self.config
         heads, dh = c.attention_heads, c.hidden_size // c.attention_heads
         p = self.params
         dtype = p["embedding.word"].data.dtype
+        b = ids.shape[0]
+        # the per-token layers run on the T real rows; only attention sees the grid
+        seq, pos = np.nonzero(mask)
 
-        x = ad.embedding(p["embedding.word"], ids)
+        x = ad.embedding(p["embedding.word"], ids[seq, pos])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
         x = ad.dropout(x, c.dropout_rate, rng)
 
@@ -183,12 +193,12 @@ class Model:
         # additive key-padding bias, large negative at padded keys
         pad_bias = ad.Tensor(((mask.astype(dtype) - 1.0) * 1e9)[:, None, None, :])
 
-        b = ids.shape[0]
         for i in range(layers):
             pre = f"{stack}.layer{i}"
-            q = ad.add(ad.matmul(x, p[f"{pre}.attn.wq"]), p[f"{pre}.attn.bq"])
-            k = ad.add(ad.matmul(x, p[f"{pre}.attn.wk"]), p[f"{pre}.attn.bk"])
-            v = ad.add(ad.matmul(x, p[f"{pre}.attn.wv"]), p[f"{pre}.attn.bv"])
+            grid = ad.scatter_rows(x, seq, pos, (b, n))
+            q = ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
+            k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
+            v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
             qh = ad.transpose(ad.reshape(q, (b, n, heads, dh)), (0, 2, 1, 3))
             kh = ad.transpose(ad.reshape(k, (b, n, heads, dh)), (0, 2, 1, 3))
             vh = ad.transpose(ad.reshape(v, (b, n, heads, dh)), (0, 2, 1, 3))
@@ -196,14 +206,14 @@ class Model:
             scores = ad.add(ad.add(scores, rel), pad_bias)
             attn = ad.dropout(ad.softmax(scores), c.dropout_rate, rng)
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (b, n, c.hidden_size))
-            proj = ad.add(ad.matmul(ctx, p[f"{pre}.attn.wo"]), p[f"{pre}.attn.bo"])
+            proj = ad.matmul(ad.gather_rows(ctx, seq, pos), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             proj = ad.dropout(proj, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])
-            f = ad.gelu(ad.add(ad.matmul(x, p[f"{pre}.ffn.w1"]), p[f"{pre}.ffn.b1"]))
-            f = ad.add(ad.matmul(f, p[f"{pre}.ffn.w2"]), p[f"{pre}.ffn.b2"])
+            f = ad.gelu(ad.matmul(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
+            f = ad.matmul(f, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             f = ad.dropout(f, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, f), p[f"{pre}.norm_ffn.gain"], p[f"{pre}.norm_ffn.bias"])
-        return x
+        return ad.scatter_rows(x, seq, pos, (b, n))
 
     # -- heads ---------------------------------------------------------------
 
@@ -212,7 +222,7 @@ class Model:
         dotted with every embedding row, plus the per-vocab bias. Zero rows
         give an empty (0, |V|) tensor."""
         table_t = ad.transpose(self.params["embedding.word"], (1, 0))
-        return ad.add(ad.matmul(rows, table_t), self.params["lm_head.bias"])
+        return ad.matmul(rows, table_t, self.params["lm_head.bias"])
 
     def lm_probs_detached(self, h_rows):
         """Softmax LM distribution for raw hidden rows, outside the graph."""
@@ -228,8 +238,7 @@ class Model:
         if head not in DETECTION_HEADS:
             raise ConfigError(f"unknown detection head {head!r}")
         w_col = ad.reshape(self.params[f"head.{head}.w"], (h.data.shape[-1], 1))
-        return ad.reshape(ad.add(ad.matmul(h, w_col), self.params[f"head.{head}.b"]),
-                          h.data.shape[:-1])
+        return ad.reshape(ad.matmul(h, w_col, self.params[f"head.{head}.b"]), h.data.shape[:-1])
 
     def detection_probs_detached(self, h_data, head):
         """Sigmoid probability-of-original per position, outside the graph."""

@@ -68,7 +68,7 @@ def _fit_logistic(features, labels, seed, epochs=300, lr=0.05):
     for t in range(1, epochs + 1):
         w.grad = b.grad = None
         with ad.Tape() as tape:
-            logits = ad.reshape(ad.add(ad.matmul(x, w), b), (n,))
+            logits = ad.reshape(ad.matmul(x, w, b), (n,))
             loss = ad.sigmoid_bce(logits, y)
             tape.backward(loss)
         for p in (w, b):
@@ -124,7 +124,7 @@ def _fine_tune_encoder(model, examples, seed, epochs=2, lr=5e-5, batch_size=16):
             with ad.Tape() as tape:
                 h = model.encode_discriminator(ids, mask, rng=None)
                 cls = ad.gather_rows(h, np.arange(len(y)), np.zeros(len(y), dtype=np.int64))
-                logits = ad.reshape(ad.add(ad.matmul(cls, w), b), (len(y),))
+                logits = ad.reshape(ad.matmul(cls, w, b), (len(y),))
                 loss = ad.sigmoid_bce(logits, y)
                 tape.backward(loss)
             for p in params:

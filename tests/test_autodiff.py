@@ -287,11 +287,37 @@ def test_embedding_gather_and_scatter_grad():
 def test_gather_rows_selects_and_scatters():
     x = t(np.arange(24, dtype=np.float32).reshape(2, 4, 3))
     with ad.Tape() as tape:
-        rows = ad.gather_rows(x, [0, 1, 1], [3, 0, 0])
-        tape.backward(ad.tensor_sum(rows))
-    np.testing.assert_allclose(rows.data[0], x.data[0, 3])
-    assert x.grad[1, 0, 0] == 2.0  # same row gathered twice accumulates
-    assert x.grad[0, 0, 0] == 0.0
+        rows = ad.gather_rows(x, [0, 1, 1], [3, 0, 2])
+        tape.backward(ad.tensor_sum(ad.scale(rows, 2.0)))
+    np.testing.assert_allclose(rows.data, x.data[[0, 1, 1], [3, 0, 2]])
+    picked = np.zeros((2, 4), dtype=bool)
+    picked[[0, 1, 1], [3, 0, 2]] = True
+    assert (x.grad[picked] == 2.0).all()
+    assert (x.grad[~picked] == 0.0).all()
+
+
+@pytest.mark.parametrize("op", [
+    lambda: ad.gather_rows(t(np.zeros((2, 4, 3))), [0, 1, 1], [3, 0, 0]),
+    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [0, 1, 1], [3, 0, 0], (2, 4)),
+], ids=["gather_rows", "scatter_rows"])
+def test_row_ops_reject_a_repeated_pair(op):
+    with pytest.raises(ContractError):
+        op()
+
+
+def test_scatter_rows_inverts_gather_rows():
+    rows = t(np.arange(9, dtype=np.float32).reshape(3, 3) + 1.0)
+    grid = ad.scatter_rows(rows, [1, 0, 1], [2, 0, 0], (2, 4))
+    assert grid.data.shape == (2, 4, 3)
+    np.testing.assert_array_equal(ad.gather_rows(grid, [1, 0, 1], [2, 0, 0]).data, rows.data)
+    assert np.count_nonzero(np.abs(grid.data).sum(axis=-1)) == 3
+    empty = ad.scatter_rows(t(np.zeros((0, 3))), [], [], (2, 4))
+    np.testing.assert_array_equal(empty.data, np.zeros((2, 4, 3)))
+
+
+def test_matmul_bias_on_a_batched_right_operand_is_refused():
+    with pytest.raises(ContractError):
+        ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((2, 4, 5))), t(np.zeros(5)))
 
 
 # -- finite-difference checks on every differentiable op ------------------------
@@ -334,6 +360,17 @@ def _fd_case(name):
         tensors = {"a": t(rng.normal(size=(6,)))}
         make = lambda ts: ad.sigmoid_bce(ts["a"], [1, 0, 1, 1, 0, 0])
         w = None
+    elif name == "scatter_rows":
+        tensors = {"a": t(rng.normal(size=(4, 3)))}
+        make = lambda ts: ad.tensor_sum(
+            ad.mul(ad.scatter_rows(ts["a"], [1, 0, 1, 0], [2, 0, 0, 3], (2, 4)), ts["w"]))
+        w = rng.normal(size=(2, 4, 3))
+    elif name in ("matmul_bias_2d", "matmul_bias_3d"):
+        a_shape = (3, 4) if name == "matmul_bias_2d" else (2, 3, 4)
+        tensors = {"a": t(rng.normal(size=a_shape)), "b": t(rng.normal(size=(4, 5))),
+                   "bias": t(rng.normal(size=(5,)))}
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.matmul(ts["a"], ts["b"], ts["bias"]), ts["w"]))
+        w = rng.normal(size=a_shape[:-1] + (5,))
     elif name == "embedding":
         tensors = {"a": t(rng.normal(size=(5, 4)))}
         ids = np.array([[0, 3, 3], [2, 1, 0]])
@@ -348,7 +385,7 @@ def _fd_case(name):
 
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "gelu", "softmax", "layer_norm", "transpose_reshape",
-    "cross_entropy", "bce", "embedding",
+    "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
 ])
 def test_gradients_match_finite_differences(op_name):
     tensors, make = _fd_case(op_name)

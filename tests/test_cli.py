@@ -159,6 +159,30 @@ def test_soup_uniform_of_identical_checkpoints_is_bit_exact(run1, tmp_path):
     assert rows[0] == ["run", "score", "weight"] and len(rows) == 3
 
 
+def test_failed_soup_report_keeps_previous_report(run1, tmp_path, monkeypatch, capsys):
+    mpath = _two_copies_manifest(run1, tmp_path)
+    report = tmp_path / "soup_report.csv"
+    report.write_text("previous report\n", encoding="utf-8")
+
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.writer = real_writer(fh)
+
+        def writerow(self, row):
+            if row[0] != "run":
+                raise OSError("disk full")
+            self.writer.writerow(row)
+
+    monkeypatch.setattr("multicourse.cli.csv.writer", FailingWriter)
+    out = tmp_path / "soup.bin"
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform", "--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert report.read_text(encoding="utf-8") == "previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+
 def test_soup_weighted_uses_weight_file(run1, tmp_path):
     mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"

@@ -74,6 +74,27 @@ def test_encode_rejects_out_of_vocab(model):
         model.encode_generator(ids, mask)
 
 
+@pytest.mark.parametrize("ids, mask", [
+    ([[4, -1, 5]], [[1, 1, 1]]),
+    ([[4, 6, 5]], [[1, 2, 1]]),
+    ([[4, 6, 5]], [[1, 1, -1]]),
+], ids=["negative_id", "mask_2", "mask_negative"])
+def test_encode_rejects_negative_ids_and_non_binary_masks(model, ids, mask):
+    for encode in (model.encode_generator, model.encode_discriminator):
+        with pytest.raises(InputError):
+            encode(np.asarray(ids), np.asarray(mask))
+
+
+@pytest.mark.parametrize("stack", ["generator", "discriminator"])
+def test_padded_positions_encode_to_exact_zeros(model, stack):
+    ids = np.array([[4, 5, 6, 7], [8, 9, 0, 0], [10, 0, 0, 0]])
+    mask = (ids != 0).astype(np.int64)
+    h = getattr(model, f"encode_{stack}")(ids, mask, np.random.default_rng(1)).data
+    assert h.shape == (3, 4, 16)
+    assert (h[mask == 0] == 0.0).all()
+    assert (np.abs(h[mask == 1]).sum(axis=-1) > 0).all()
+
+
 def test_generator_covers_mask_positions(model):
     # hidden states exist at every position, masked ones included
     ids, mask = batch([[4, 1, 6, 1, 8]])
