@@ -256,45 +256,43 @@ def embedding(table, ids):
     return out
 
 
-def _row_pairs(seq_idx, pos_idx, grid):
-    """int64 (seq, pos) index arrays into a (B, n) grid; a repeated pair raises."""
-    seq_idx = np.asarray(seq_idx, dtype=np.int64)
-    pos_idx = np.asarray(pos_idx, dtype=np.int64)
-    flat = np.ravel_multi_index((seq_idx, pos_idx), grid)
-    if np.bincount(flat, minlength=1).max() > 1:
-        raise ContractError("row pairs (seq, pos) must be distinct")
-    return seq_idx, pos_idx
+def _row_index(index, n_rows):
+    """An int64 index into `n_rows` rows; a row outside them or repeated raises."""
+    index = np.asarray(index, dtype=np.int64)
+    if index.size and not 0 <= index.min() <= index.max() < n_rows:
+        raise ContractError(f"row index {index.min()}..{index.max()} outside [0, {n_rows})")
+    if np.bincount(index, minlength=1).max() > 1:
+        raise ContractError("row index must not repeat a row")
+    return index
 
 
-def gather_rows(x, seq_idx, pos_idx):
-    """Select rows (seq_idx[k], pos_idx[k], :) from a (B, n, h) tensor.
-
-    The pairs must be distinct (ContractError otherwise), so the backward
-    writes the rows' gradient into a zero (B, n, h) array with one assignment.
-    """
-    seq_idx, pos_idx = _row_pairs(seq_idx, pos_idx, x.data.shape[:2])
-    out = Tensor(x.data[seq_idx, pos_idx], x.requires_grad)
+def gather_rows(x, index):
+    """Rows index[k] of x, along its first axis. The rows must be distinct
+    (ContractError otherwise), so the backward writes their gradient into a
+    zero array of x's shape with one assignment."""
+    index = _row_index(index, x.data.shape[0])
+    out = Tensor(x.data[index], x.requires_grad)
 
     def backward(g):
         acc = np.zeros_like(x.data)
-        acc[seq_idx, pos_idx] = g
+        acc[index] = g
         x.accumulate_grad(acc)
 
     _record(out, backward)
     return out
 
 
-def scatter_rows(rows, seq_idx, pos_idx, grid):
-    """Place row k of a (T, h) tensor at (seq_idx[k], pos_idx[k]) of a zero
-    (B, n, h) array, `grid` being (B, n): the inverse of gather_rows, with the
-    same distinct-pairs contract. The backward gathers the rows' gradient."""
-    seq_idx, pos_idx = _row_pairs(seq_idx, pos_idx, grid)
-    data = np.zeros(tuple(grid) + rows.data.shape[1:], dtype=rows.data.dtype)
-    data[seq_idx, pos_idx] = rows.data
+def scatter_rows(rows, index, n_rows):
+    """Place row k of a (T, ...) tensor at row index[k] of a zero (n_rows, ...)
+    array: the inverse of gather_rows, with the same distinct-rows contract.
+    The backward gathers the rows' gradient."""
+    index = _row_index(index, n_rows)
+    data = np.zeros((n_rows,) + rows.data.shape[1:], dtype=rows.data.dtype)
+    data[index] = rows.data
     out = Tensor(data, rows.requires_grad)
 
     def backward(g):
-        rows.accumulate_grad(g[seq_idx, pos_idx])
+        rows.accumulate_grad(g[index])
 
     _record(out, backward)
     return out

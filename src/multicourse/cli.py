@@ -143,7 +143,7 @@ def cmd_soup(args):
     out = Path(args.out) if args.out else Path(manifest.output_dir) / f"soup_{args.mode}.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, merged)
-    report = out.parent / "soup_report.csv"
+    report = out.with_name(f"{out.stem}_report.csv")
     with atomic_open(report, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "score", "weight"])

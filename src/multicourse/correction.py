@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .courses import TokenSequence, cross_entropy_at, binary_detection_loss
+from .courses import TokenSequence, cross_entropy_at, binary_detection_loss, packed_rows
 from .errors import ContractError
 from .vocab import MASK_ID
 
@@ -78,13 +78,13 @@ def build_rediscrimination(x: TokenSequence, view: TokenSequence, notebook: Conf
 
 def loss_regeneration(model, g_hidden, regen_batch, first_row=0):
     """CE at pos4 only; same functional form as the first-pass cloze loss."""
-    positions = [positions for _, _, positions in regen_batch]
-    targets = [targets for _, targets, _ in regen_batch]
-    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
+    regens, targets, positions = zip(*regen_batch)
+    return cross_entropy_at(model, g_hidden, packed_rows(regens, positions, first_row),
+                            np.concatenate(targets))
 
 
 def loss_rediscrimination(model, d_hidden, head, redisc_batch, first_row=0):
     """BCE at pos2|pos3 only, using the matching course head."""
-    positions = [positions for _, positions, _ in redisc_batch]
-    labels = [labels for _, _, labels in redisc_batch]
-    return binary_detection_loss(model, d_hidden, head, positions, labels, first_row)
+    rediscs, positions, labels = zip(*redisc_batch)
+    return binary_detection_loss(model, d_hidden, head, packed_rows(rediscs, positions, first_row),
+                                 np.concatenate(labels))

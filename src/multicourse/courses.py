@@ -4,8 +4,9 @@ Every view of a training step derives from the same original sequence.
 The generator fills corrupted slots by sampling its own softmax (detached,
 temperature 1, full vocabulary); the discriminator then labels each token
 original-or-not. A sequence is its unpadded ids: padding exists only in
-the rectangular arrays `pad_batch` builds for an encoder pass, and every
-loss gathers the hidden rows it scores before applying its head.
+the rectangular arrays `pad_batch` builds for an encoder pass. A pass
+returns its packed real-token rows, so a loss turns its positions into
+rows by where each sequence starts and gathers them before its head.
 """
 
 from dataclasses import dataclass, field
@@ -140,29 +141,27 @@ def sample_rows(probs, rng):
 # -- batched loss helpers ----------------------------------------------------
 
 
-def _pooled(arrays, dtype):
-    """The per-sequence arrays end to end, as one flat array."""
-    return np.concatenate(arrays).astype(dtype, copy=False)
+def row_starts(seqs, first_row=0):
+    """Each sequence's first row in a pass packed in order from `first_row`, then the end row."""
+    return first_row + np.cumsum([0] + [len(s.ids) for s in seqs])
 
 
-def _select_rows(hidden, position_lists, first_row=0):
-    """The (k, hidden) rows at each sequence's positions, pooled in order; the
-    sequences are the rows of the batch from `first_row` on."""
-    counts = [len(p) for p in position_lists]
-    seq_idx = np.repeat(np.arange(first_row, first_row + len(counts)), counts)
-    return ad.gather_rows(hidden, seq_idx, _pooled(position_lists, np.int64))
+def packed_rows(seqs, position_lists, first_row=0):
+    """Each sequence's positions as rows of that packed pass, pooled in order."""
+    starts = row_starts(seqs, first_row)[:-1]
+    return np.repeat(starts, [len(p) for p in position_lists]) + np.concatenate(position_lists)
 
 
-def cross_entropy_at(model, g_hidden, position_lists, target_lists, first_row=0):
-    """Mean CE over pooled positions, full-vocabulary logits from the tied head."""
-    logits = model.lm_logits(_select_rows(g_hidden, position_lists, first_row))
-    return ad.softmax_cross_entropy(logits, _pooled(target_lists, np.int64))
+def cross_entropy_at(model, g_hidden, rows, targets):
+    """Mean CE over packed rows, full-vocabulary logits from the tied head."""
+    logits = model.lm_logits(ad.gather_rows(g_hidden, rows))
+    return ad.softmax_cross_entropy(logits, targets)
 
 
-def binary_detection_loss(model, d_hidden, head, position_lists, label_lists, first_row=0):
-    """Mean BCE with the chosen head over pooled (sequence, position) pairs."""
-    logits = model.detection_logits(_select_rows(d_hidden, position_lists, first_row), head)
-    return ad.sigmoid_bce(logits, _pooled(label_lists, d_hidden.data.dtype))
+def binary_detection_loss(model, d_hidden, head, rows, labels):
+    """Mean BCE with the chosen head over packed rows."""
+    logits = model.detection_logits(ad.gather_rows(d_hidden, rows), head)
+    return ad.sigmoid_bce(logits, labels)
 
 
 # -- the five self-supervision losses ----------------------------------------
@@ -170,37 +169,39 @@ def binary_detection_loss(model, d_hidden, head, position_lists, label_lists, fi
 
 def loss_mlm(model, g_hidden, plans, originals, first_row=0):
     """CE at masked positions, targets = original tokens."""
-    positions = [p.mask_positions for p in plans]
-    targets = [x.ids[p.mask_positions] for x, p in zip(originals, plans)]
-    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
+    rows = packed_rows(originals, [p.mask_positions for p in plans], first_row)
+    targets = np.concatenate([x.ids[p.mask_positions] for x, p in zip(originals, plans)])
+    return cross_entropy_at(model, g_hidden, rows, targets)
 
 
 def loss_slm(model, g_hidden, plans, originals, first_row=0):
     """CE at swapped positions, targets = original tokens, same full-vocab head."""
-    positions = [p.swap_positions for p in plans]
-    targets = [x.ids[p.swap_positions] for x, p in zip(originals, plans)]
-    return cross_entropy_at(model, g_hidden, positions, targets, first_row)
+    rows = packed_rows(originals, [p.swap_positions for p in plans], first_row)
+    targets = np.concatenate([x.ids[p.swap_positions] for x, p in zip(originals, plans)])
+    return cross_entropy_at(model, g_hidden, rows, targets)
 
 
 def original_labels(view: TokenSequence, x: TokenSequence):
-    """(positions, labels) over every position of x: label 1.0 where the
-    view token equals the original."""
-    return np.arange(len(x.ids)), (view.ids == x.ids).astype(np.float32)
+    """One label per position of x: 1.0 where the view token equals the original."""
+    return (view.ids == x.ids).astype(np.float32)
 
 
-def _original_detection_loss(model, d_hidden, head, views, originals, first_row):
-    positions, labels = zip(*map(original_labels, views, originals))
-    return binary_detection_loss(model, d_hidden, head, positions, labels, first_row)
+def _every_row_loss(model, d_hidden, head, label_lists, first_row):
+    """BCE with `head` over whole sequences, one label per row from `first_row` on."""
+    labels = np.concatenate(label_lists)
+    return binary_detection_loss(model, d_hidden, head, first_row + np.arange(len(labels)), labels)
 
 
 def loss_rtd(model, d_hidden, views, originals, first_row=0):
     """BCE with the rtd head over every position of each sequence."""
-    return _original_detection_loss(model, d_hidden, "rtd", views, originals, first_row)
+    return _every_row_loss(model, d_hidden, "rtd", list(map(original_labels, views, originals)),
+                           first_row)
 
 
 def loss_std(model, d_hidden, views, originals, first_row=0):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    return _original_detection_loss(model, d_hidden, "std", views, originals, first_row)
+    return _every_row_loss(model, d_hidden, "std", list(map(original_labels, views, originals)),
+                           first_row)
 
 
 def itd_labels(plan: CorruptionPlan):
@@ -210,12 +211,10 @@ def itd_labels(plan: CorruptionPlan):
     return labels
 
 
-def loss_itd(model, d_hidden, views, plans, first_row=0):
+def loss_itd(model, d_hidden, plans, first_row=0):
     """BCE with the itd head over the extended sequences; labels are by
     construction, independent of what the generator sampled."""
-    positions = [np.arange(len(v.ids)) for v in views]
-    labels = [itd_labels(p) for p in plans]
-    return binary_detection_loss(model, d_hidden, "itd", positions, labels, first_row)
+    return _every_row_loss(model, d_hidden, "itd", [itd_labels(p) for p in plans], first_row)
 
 
 # -- batch assembly -----------------------------------------------------------

@@ -5,7 +5,7 @@ position bias added to attention scores. A pass packs the real tokens of
 its right-padded batch once: the embedding, the output projection, the
 residual adds, both layer norms, the FFN and the dropouts run on those
 (T, h) rows, and only attention reads the padded (B, n) grid. The output
-is that grid again, exactly zero at padded positions. The LM head is tied
+is those packed rows, the sequences' tokens in batch order. The LM head is tied
 to the embedding table (plus a learnable per-vocab bias); three independent
 binary detection heads (rtd, std, itd) read the discriminator output.
 """
@@ -142,6 +142,9 @@ class Model:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, state):
+        unknown = sorted(set(state) - set(self.params))
+        if unknown:
+            raise InputError(f"unknown parameters {', '.join(unknown)}")
         for name, p in self.params.items():
             if name not in state:
                 raise InputError(f"missing parameter {name}")
@@ -167,7 +170,7 @@ class Model:
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
             raise InputError(f"expected (batch, seq) ids/mask, got {ids.shape} / {mask.shape}")
-        n = ids.shape[1]
+        b, n = ids.shape
         if n > self.config.max_seq_len:
             raise InputError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
         if ids.size and not 0 <= ids.min() <= ids.max() < self.config.vocab_size:
@@ -175,16 +178,17 @@ class Model:
                              f"of size {self.config.vocab_size}")
         if not np.isin(mask, (0, 1)).all():
             raise InputError("attention mask values must be 0 or 1")
+        if (mask[:, 1:] > mask[:, :-1]).any():
+            raise InputError("attention mask rows must be right-padded: ones, then zeros")
 
         c = self.config
         heads, dh = c.attention_heads, c.hidden_size // c.attention_heads
         p = self.params
         dtype = p["embedding.word"].data.dtype
-        b = ids.shape[0]
         # the per-token layers run on the T real rows; only attention sees the grid
-        seq, pos = np.nonzero(mask)
+        real = np.flatnonzero(mask)
 
-        x = ad.embedding(p["embedding.word"], ids[seq, pos])
+        x = ad.embedding(p["embedding.word"], ids.reshape(-1)[real])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
         x = ad.dropout(x, c.dropout_rate, rng)
 
@@ -195,7 +199,7 @@ class Model:
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
-            grid = ad.scatter_rows(x, seq, pos, (b, n))
+            grid = ad.reshape(ad.scatter_rows(x, real, b * n), (b, n, c.hidden_size))
             q = ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
             k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
             v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
@@ -205,15 +209,15 @@ class Model:
             scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
             scores = ad.add(ad.add(scores, rel), pad_bias)
             attn = ad.dropout(ad.softmax(scores), c.dropout_rate, rng)
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (b, n, c.hidden_size))
-            proj = ad.matmul(ad.gather_rows(ctx, seq, pos), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
+            ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (b * n, c.hidden_size))
+            proj = ad.matmul(ad.gather_rows(ctx, real), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             proj = ad.dropout(proj, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])
             f = ad.gelu(ad.matmul(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
             f = ad.matmul(f, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             f = ad.dropout(f, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, f), p[f"{pre}.norm_ffn.gain"], p[f"{pre}.norm_ffn.bias"])
-        return ad.scatter_rows(x, seq, pos, (b, n))
+        return x
 
     # -- heads ---------------------------------------------------------------
 

@@ -11,7 +11,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .courses import pad_batch, TokenSequence
+from .courses import pad_batch, row_starts, TokenSequence
 from .errors import InputError
 from .vocab import CLS_ID
 
@@ -49,9 +49,9 @@ def _featurize(model, examples, batch_size=64):
     seqs = _cls_sequences(examples)
     with ad.no_tape():
         for start in range(0, len(seqs), batch_size):
-            ids, mask = pad_batch(seqs[start:start + batch_size])
-            h = model.encode_discriminator(ids, mask, rng=None)
-            feats.append(h.data[:, 0, :].copy())
+            batch = seqs[start:start + batch_size]
+            h = model.encode_discriminator(*pad_batch(batch), rng=None)
+            feats.append(h.data[row_starts(batch)[:-1]])
     return np.concatenate(feats, axis=0)
 
 
@@ -117,13 +117,13 @@ def _fine_tune_encoder(model, examples, seed, epochs=2, lr=5e-5, batch_size=16):
     params = list(model.named_parameters().values()) + [w, b]
     for _ in range(epochs):
         for start in range(0, len(seqs), batch_size):
-            ids, mask = pad_batch(seqs[start:start + batch_size])
+            batch = seqs[start:start + batch_size]
             y = labels[start:start + batch_size]
             for p in params:
                 p.grad = None
             with ad.Tape() as tape:
-                h = model.encode_discriminator(ids, mask, rng=None)
-                cls = ad.gather_rows(h, np.arange(len(y)), np.zeros(len(y), dtype=np.int64))
+                h = model.encode_discriminator(*pad_batch(batch), rng=None)
+                cls = ad.gather_rows(h, row_starts(batch)[:-1])
                 logits = ad.reshape(ad.matmul(cls, w, b), (len(y),))
                 loss = ad.sigmoid_bce(logits, y)
                 tape.backward(loss)

@@ -117,12 +117,16 @@ class MetricsRecord:
         return row
 
 
-def build_views(seqs, rates, rng, max_seq_len):
-    """Corruption plans plus the mask/swap/insert views for one batch."""
+def build_views(seqs, rates, rng, max_seq_len, swap=True, insert=True):
+    """Corruption plans plus the mask views for one batch, and the swap and
+    insert views when those courses run. Every plan is drawn either way."""
     plans = [crs.plan_corruption(x, rates, rng) for x in seqs]
     batch = crs.CourseBatch(originals=seqs, plans=plans,
-                            masked=[crs.apply_mask(x, p) for x, p in zip(seqs, plans)],
-                            swapped=[crs.apply_swap(x, p) for x, p in zip(seqs, plans)])
+                            masked=[crs.apply_mask(x, p) for x, p in zip(seqs, plans)])
+    if swap:
+        batch.swapped = [crs.apply_swap(x, p) for x, p in zip(seqs, plans)]
+    if not insert:
+        return batch
     skipped = []
     for i, (x, p) in enumerate(zip(seqs, plans)):
         try:
@@ -142,7 +146,8 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
     Returns (losses, batch); losses maps enabled loss names to scalar
     tensors, batch is the step's CourseBatch with its views and notebooks.
     """
-    batch = build_views(seqs, rates, rng, model.config.max_seq_len)
+    batch = build_views(seqs, rates, rng, model.config.max_seq_len,
+                        swap=cfg.std_course, insert=cfg.itd_course)
     batch.corrected = step >= cfg.correction_start_step
     return run_courses(model, batch, cfg, rng), batch
 
@@ -169,37 +174,37 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     """
     on = cfg.enabled_losses()
     sample = rng is not None
-    x, n = batch.originals, len(batch.originals)
+    x = batch.originals
+    t = sum(len(s.ids) for s in x)  # the rows of one view set; only insert views are longer
     masks, swaps = [p.mask_positions for p in batch.plans], [p.swap_positions for p in batch.plans]
     swap = "slm" in on
     losses = {}
 
-    h = model.encode_generator(*crs.pad_batch(batch.masked + (batch.swapped if swap else [])), rng)
+    h = model.encode_generator(*crs.pad_batch(batch.masked + batch.swapped), rng)
     losses["mlm"] = crs.loss_mlm(model, h, batch.plans, x)
     if sample:
         batch.rtd_views = _splice(model, h.data, batch.masked, masks, rng)
     if swap:
-        losses["slm"] = crs.loss_slm(model, h, batch.plans, x, n)
+        losses["slm"] = crs.loss_slm(model, h, batch.plans, x, t)
         if sample:
-            batch.std_views = _splice(model, h.data[n:], batch.swapped, swaps, rng)
-    if sample and "itd" in on and batch.inserted:
+            batch.std_views = _splice(model, h.data, batch.swapped, swaps, rng, t)
+    if sample and batch.inserted:
         with ad.no_tape():
             h = model.encode_generator(*crs.pad_batch(batch.inserted), rng)
         batch.itd_views = _splice(model, h.data, batch.inserted,
                                   [p.insert_positions for p in batch.kept_plans], rng)
 
-    h = model.encode_discriminator(
-        *crs.pad_batch(batch.rtd_views + (batch.std_views if swap else [])), rng)
+    h = model.encode_discriminator(*crs.pad_batch(batch.rtd_views + batch.std_views), rng)
     losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_views, x)
     if sample:
         batch.notebooks["rtd"] = _notebooks(model, h.data, "rtd", x, batch.rtd_views)
     if swap:
-        losses["std"] = crs.loss_std(model, h, batch.std_views, x, n)
+        losses["std"] = crs.loss_std(model, h, batch.std_views, x, t)
         if sample:
-            batch.notebooks["std"] = _notebooks(model, h.data[n:], "std", x, batch.std_views)
+            batch.notebooks["std"] = _notebooks(model, h.data, "std", x, batch.std_views, t)
     if "itd" in on and batch.itd_views:
         h = model.encode_discriminator(*crs.pad_batch(batch.itd_views), rng)
-        losses["itd"] = crs.loss_itd(model, h, batch.itd_views, batch.kept_plans)
+        losses["itd"] = crs.loss_itd(model, h, batch.kept_plans)
     if not batch.corrected:
         return losses
 
@@ -211,7 +216,7 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
         if re_mlm:
             losses["re_mlm"] = corr.loss_regeneration(model, h, re_mlm)
         if re_slm:
-            losses["re_slm"] = corr.loss_regeneration(model, h, re_slm, len(re_mlm))
+            losses["re_slm"] = corr.loss_regeneration(model, h, re_slm, t if re_mlm else 0)
     re_rtd = (list(map(corr.build_rediscrimination, x, batch.rtd_views, books["rtd"]))
               if "re_rtd" in on else [])
     re_std = (list(map(corr.build_rediscrimination, x, batch.std_views, books["std"]))
@@ -221,21 +226,22 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
         if re_rtd:
             losses["re_rtd"] = corr.loss_rediscrimination(model, h, "rtd", re_rtd)
         if re_std:
-            losses["re_std"] = corr.loss_rediscrimination(model, h, "std", re_std, len(re_rtd))
+            losses["re_std"] = corr.loss_rediscrimination(model, h, "std", re_std, t if re_rtd else 0)
     return losses
 
 
-def _splice(model, rows, views, positions, rng):
-    """`views` with generator samples at `positions`, read off their `rows` of hidden states."""
-    return [crs.splice_generator_samples(model, v, r[: len(v.ids)], pos, rng)
-            for v, r, pos in zip(views, rows, positions)]
+def _splice(model, h, views, positions, rng, first_row=0):
+    """`views` with generator samples at `positions`, read off their rows of `h` from `first_row`."""
+    return [crs.splice_generator_samples(model, v, h[start:start + len(v.ids)], pos, rng)
+            for v, start, pos in zip(views, crs.row_starts(views, first_row), positions)]
 
 
-def _notebooks(model, rows, head, originals, views):
-    """Confusion notebooks of `views`, judged by `head` on their `rows` of hidden states."""
-    probs = model.detection_probs_detached(rows[: len(views)], head)
-    return [corr.classify_confusion(x, v, pr[: len(v.ids)])
-            for x, v, pr in zip(originals, views, probs)]
+def _notebooks(model, h, head, originals, views, first_row=0):
+    """Confusion notebooks of `views`, judged by `head` on their rows of `h` from `first_row`."""
+    starts = crs.row_starts(views, first_row)
+    probs = model.detection_probs_detached(h[starts[0]:starts[-1]], head)
+    return [corr.classify_confusion(x, v, pr)
+            for x, v, pr in zip(originals, views, np.split(probs, starts[1:-1] - starts[0]))]
 
 
 def total_loss(losses, cfg: TrainConfig):

@@ -68,12 +68,14 @@ def fd_gradient(loss_fn, tensor, index, h=1e-3):
     return (hi - lo) / (2.0 * h)
 
 
-def check_gradients(make_loss, tensors32, tensors64, coords, h=1e-3, rtol=1e-3):
+def check_gradients(make_loss, tensors32, tensors64, coords, h=1e-3, rtol=1e-3, reference=None):
     """Analytic float32 grads vs float64-forward central differences.
 
     `make_loss(tensors)` builds the scalar loss from a dict of leaf
-    tensors; `coords` is a list of (name, index) pairs to probe.
+    tensors; `coords` is a list of (name, index) pairs to probe. The
+    differences read `reference(tensors)` when given, else `make_loss`.
     """
+    reference = reference or make_loss
     for t in tensors32.values():
         t.grad = None
     with ad.Tape() as tape:
@@ -82,7 +84,7 @@ def check_gradients(make_loss, tensors32, tensors64, coords, h=1e-3, rtol=1e-3):
     failures = []
     for name, index in coords:
         analytic = float(tensors32[name].grad[index])
-        fd = fd_gradient(lambda: make_loss(tensors64), tensors64[name], index, h)
+        fd = fd_gradient(lambda: reference(tensors64), tensors64[name], index, h)
         err = relative_error(analytic, fd)
         if err > rtol:
             failures.append((name, index, analytic, fd, err))

@@ -9,7 +9,7 @@ from multicourse.checkpoint import (
     save_checkpoint,
 )
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import CheckpointFormatError, DigestMismatchError
+from multicourse.errors import CheckpointFormatError, DigestMismatchError, InputError
 from multicourse.vocab import Vocab
 
 TOKENS = ["<pad>", "<mask>", "<cls>", "<unk>", "alpha", "beta", "gamma", "delta"]
@@ -111,6 +111,16 @@ def test_build_model_runs_forward(saved):
         rebuilt.encode_discriminator(ids, mask).data,
         model.encode_discriminator(ids, mask).data,
     )
+
+
+def test_load_state_refuses_unknown_and_missing_names():
+    model = Model(small_config(), seed=7)
+    state = model.state()
+    with pytest.raises(InputError, match="extra.param"):
+        model.load_state({**state, "extra.param": np.zeros(3, dtype=np.float32)})
+    del state["head.itd.b"]
+    with pytest.raises(InputError, match="head.itd.b"):
+        model.load_state(state)
 
 
 def test_digest_changes_with_vocab():

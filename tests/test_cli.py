@@ -193,6 +193,21 @@ def test_soup_weighted_uses_weight_file(run1, tmp_path):
     assert out.exists()
 
 
+def test_uniform_then_weighted_soup_keep_both_reports(run1, tmp_path):
+    mpath = _two_copies_manifest(run1, tmp_path)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform"]) == 0
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "weighted",
+                "--weights", str(wpath)]) == 0
+    weights = {}
+    for mode in ("uniform", "weighted"):
+        assert (tmp_path / f"soup_{mode}.bin").exists()
+        with open(tmp_path / f"soup_{mode}_report.csv", newline="") as fh:
+            weights[mode] = [float(row[2]) for row in list(csv.reader(fh))[1:]]
+    assert weights == {"uniform": [0.5, 0.5], "weighted": [0.25, 0.75]}
+
+
 def test_soup_uniform_with_a_weight_file_exits_1(run1, tmp_path, capsys):
     mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"

@@ -220,7 +220,7 @@ def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
     loss = loss_regeneration(tiny_model, h, [regen])
     table = tiny_model.params["embedding.word"].data
     bias = tiny_model.params["lm_head.bias"].data
-    rows = [[float(np.dot(table[v], h.data[0, p])) + float(bias[v]) for v in range(10)]
+    rows = [[float(np.dot(table[v], h.data[p])) + float(bias[v]) for v in range(10)]
             for p in regen[2]]
     oracle = scalar_softmax_ce(rows, [int(t) for t in regen[1]])
     assert abs(loss.item() - oracle) < 1e-6
@@ -236,7 +236,7 @@ def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
     loss = loss_rediscrimination(tiny_model, h, "std", redisc_batch=[redisc])
     w = tiny_model.params["head.std.w"].data
     b = float(tiny_model.params["head.std.b"].data[0])
-    logits = [float(np.dot(w, h.data[0, p])) + b for p in redisc[1]]
+    logits = [float(np.dot(w, h.data[p])) + b for p in redisc[1]]
     oracle = scalar_bce(logits, redisc[2].tolist())
     assert abs(loss.item() - oracle) < 1e-7
 

@@ -253,13 +253,22 @@ def test_loss_mlm_empty_everywhere_is_zero(tiny_model):
     assert loss_mlm(tiny_model, h, [plan], [x]).item() == 0.0
 
 
-def _ce_oracle(model, h, position_lists, target_lists):
+def _starts(seqs):
+    """Packed row of each sequence's first token, counted one sequence at a time."""
+    starts, row = [], 0
+    for s in seqs:
+        starts.append(row)
+        row += len(s.ids)
+    return starts
+
+
+def _ce_oracle(model, h, seqs, position_lists, target_lists):
     table = model.params["embedding.word"].data
     bias = model.params["lm_head.bias"].data
     logits, targets = [], []
-    for i, (positions, targs) in enumerate(zip(position_lists, target_lists)):
+    for start, positions, targs in zip(_starts(seqs), position_lists, target_lists):
         for p, tgt in zip(positions, targs):
-            row = [float(np.dot(table[v], h.data[i, p])) + float(bias[v])
+            row = [float(np.dot(table[v], h.data[start + p])) + float(bias[v])
                    for v in range(table.shape[0])]
             logits.append(row)
             targets.append(int(tgt))
@@ -272,7 +281,7 @@ def test_loss_mlm_matches_enumeration_oracle(tiny_model):
     views = [apply_mask(x, p) for x, p in zip(xs, plans)]
     h = _hidden_for(tiny_model, views)
     loss = loss_mlm(tiny_model, h, plans, xs)
-    oracle = _ce_oracle(tiny_model, h,
+    oracle = _ce_oracle(tiny_model, h, views,
                         [p.mask_positions for p in plans],
                         [x.ids[p.mask_positions] for x, p in zip(xs, plans)])
     assert abs(loss.item() - oracle) < 1e-6
@@ -284,21 +293,21 @@ def test_loss_slm_matches_enumeration_oracle(tiny_model):
     views = [apply_swap(xs[0], plans[0])]
     h = _hidden_for(tiny_model, views)
     loss = loss_slm(tiny_model, h, plans, xs)
-    oracle = _ce_oracle(tiny_model, h,
+    oracle = _ce_oracle(tiny_model, h, views,
                         [plans[0].swap_positions],
                         [xs[0].ids[plans[0].swap_positions]])
     assert abs(loss.item() - oracle) < 1e-6
     # full-vocabulary logits: same head as the cloze course
-    assert tiny_model.lm_logits(ad.gather_rows(h, [0], [0])).data.shape[-1] == 10
+    assert tiny_model.lm_logits(ad.gather_rows(h, [0])).data.shape[-1] == 10
 
 
-def _bce_oracle(model, h, head, position_lists, label_lists):
+def _bce_oracle(model, h, head, seqs, position_lists, label_lists):
     w = model.params[f"head.{head}.w"].data
     b = float(model.params[f"head.{head}.b"].data[0])
     logits, labels = [], []
-    for i, (positions, labs) in enumerate(zip(position_lists, label_lists)):
+    for start, positions, labs in zip(_starts(seqs), position_lists, label_lists):
         for p, y in zip(positions, labs):
-            logits.append(float(np.dot(w, h.data[i, p])) + b)
+            logits.append(float(np.dot(w, h.data[start + p])) + b)
             labels.append(float(y))
     return scalar_bce(logits, labels)
 
@@ -308,10 +317,11 @@ def test_loss_rtd_label_derivation_and_oracle(tiny_model):
     view = seq([4, 5, 9, 7, 8, 9])  # position 2 replaced
     ids, mask = pad_batch([view])
     h = tiny_model.encode_discriminator(ids, mask)
-    real, labels = original_labels(view, x)
+    labels = original_labels(view, x)
     np.testing.assert_array_equal(labels, [1, 1, 0, 1, 1, 1])
     loss = loss_rtd(tiny_model, h, [view], [x])
-    assert abs(loss.item() - _bce_oracle(tiny_model, h, "rtd", [real], [labels])) < 1e-7
+    oracle = _bce_oracle(tiny_model, h, "rtd", [view], [range(6)], [labels])
+    assert abs(loss.item() - oracle) < 1e-7
 
 
 def test_loss_rtd_perfect_generator_all_original(tiny_model):
@@ -319,7 +329,7 @@ def test_loss_rtd_perfect_generator_all_original(tiny_model):
     ids, mask = pad_batch([x])
     h = tiny_model.encode_discriminator(ids, mask)
     loss = loss_rtd(tiny_model, h, [x.copy()], [x])
-    oracle = _bce_oracle(tiny_model, h, "rtd", [[0, 1, 2]], [[1, 1, 1]])
+    oracle = _bce_oracle(tiny_model, h, "rtd", [x], [[0, 1, 2]], [[1, 1, 1]])
     assert abs(loss.item() - oracle) < 1e-7
 
 
@@ -341,12 +351,12 @@ def test_loss_std_resampled_original_counts_as_original(tiny_model):
     x = seq([4, 5, 6, 7])
     # swap hit positions 1,2 but the generator resampled both originals
     view = seq([4, 5, 6, 7])
-    real, labels = original_labels(view, x)
+    labels = original_labels(view, x)
     np.testing.assert_array_equal(labels, [1, 1, 1, 1])
     ids, mask = pad_batch([view])
     h = tiny_model.encode_discriminator(ids, mask)
     loss = loss_std(tiny_model, h, [view], [x])
-    assert abs(loss.item() - _bce_oracle(tiny_model, h, "std", [real], [labels])) < 1e-7
+    assert abs(loss.item() - _bce_oracle(tiny_model, h, "std", [view], [range(4)], [labels])) < 1e-7
 
 
 def test_loss_itd_labels_by_construction(tiny_model):
@@ -359,8 +369,8 @@ def test_loss_itd_labels_by_construction(tiny_model):
     assert (1 - labels).sum() / len(labels) == 2 / 10
     ids, mask = pad_batch([ext])
     h = tiny_model.encode_discriminator(ids, mask)
-    loss = loss_itd(tiny_model, h, [ext], [plan])
-    oracle = _bce_oracle(tiny_model, h, "itd", [np.arange(10)], [labels])
+    loss = loss_itd(tiny_model, h, [plan])
+    oracle = _bce_oracle(tiny_model, h, "itd", [ext], [range(10)], [labels])
     assert abs(loss.item() - oracle) < 1e-7
 
 
@@ -386,8 +396,8 @@ def test_padding_excluded_from_losses(tiny_model):
     ids, mask = pad_batch(views)
     assert ids.shape == (2, 5) and mask[0].tolist() == [1, 1, 1, 0, 0]
     h = tiny_model.encode_discriminator(ids, mask)
-    (real0, labels0), (real1, labels1) = map(original_labels, views, xs)
-    assert real0.tolist() == [0, 1, 2] and real1.tolist() == [0, 1, 2, 3, 4]
+    assert h.data.shape == (8, 8)  # the packed real rows, 3 + 5
+    labels = list(map(original_labels, views, xs))
     loss = loss_rtd(tiny_model, h, views, xs)
-    oracle = _bce_oracle(tiny_model, h, "rtd", [real0, real1], [labels0, labels1])
+    oracle = _bce_oracle(tiny_model, h, "rtd", views, [range(3), range(5)], labels)
     assert abs(loss.item() - oracle) < 1e-7

@@ -59,7 +59,7 @@ def test_encode_deterministic_under_fixed_seed(model):
 def test_encode_output_shapes(model, n):
     ids, mask = batch([list(range(4, 4 + n))])
     for encode in (model.encode_generator, model.encode_discriminator):
-        assert encode(ids, mask).data.shape == (1, n, 16)
+        assert encode(ids, mask).data.shape == (n, 16)
 
 
 def test_encode_rejects_overlength(model):
@@ -86,13 +86,22 @@ def test_encode_rejects_negative_ids_and_non_binary_masks(model, ids, mask):
 
 
 @pytest.mark.parametrize("stack", ["generator", "discriminator"])
-def test_padded_positions_encode_to_exact_zeros(model, stack):
+def test_encode_returns_only_the_real_rows(model, stack):
     ids = np.array([[4, 5, 6, 7], [8, 9, 0, 0], [10, 0, 0, 0]])
     mask = (ids != 0).astype(np.int64)
     h = getattr(model, f"encode_{stack}")(ids, mask, np.random.default_rng(1)).data
-    assert h.shape == (3, 4, 16)
-    assert (h[mask == 0] == 0.0).all()
-    assert (np.abs(h[mask == 1]).sum(axis=-1) > 0).all()
+    assert h.shape == (7, 16)
+    assert (np.abs(h).sum(axis=-1) > 0).all()
+
+
+@pytest.mark.parametrize("mask", [[[0, 1, 1]], [[1, 0, 1]], [[1, 1, 1], [0, 0, 1]]],
+                         ids=["left_padded", "hole", "second_row"])
+def test_encode_rejects_a_mask_that_is_not_right_padded(model, mask):
+    mask = np.asarray(mask)
+    ids = np.full(mask.shape, 4)
+    for encode in (model.encode_generator, model.encode_discriminator):
+        with pytest.raises(InputError):
+            encode(ids, mask)
 
 
 def test_generator_covers_mask_positions(model):
@@ -109,7 +118,7 @@ def test_real_positions_ignore_other_rows_and_right_padding(stack):
     model = Model(tiny_config(dropout_rate=0.0), seed=3)
     encode = getattr(model, f"encode_{stack}")
     rows = [[4, 5, 6, 7, 8, 9, 10], [11, 12, 13], [14, 15, 16, 17, 18]]
-    alone = [encode(*batch([r])).data[0] for r in rows]
+    alone = [encode(*batch([r])).data for r in rows]
     for width in (7, 12):
         ids = np.full((len(rows), width), 20, dtype=np.int64)  # padding ids are arbitrary
         mask = np.zeros_like(ids)
@@ -117,8 +126,11 @@ def test_real_positions_ignore_other_rows_and_right_padding(stack):
             ids[i, : len(r)] = r
             mask[i, : len(r)] = 1
         h = encode(ids, mask).data
-        for i, r in enumerate(rows):
-            np.testing.assert_allclose(h[i, : len(r)], alone[i], rtol=1e-6, atol=1e-6)
+        assert h.shape[0] == sum(map(len, rows))
+        start = 0
+        for r, want in zip(rows, alone):
+            np.testing.assert_allclose(h[start:start + len(r)], want, rtol=1e-6, atol=1e-6)
+            start += len(r)
 
 
 # -- relative position bias ------------------------------------------------------
@@ -156,9 +168,9 @@ def test_lm_logits_inner_product_geometry():
     np.fill_diagonal(table, 1.0)  # orthogonal embedding rows
     model.params["embedding.word"].data = table
     model.params["lm_head.bias"].data = np.zeros(8, dtype=np.float32)
-    h = ad.Tensor(np.zeros((1, 3, 8), dtype=np.float32))
-    h.data[0, 1] = 10.0 * table[5]
-    logits = model.lm_logits(ad.gather_rows(h, [0], [1]))
+    h = ad.Tensor(np.zeros((3, 8), dtype=np.float32))
+    h.data[1] = 10.0 * table[5]
+    logits = model.lm_logits(ad.gather_rows(h, [1]))
     assert logits.data.shape == (1, 8)
     assert int(np.argmax(logits.data[0])) == 5
 
@@ -166,7 +178,7 @@ def test_lm_logits_inner_product_geometry():
 def test_lm_logits_softmax_rows_normalize(model):
     ids, mask = batch([[4, 5, 6, 7]])
     h = model.encode_generator(ids, mask)
-    logits = model.lm_logits(ad.gather_rows(h, [0, 0], [1, 3]))
+    logits = model.lm_logits(ad.gather_rows(h, [1, 3]))
     probs = ad.softmax(logits).data
     np.testing.assert_allclose(probs.sum(axis=-1), [1.0, 1.0], atol=1e-6)
 
@@ -175,29 +187,29 @@ def test_lm_logits_against_dot_product_loop():
     cfg = tiny_config(vocab_size=5, hidden_size=6, attention_heads=2, ffn_inner_size=8)
     model = Model(cfg, seed=2)
     rng = np.random.default_rng(3)
-    h = ad.Tensor(rng.normal(size=(1, 3, 6)).astype(np.float32))
-    logits = model.lm_logits(ad.gather_rows(h, [0, 0, 0], [0, 1, 2])).data
+    h = ad.Tensor(rng.normal(size=(3, 6)).astype(np.float32))
+    logits = model.lm_logits(ad.gather_rows(h, [0, 1, 2])).data
     table = model.params["embedding.word"].data
     bias = model.params["lm_head.bias"].data
     for p in range(3):
         for v in range(5):
-            want = scalar_dot(table[v], h.data[0, p]) + float(bias[v])
+            want = scalar_dot(table[v], h.data[p]) + float(bias[v])
             assert abs(float(logits[p, v]) - want) < 1e-6
 
 
 def test_lm_logits_empty_positions_gives_empty_tensor(model):
     ids, mask = batch([[4, 5, 6]])
     h = model.encode_generator(ids, mask)
-    logits = model.lm_logits(ad.gather_rows(h, [], []))
+    logits = model.lm_logits(ad.gather_rows(h, []))
     assert logits.data.shape == (0, 32)
 
 
 def test_tied_head_tracks_embedding_mutation(model):
     ids, mask = batch([[4, 5, 6]])
     h = model.encode_discriminator(ids, mask)  # any hidden source
-    before = model.lm_logits(ad.gather_rows(h, [0], [0])).data.copy()
+    before = model.lm_logits(ad.gather_rows(h, [0])).data.copy()
     model.params["embedding.word"].data[9] += 1.0
-    after = model.lm_logits(ad.gather_rows(h, [0], [0])).data
+    after = model.lm_logits(ad.gather_rows(h, [0])).data
     assert after[0, 9] != before[0, 9]
     unchanged = [v for v in range(32) if v != 9]
     np.testing.assert_array_equal(after[0, unchanged], before[0, unchanged])
@@ -211,7 +223,7 @@ def test_embedding_receives_grads_from_both_paths(model):
     table.grad = None
     with ad.Tape() as tape:
         h = model.encode_generator(ids, mask)
-        loss = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [0], [2])), [6])
+        loss = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [2])), [6])
         tape.backward(loss)
     assert table.grad is not None and np.abs(table.grad).sum() > 0
 
@@ -233,7 +245,7 @@ def test_zero_head_gives_half_probability(model):
     ids, mask = batch([[4, 5, 6]])
     h = model.encode_discriminator(ids, mask)
     probs = model.detection_probs_detached(h.data, "rtd")
-    np.testing.assert_allclose(probs, 0.5 * np.ones((1, 3)))
+    np.testing.assert_allclose(probs, 0.5 * np.ones(3))
 
 
 def test_heads_disagree_unless_weights_coincide(model):
@@ -256,21 +268,21 @@ def test_detection_logit_matches_scalar_dot(model):
     w = model.params["head.itd.w"].data
     b = float(model.params["head.itd.b"].data[0])
     for p in range(4):
-        want = scalar_dot(w, h.data[0, p]) + b
-        assert abs(float(logits[0, p]) - want) < 1e-7
+        want = scalar_dot(w, h.data[p]) + b
+        assert abs(float(logits[p]) - want) < 1e-7
 
 
 def test_heads_keep_any_leading_shape(model):
     ids, mask = batch([[4, 5, 6, 7], [8, 9, 10, 11]])
     h = model.encode_discriminator(ids, mask)
-    grid = model.detection_logits(h, "std").data
+    grid = model.detection_logits(ad.reshape(h, (2, 4, 16)), "std").data
     assert grid.shape == (2, 4)
-    rows = model.detection_logits(ad.gather_rows(h, [1, 0], [2, 3]), "std").data
+    rows = model.detection_logits(ad.gather_rows(h, [6, 3]), "std").data
     assert rows.shape == (2,)
     np.testing.assert_allclose(rows, [grid[1, 2], grid[0, 3]], rtol=1e-6, atol=1e-7)
-    lm = model.lm_logits(h).data
+    lm = model.lm_logits(ad.reshape(h, (2, 4, 16))).data
     assert lm.shape == (2, 4, 32)
-    np.testing.assert_allclose(lm[1, 2], model.lm_logits(ad.gather_rows(h, [1], [2])).data[0],
+    np.testing.assert_allclose(lm[1, 2], model.lm_logits(ad.gather_rows(h, [6])).data[0],
                                rtol=1e-6, atol=1e-7)
 
 
@@ -300,7 +312,7 @@ def test_tiny_encoder_gradients_match_finite_differences():
 
     def loss_on(model):
         h = model.encode_generator(ids, mask)
-        ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [0, 0], [1, 3])), [9, 21])
+        ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [1, 3])), [9, 21])
         hd = model.encode_discriminator(ids, mask)
         bce = ad.sigmoid_bce(ad.reshape(model.detection_logits(hd, "rtd"), (5,)),
                              [1, 1, 0, 1, 0])

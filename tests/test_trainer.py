@@ -437,13 +437,14 @@ def test_metrics_equal_a_recount_from_the_views(corpus, seed):
     # brute force: compare the views with the originals, re-judge the rtd views
     probs = model.detection_probs_detached(
         model.encode_discriminator(*pad_batch(batch.rtd_views)).data, "rtd")
-    kept = replaced = caught = 0
-    for i, (x, view, plan) in enumerate(zip(batch.originals, batch.rtd_views, batch.plans)):
+    kept = replaced = caught = start = 0
+    for x, view, plan in zip(batch.originals, batch.rtd_views, batch.plans):
         r = plan.mask_positions
         is_replaced = view.ids[r] != x.ids[r]
         kept += len(r)
         replaced += int(is_replaced.sum())
-        caught += int((probs[i, r][is_replaced] < 0.5).sum())
+        caught += int((probs[start + r][is_replaced] < 0.5).sum())
+        start += len(view.ids)
     swapped = sum(len(p.swap_positions) for p in batch.plans)
     std_replaced = sum(int((v.ids != x.ids).sum()) for x, v in zip(batch.originals, batch.std_views))
     inserted = sum(len(p.insert_positions) for p in batch.kept_plans)
@@ -497,7 +498,8 @@ def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
         if replay:
             calls.clear()
             evaluate_losses(model, batch, cfg)
-    assert batch.itd_kept and (calls["generator"], calls["discriminator"]) == passes
+    assert bool(batch.itd_kept) == cfg.itd_course
+    assert (calls["generator"], calls["discriminator"]) == passes
 
 
 def _one_pass_per_course(model, batch, cfg):
@@ -516,7 +518,7 @@ def _one_pass_per_course(model, batch, cfg):
         losses["slm"] = crs.loss_slm(model, gen(batch.swapped), plans, x)
         losses["std"] = crs.loss_std(model, disc(batch.std_views), batch.std_views, x)
     if "itd" in on:
-        losses["itd"] = crs.loss_itd(model, disc(batch.itd_views), batch.itd_views, batch.kept_plans)
+        losses["itd"] = crs.loss_itd(model, disc(batch.itd_views), batch.kept_plans)
     for course, views, corrupted, regen, redisc in (
             ("rtd", batch.rtd_views, "mask_positions", "re_mlm", "re_rtd"),
             ("std", batch.std_views, "swap_positions", "re_slm", "re_std")):
@@ -624,3 +626,16 @@ def test_insert_overflow_skips_sequence(caplog):
     assert batch.itd_kept == [1]
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "[0, 2]" in warnings[0].getMessage()
+
+
+def test_disabled_courses_build_no_views(corpus, caplog):
+    vocab, seqs = corpus
+    model = Model(small_encoder(len(vocab)), seed=1)
+    cfg = small_train(std_course=False, itd_course=False, re_slm=False, re_std=False)
+    x_long = TokenSequence(list(range(4, 4 + 24)))  # its insert view would overflow
+    with caplog.at_level(logging.WARNING), ad.Tape():
+        losses, batch = step_losses(model, [x_long] + seqs[:3], cfg, RATES,
+                                    np.random.default_rng(1))
+    assert batch.swapped == [] and batch.inserted == [] and batch.itd_kept == []
+    assert "overflow" not in caplog.text
+    assert set(losses) == {"mlm", "rtd", "re_mlm", "re_rtd"}
