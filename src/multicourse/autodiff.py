@@ -259,9 +259,13 @@ def embedding(table, ids):
 def _row_index(index, n_rows):
     """An int64 index into `n_rows` rows; a row outside them or repeated raises."""
     index = np.asarray(index, dtype=np.int64)
-    if index.size and not 0 <= index.min() <= index.max() < n_rows:
+    try:
+        counts = np.bincount(index, minlength=n_rows)  # one pass checks range and repeats
+    except ValueError:  # a negative row
+        counts = None
+    if counts is None or counts.size > n_rows:
         raise ContractError(f"row index {index.min()}..{index.max()} outside [0, {n_rows})")
-    if np.bincount(index, minlength=1).max() > 1:
+    if counts.max(initial=0) > 1:
         raise ContractError("row index must not repeat a row")
     return index
 
@@ -282,17 +286,24 @@ def gather_rows(x, index):
     return out
 
 
-def scatter_rows(rows, index, n_rows):
-    """Place row k of a (T, ...) tensor at row index[k] of a zero (n_rows, ...)
-    array: the inverse of gather_rows, with the same distinct-rows contract.
-    The backward gathers the rows' gradient."""
-    index = _row_index(index, n_rows)
-    data = np.zeros((n_rows,) + rows.data.shape[1:], dtype=rows.data.dtype)
-    data[index] = rows.data
-    out = Tensor(data, rows.requires_grad)
+def scatter_rows(x, src, dst, n_rows):
+    """Row src[k] of x placed at row dst[k] of a zero (n_rows, ...) array, a
+    gather and a scatter in one op; swapping src and dst moves the rows back.
+    Each index must name distinct rows in range, and both must have one
+    length (ContractError otherwise), so the backward writes the rows'
+    gradient into a zero array of x's shape with one assignment."""
+    src = _row_index(src, x.data.shape[0])
+    dst = _row_index(dst, n_rows)
+    if src.shape != dst.shape:
+        raise ContractError(f"{src.size} source rows for {dst.size} destination rows")
+    data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
+    data[dst] = x.data[src]
+    out = Tensor(data, x.requires_grad)
 
     def backward(g):
-        rows.accumulate_grad(g[index])
+        acc = np.zeros_like(x.data)
+        acc[src] = g[dst]
+        x.accumulate_grad(acc)
 
     _record(out, backward)
     return out

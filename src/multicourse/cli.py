@@ -176,7 +176,12 @@ def cmd_export_metrics(args):
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != METRICS_COLUMNS:
         raise InputError(f"{src} does not carry the documented metrics schema")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    for step, row in enumerate(rows[1:]):
+        # a short last row is a run cut off mid-write; steps out of order mix two runs
+        if len(row) != len(METRICS_COLUMNS) or row[0] != str(step):
+            raise InputError(f"{src} line {step + 2} is not step {step} "
+                             f"with {len(METRICS_COLUMNS)} fields")
+    with atomic_open(args.out, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     print(f"exported {len(rows) - 1} steps -> {args.out}")
     return 0

@@ -4,14 +4,17 @@ Both stacks are post-norm transformer encoders with bucketed relative
 position bias added to attention scores. A pass packs the real tokens of
 its right-padded batch once: the embedding, the output projection, the
 residual adds, both layer norms, the FFN and the dropouts run on those
-(T, h) rows, and only attention reads the padded (B, n) grid. The output
-is those packed rows, the sequences' tokens in batch order. The LM head is tied
-to the embedding table (plus a learnable per-vocab bias); three independent
-binary detection heads (rtd, std, itd) read the discriminator output.
+(T, h) rows, and only attention reads a padded grid. A ragged pass is cut
+once by length where that saves the most query-key cells, if it saves at
+least MIN_SPLIT_CELLS per head (`attention_groups`); each group attends on
+its own (B_g, n_g) grid, n_g its longest member, with the top-left block of
+the model's relative-position buckets. The output is the packed rows, the
+sequences' tokens in batch order. The LM head is tied to the embedding
+table (plus a learnable per-vocab bias); three independent binary detection
+heads (rtd, std, itd) read the discriminator output.
 """
 
 from dataclasses import dataclass, asdict
-from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +23,9 @@ from .errors import ConfigError, InputError
 
 NUM_REL_BUCKETS = 32
 DETECTION_HEADS = ("rtd", "std", "itd")
+# a ragged pass splits its attention grid only when that saves this many
+# query-key cells per head; below it the extra group costs more than it saves
+MIN_SPLIT_CELLS = 64 * 64
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,35 @@ class EncoderConfig:
         return asdict(self)
 
 
-@lru_cache(maxsize=64)
 def _bucket_matrix(n, num_buckets, max_distance):
-    """Bucket index of (j - i) for every query/key pair of an n-token window."""
+    """Bucket index of (j - i) for every query/key pair of an n-token window.
+    It depends only on j - i, so a narrower window's matrix is its top-left block."""
     pos = np.arange(n, dtype=np.int64)
     rel = pos[None, :] - pos[:, None]
     return relative_position_bucket(rel, num_buckets, max_distance)
+
+
+def attention_groups(lengths):
+    """Split a pass's sequences by length into the groups attention runs on,
+    each on its own grid: (members, width) pairs, a boolean member mask over
+    the batch in batch order and the longest member's length.
+
+    Sorted by length, the sequences are cut once where that minimises the
+    attention cells, sum(members * width**2). The cut is taken only when it
+    saves at least MIN_SPLIT_CELLS; otherwise the batch stays one group.
+    """
+    lengths = np.asarray(lengths)
+    srt = np.sort(lengths)
+    # width 1 keeps a grid for rows without a real token, as a padded pass had
+    top = max(int(srt[-1]), 1) if srt.size else 1
+    if srt.size > 1:
+        # cutting after the k shortest puts them at width srt[k - 1], not top
+        saved = np.arange(1, srt.size + 1) * (top * top - srt * srt)
+        cut = int(np.argmax(saved))
+        if saved[cut] >= MIN_SPLIT_CELLS:
+            short = lengths <= srt[cut]
+            return [(short, max(int(srt[cut]), 1)), (~short, top)]
+    return [(np.ones(lengths.shape, dtype=bool), top)]
 
 
 def relative_position_bucket(relative_position, num_buckets=NUM_REL_BUCKETS, max_distance=128):
@@ -103,6 +132,8 @@ class Model:
         self.params = {}
         rng = np.random.default_rng(seed)
         c = config
+        # every attention grid's relative-position buckets are its top-left block
+        self._buckets = _bucket_matrix(c.max_seq_len, NUM_REL_BUCKETS, c.max_relative_position)
 
         self._add("embedding.word", rng.normal(0, 0.02, (c.vocab_size, c.hidden_size)))
         self._add("lm_head.bias", np.zeros(c.vocab_size))
@@ -170,7 +201,7 @@ class Model:
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
             raise InputError(f"expected (batch, seq) ids/mask, got {ids.shape} / {mask.shape}")
-        b, n = ids.shape
+        n = ids.shape[1]
         if n > self.config.max_seq_len:
             raise InputError(f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}")
         if ids.size and not 0 <= ids.min() <= ids.max() < self.config.vocab_size:
@@ -185,32 +216,42 @@ class Model:
         heads, dh = c.attention_heads, c.hidden_size // c.attention_heads
         p = self.params
         dtype = p["embedding.word"].data.dtype
-        # the per-token layers run on the T real rows; only attention sees the grid
-        real = np.flatnonzero(mask)
+        # the per-token layers run on the T real rows, in batch order; only
+        # attention sees a padded grid, one per length group
+        lengths = mask.sum(axis=1)
 
-        x = ad.embedding(p["embedding.word"], ids.reshape(-1)[real])
+        x = ad.embedding(p["embedding.word"], ids[mask.astype(bool)])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
         x = ad.dropout(x, c.dropout_rate, rng)
 
-        buckets = _bucket_matrix(n, NUM_REL_BUCKETS, c.max_relative_position)
-        rel = ad.transpose(ad.embedding(p[f"{stack}.rel_bias"], buckets), (2, 0, 1))  # (H,n,n)
-        # additive key-padding bias, large negative at padded keys
-        pad_bias = ad.Tensor(((mask.astype(dtype) - 1.0) * 1e9)[:, None, None, :])
+        grids = []
+        for members, width in attention_groups(lengths):
+            sub = mask[members, :width]
+            rows = np.flatnonzero(np.repeat(members, lengths))  # the group's packed rows
+            slots = np.flatnonzero(sub)  # and their cells in its grid
+            buckets = self._buckets[:width, :width]
+            rel = ad.transpose(ad.embedding(p[f"{stack}.rel_bias"], buckets), (2, 0, 1))  # (H,w,w)
+            # additive key-padding bias, large negative at padded keys
+            pad_bias = ad.Tensor(((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :])
+            grids.append((rows, slots, len(sub), width, rel, pad_bias))
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
-            grid = ad.reshape(ad.scatter_rows(x, real, b * n), (b, n, c.hidden_size))
-            q = ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
-            k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
-            v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
-            qh = ad.transpose(ad.reshape(q, (b, n, heads, dh)), (0, 2, 1, 3))
-            kh = ad.transpose(ad.reshape(k, (b, n, heads, dh)), (0, 2, 1, 3))
-            vh = ad.transpose(ad.reshape(v, (b, n, heads, dh)), (0, 2, 1, 3))
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-            scores = ad.add(ad.add(scores, rel), pad_bias)
-            attn = ad.dropout(ad.softmax(scores), c.dropout_rate, rng)
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (b * n, c.hidden_size))
-            proj = ad.matmul(ad.gather_rows(ctx, real), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
+            ctx_rows = []
+            for rows, slots, g, w, rel, pad_bias in grids:
+                grid = ad.reshape(ad.scatter_rows(x, rows, slots, g * w), (g, w, c.hidden_size))
+                q = ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
+                k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
+                v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
+                qh = ad.transpose(ad.reshape(q, (g, w, heads, dh)), (0, 2, 1, 3))
+                kh = ad.transpose(ad.reshape(k, (g, w, heads, dh)), (0, 2, 1, 3))
+                vh = ad.transpose(ad.reshape(v, (g, w, heads, dh)), (0, 2, 1, 3))
+                scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+                scores = ad.add(ad.add(scores, rel), pad_bias)
+                attn = ad.dropout(ad.softmax(scores), c.dropout_rate, rng)
+                ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * w, c.hidden_size))
+                ctx_rows.append(ad.scatter_rows(ctx, slots, rows, len(x.data)))
+            proj = ad.matmul(ad.add_n(ctx_rows), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             proj = ad.dropout(proj, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])
             f = ad.gelu(ad.matmul(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))

@@ -300,8 +300,9 @@ def test_gather_rows_selects_and_scatters():
 
 @pytest.mark.parametrize("op", [
     lambda: ad.gather_rows(t(np.zeros((8, 3))), [3, 4, 3]),
-    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [3, 4, 3], 8),
-], ids=["gather_rows", "scatter_rows"])
+    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [0, 1, 2], [3, 4, 3], 8),
+    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [2, 0, 2], [3, 4, 5], 8),
+], ids=["gather_rows", "scatter_rows", "scatter_rows_source"])
 def test_row_ops_reject_a_repeated_pair(op):
     with pytest.raises(ContractError):
         op()
@@ -309,8 +310,9 @@ def test_row_ops_reject_a_repeated_pair(op):
 
 @pytest.mark.parametrize("op", [
     lambda: ad.gather_rows(t(np.zeros((8, 3))), [3, 8]),
-    lambda: ad.scatter_rows(t(np.zeros((2, 3))), [-1, 4], 8),
-], ids=["gather_rows", "scatter_rows"])
+    lambda: ad.scatter_rows(t(np.zeros((2, 3))), [0, 1], [-1, 4], 8),
+    lambda: ad.scatter_rows(t(np.zeros((2, 3))), [0, 2], [1, 4], 8),
+], ids=["gather_rows", "scatter_rows", "scatter_rows_source"])
 def test_row_ops_reject_a_row_outside_the_array(op):
     with pytest.raises(ContractError):
         op()
@@ -318,12 +320,20 @@ def test_row_ops_reject_a_row_outside_the_array(op):
 
 def test_scatter_rows_inverts_gather_rows():
     rows = t(np.arange(9, dtype=np.float32).reshape(3, 3) + 1.0)
-    grid = ad.scatter_rows(rows, [6, 0, 4], 8)
+    grid = ad.scatter_rows(rows, [0, 1, 2], [6, 0, 4], 8)
     assert grid.data.shape == (8, 3)
     np.testing.assert_array_equal(ad.gather_rows(grid, [6, 0, 4]).data, rows.data)
     assert np.count_nonzero(np.abs(grid.data).sum(axis=-1)) == 3
-    empty = ad.scatter_rows(t(np.zeros((0, 3))), [], 8)
+    # a subset of the source rows, moved back by the inverse index pair
+    some = ad.scatter_rows(rows, [2, 0], [1, 5], 8)
+    np.testing.assert_array_equal(some.data[[1, 5]], rows.data[[2, 0]])
+    back = ad.scatter_rows(some, [1, 5], [2, 0], 3)
+    np.testing.assert_array_equal(back.data[[2, 0]], rows.data[[2, 0]])
+    np.testing.assert_array_equal(back.data[1], np.zeros(3))
+    empty = ad.scatter_rows(t(np.zeros((0, 3))), [], [], 8)
     np.testing.assert_array_equal(empty.data, np.zeros((8, 3)))
+    with pytest.raises(ContractError):
+        ad.scatter_rows(rows, [0, 1], [6], 8)
 
 
 def test_matmul_bias_on_a_batched_right_operand_is_refused():
@@ -384,7 +394,7 @@ def _fd_case(name):
     elif name == "scatter_rows":
         tensors = {"a": t(rng.normal(size=(4, 3)))}
         make = lambda ts: ad.tensor_sum(
-            ad.mul(ad.scatter_rows(ts["a"], [6, 0, 4, 3], 8), ts["w"]))
+            ad.mul(ad.scatter_rows(ts["a"], [3, 0, 2], [6, 0, 4], 8), ts["w"]))
         w = rng.normal(size=(8, 3))
     elif name in ("matmul_bias_2d", "matmul_bias_3d"):
         a_shape = (3, 4) if name == "matmul_bias_2d" else (2, 3, 4)

@@ -107,6 +107,24 @@ def test_export_metrics_validates_and_copies(run1, tmp_path):
     assert tuple(rows[0]) == METRICS_COLUMNS and len(rows) == 9
 
 
+@pytest.mark.parametrize("damage", ["truncated_row", "step_out_of_order"])
+def test_export_metrics_rejects_a_malformed_run_and_keeps_out(run1, tmp_path, capsys, damage):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    lines = (run1[0] / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    if damage == "truncated_row":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # cut off mid-write
+    else:
+        lines[3], lines[4] = lines[4], lines[3]
+    (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "copy.csv"
+    out.write_text("an earlier export\n", encoding="utf-8")
+    assert cli(["export-metrics", "--run", str(run_dir), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "an earlier export\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "run"]
+
+
 def test_export_metrics_missing_run_exits_1(tmp_path):
     assert cli(["export-metrics", "--run", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
 

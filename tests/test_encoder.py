@@ -5,7 +5,9 @@ from multicourse import autodiff as ad
 from multicourse.encoder import (
     EncoderConfig,
     Model,
+    MIN_SPLIT_CELLS,
     NUM_REL_BUCKETS,
+    attention_groups,
     relative_position_bucket,
     _bucket_matrix,
 )
@@ -30,6 +32,21 @@ def model():
 def batch(ids):
     ids = np.asarray(ids, dtype=np.int64)
     return ids, np.ones_like(ids)
+
+
+def padded(rows, width):
+    """Right-padded (ids, mask) of token rows at `width`; padding ids are arbitrary."""
+    ids = np.full((len(rows), width), 20, dtype=np.int64)
+    mask = np.zeros_like(ids)
+    for i, r in enumerate(rows):
+        ids[i, : len(r)] = r
+        mask[i, : len(r)] = 1
+    return ids, mask
+
+
+def token_rows(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [list(rng.integers(4, 32, size=n)) for n in lengths]
 
 
 # -- config contracts ---------------------------------------------------------
@@ -114,23 +131,70 @@ def test_generator_covers_mask_positions(model):
 @pytest.mark.parametrize("stack", ["generator", "discriminator"])
 def test_real_positions_ignore_other_rows_and_right_padding(stack):
     # without dropout a row's states at its real positions are the same in any
-    # batch at any padded width: views of one width can share an encoder pass
-    model = Model(tiny_config(dropout_rate=0.0), seed=3)
+    # batch at any padded width: views of one width can share an encoder pass,
+    # and a ragged pass may split its attention into length groups
+    model = Model(tiny_config(dropout_rate=0.0, max_seq_len=96), seed=3)
     encode = getattr(model, f"encode_{stack}")
-    rows = [[4, 5, 6, 7, 8, 9, 10], [11, 12, 13], [14, 15, 16, 17, 18]]
-    alone = [encode(*batch([r])).data for r in rows]
-    for width in (7, 12):
-        ids = np.full((len(rows), width), 20, dtype=np.int64)  # padding ids are arbitrary
-        mask = np.zeros_like(ids)
-        for i, r in enumerate(rows):
-            ids[i, : len(r)] = r
-            mask[i, : len(r)] = 1
-        h = encode(ids, mask).data
-        assert h.shape[0] == sum(map(len, rows))
-        start = 0
-        for r, want in zip(rows, alone):
-            np.testing.assert_allclose(h[start:start + len(r)], want, rtol=1e-6, atol=1e-6)
-            start += len(r)
+    short = [[4, 5, 6, 7, 8, 9, 10], [11, 12, 13], [14, 15, 16, 17, 18]]
+    ragged = token_rows((80, 10, 10))
+    assert len(attention_groups([80, 10, 10])) == 2
+    for rows, widths in ((short, (7, 12)), (ragged, (80, 96))):
+        alone = [encode(*batch([r])).data for r in rows]
+        for width in widths:
+            h = encode(*padded(rows, width)).data
+            assert h.shape[0] == sum(map(len, rows))
+            start = 0
+            for r, want in zip(rows, alone):
+                np.testing.assert_allclose(h[start:start + len(r)], want, rtol=1e-6, atol=1e-6)
+                start += len(r)
+
+
+def test_split_pass_is_deterministic_under_fixed_seed():
+    model = Model(tiny_config(max_seq_len=80), seed=1)
+    ids, mask = padded(token_rows((80, 10, 12, 9)), 80)
+    assert len(attention_groups(mask.sum(axis=1))) == 2
+    for encode in (model.encode_generator, model.encode_discriminator):
+        a = encode(ids, mask, np.random.default_rng(5)).data
+        b = encode(ids, mask, np.random.default_rng(5)).data
+        other = encode(ids, mask, np.random.default_rng(6)).data
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a[:80], other[:80]) and not np.array_equal(a[80:], other[80:])
+
+
+# -- length groups ---------------------------------------------------------------
+
+
+def attention_cells(groups):
+    return sum(int(m.sum()) * w * w for m, w in groups)
+
+
+@pytest.mark.parametrize("lengths, n_groups", [
+    (np.random.default_rng(0).integers(8, 15, size=64), 1),  # a desk-scale pass
+    (np.random.default_rng(1).integers(5, 15, size=24), 1),  # a small-scale pass
+    ([64, 1], 1),                                          # saves 4095 cells
+    ([65, 8], 2),                                          # saves 4161 cells
+    ([120, 40, 60, 128, 45, 100, 50, 70], 2),
+    (np.random.default_rng(2).integers(40, 129, size=16), 2),
+    ([30], 1),
+    ([0, 0], 1),
+], ids=["desk", "small", "just_below", "just_above", "long_ragged", "long_random",
+        "one_row", "empty_rows"])
+def test_attention_groups_partition_the_batch_at_the_cheapest_cut(lengths, n_groups):
+    lengths = np.asarray(lengths)
+    groups = attention_groups(lengths)
+    assert len(groups) == n_groups
+    members = np.array([m for m, _ in groups])
+    np.testing.assert_array_equal(members.sum(axis=0), np.ones(len(lengths)))
+    for m, width in groups:
+        assert m.any() and width == max(lengths[m].max(), 1)
+    # the oracle: every single cut of the sorted batch, and no cut at all
+    srt = np.sort(lengths)
+    top = max(srt[-1], 1)
+    costs = [k * max(srt[k - 1], 1) ** 2 + (len(srt) - k) * top ** 2 for k in range(1, len(srt))]
+    one_group = len(srt) * top ** 2
+    best = min(costs, default=one_group)
+    want = best if one_group - best >= MIN_SPLIT_CELLS else one_group
+    assert attention_cells(groups) == want
 
 
 # -- relative position bias ------------------------------------------------------
@@ -151,6 +215,10 @@ def test_bucket_matrix_depends_only_on_offset():
     m = _bucket_matrix(12, NUM_REL_BUCKETS, 128)
     for k in range(1, 4):
         np.testing.assert_array_equal(m[k:, k:], m[:-k, :-k])
+    # so each attention grid's buckets are the top-left block of the model's widest
+    np.testing.assert_array_equal(_bucket_matrix(128, NUM_REL_BUCKETS, 128)[:12, :12], m)
+    model = Model(tiny_config(max_seq_len=40), seed=0)
+    np.testing.assert_array_equal(model._buckets, _bucket_matrix(40, NUM_REL_BUCKETS, 128))
 
 
 def test_bucket_range_within_table():
@@ -304,18 +372,17 @@ def test_rtd_only_gradient_leaves_other_heads_untouched(model):
 # -- end-to-end gradient check through a tiny encoder -----------------------------
 
 
-def test_tiny_encoder_gradients_match_finite_differences():
-    cfg = tiny_config(dropout_rate=0.0)
-    model32 = Model(cfg, seed=4)
-    model64 = promote_model_to_float64(Model(cfg, seed=4))
-    ids, mask = batch([[4, 9, 6, 21, 8]])
+def _encoder_fd_failures(cfg, ids, mask, lm_rows, lm_targets, labels, seed=4):
+    """(name, index, analytic, fd) for 20 sampled parameter entries whose float32
+    gradient misses the float64 central difference by more than 1e-3."""
+    model32 = Model(cfg, seed=seed)
+    model64 = promote_model_to_float64(Model(cfg, seed=seed))
 
     def loss_on(model):
         h = model.encode_generator(ids, mask)
-        ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, [1, 3])), [9, 21])
+        ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, lm_rows)), lm_targets)
         hd = model.encode_discriminator(ids, mask)
-        bce = ad.sigmoid_bce(ad.reshape(model.detection_logits(hd, "rtd"), (5,)),
-                             [1, 1, 0, 1, 0])
+        bce = ad.sigmoid_bce(model.detection_logits(hd, "rtd"), labels)
         return ad.add(ce, bce)
 
     model32.zero_grad()
@@ -334,4 +401,22 @@ def test_tiny_encoder_gradients_match_finite_differences():
         analytic = float(p32.grad[idx])
         if relative_error(analytic, fd) > 1e-3:
             failures.append((name, idx, analytic, fd))
+    return failures
+
+
+def test_tiny_encoder_gradients_match_finite_differences():
+    ids, mask = batch([[4, 9, 6, 21, 8]])
+    failures = _encoder_fd_failures(tiny_config(dropout_rate=0.0), ids, mask,
+                                    [1, 3], [9, 21], [1, 1, 0, 1, 0])
+    assert failures == [], failures
+
+
+def test_two_group_encoder_gradients_match_finite_differences():
+    rows = token_rows((70, 8, 6), seed=7)
+    ids, mask = padded(rows, 70)
+    assert len(attention_groups(mask.sum(axis=1))) == 2
+    lm_rows = [1, 3, 40, 72, 80]  # both groups: rows 70-77 and 78-83 are the short ones
+    labels = np.random.default_rng(8).integers(0, 2, size=84)
+    failures = _encoder_fd_failures(tiny_config(dropout_rate=0.0, max_seq_len=70), ids, mask,
+                                    lm_rows, ids[mask == 1][lm_rows], labels)
     assert failures == [], failures

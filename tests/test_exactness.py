@@ -1,0 +1,43 @@
+"""scripts/exactness.py: a tree against itself, and against a one-ulp change."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "exactness.py"
+CONFIGS = ("rtd", "std", "itd", "re", "all", "ragged")
+
+# scales the regeneration loss up by one float32 ulp, so it first changes the
+# step that correction starts at (step 2 in the script's configurations)
+ONE_ULP_IN_RE_MLM = '''
+
+_loss_regeneration = loss_regeneration
+
+
+def loss_regeneration(*args, **kwargs):
+    from .autodiff import scale
+    return scale(_loss_regeneration(*args, **kwargs), 1.0 + 2.0 ** -23)
+'''
+
+
+def exactness(parent):
+    done = subprocess.run([sys.executable, str(SCRIPT), "--parent", str(parent), "--steps", "4"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return dict(line.split(None, 1) for line in done.stdout.splitlines())
+
+
+def test_a_tree_against_itself_is_identical():
+    assert exactness(ROOT) == {name: "identical" for name in CONFIGS}
+
+
+def test_a_rounding_change_differs_from_the_first_step_it_touches(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "multicourse" / "correction.py", "a", encoding="utf-8") as fh:
+        fh.write(ONE_ULP_IN_RE_MLM)
+    report = exactness(tmp_path)
+    for name in ("rtd", "std", "itd"):
+        assert report[name] == "identical"
+    for name in ("re", "all", "ragged"):
+        assert report[name].startswith("first differs at step 2;"), report[name]
