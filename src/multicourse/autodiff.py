@@ -243,13 +243,24 @@ def reshape(a, shape):
 
 
 def embedding(table, ids):
-    """Gather rows of `table` by an integer index array of any shape."""
+    """Gather rows of `table` by an integer index array of any shape.
+
+    The backward sorts the flat ids (stably), sums each run of equal ids'
+    gradient rows with `np.add.reduceat` and writes the sums into a zero
+    table with one assignment; rows no id names get an exact-zero gradient.
+    """
     ids = np.asarray(ids)
     out = Tensor(table.data[ids], table.requires_grad)
 
     def backward(g):
         acc = np.zeros_like(table.data)
-        np.add.at(acc, ids, g)
+        flat = ids.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            srt = flat[order]
+            starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
+            rows = g.reshape((-1,) + table.data.shape[1:])[order]
+            acc[srt[starts]] = np.add.reduceat(rows, starts, axis=0)
         table.accumulate_grad(acc)
 
     _record(out, backward)
@@ -309,9 +320,16 @@ def scatter_rows(x, src, dst, n_rows):
     return out
 
 
-def softmax(x):
-    """Row softmax over the last axis, shift-stabilized."""
-    s = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax(x, bias=None):
+    """Row softmax over the last axis, shift-stabilized. A constant `bias`
+    array (no gradient), broadcast against x, is added into the output
+    buffer first: a large negative bias, such as a key-padding mask, gives
+    its entries an exact-zero probability and gradient."""
+    if bias is None:
+        s = x.data - x.data.max(axis=-1, keepdims=True)
+    else:
+        s = x.data + bias
+        s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s, x.requires_grad)
@@ -393,15 +411,27 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 def dropout(x, rate, rng):
-    """Inverted dropout with a mask drawn from `rng`; identity when rate=0 or rng=None."""
+    """Inverted dropout; identity when rate=0 or rng=None.
+
+    Each element draws a uniform 16-bit integer from `rng` and is kept when
+    the draw is at least cut = min(round(rate * 65536), 65535); kept elements
+    are scaled by 1 / (1 - rate). So the drop rate is cut / 65536, a multiple
+    of 1/65536 (0.1 drops 0.100006 of the elements), and a rate just below 1
+    still keeps 1/65536 of them. The mask is stored as bool.
+    """
     if rng is None or rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep /= x.data.dtype.type(1.0 - rate)
-    out = Tensor(x.data * keep, x.requires_grad)
+    cut = min(round(rate * 65536), 65535)
+    keep = rng.integers(0, 65536, x.data.shape, dtype=np.uint16) >= cut
+    s = x.data.dtype.type(1.0 / (1.0 - rate))
+    y = x.data * s
+    y *= keep
+    out = Tensor(y, x.requires_grad)
 
     def backward(g):
-        x.accumulate_grad(g * keep)
+        gx = g * s
+        gx *= keep
+        x.accumulate_grad(gx)
 
     _record(out, backward)
     return out

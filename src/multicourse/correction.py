@@ -57,8 +57,11 @@ def build_regeneration(x: TokenSequence, corrupted, notebook: ConfusionNotebook)
     cannot distract the second generation attempt.
     """
     pos4 = notebook.pos4
-    if pos4.size and not np.isin(pos4, np.asarray(corrupted)).all():
-        raise ContractError("pos4 contains positions outside the corrupted set")
+    if pos4.size:
+        is_corrupted = np.zeros(len(x.ids), dtype=bool)
+        is_corrupted[np.asarray(corrupted, dtype=np.int64)] = True
+        if not is_corrupted[pos4].all():
+            raise ContractError("pos4 contains positions outside the corrupted set")
     regen = x.copy()
     regen.ids[pos4] = MASK_ID
     return regen, x.ids[pos4].copy(), pos4
@@ -71,8 +74,12 @@ def build_rediscrimination(x: TokenSequence, view: TokenSequence, notebook: Conf
     """
     redisc = view.copy()
     redisc.ids[notebook.pos4] = x.ids[notebook.pos4]
-    positions = np.sort(np.concatenate([notebook.pos2, notebook.pos3]))
-    labels = np.isin(positions, notebook.pos3).astype(np.float32)
+    is_pos3 = np.zeros(len(x.ids), dtype=bool)
+    is_pos3[notebook.pos3] = True
+    retry = is_pos3.copy()
+    retry[notebook.pos2] = True
+    positions = np.flatnonzero(retry)
+    labels = is_pos3[positions].astype(np.float32)
     return redisc, positions, labels
 
 

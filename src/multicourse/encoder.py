@@ -8,7 +8,11 @@ residual adds, both layer norms, the FFN and the dropouts run on those
 once by length where that saves the most query-key cells, if it saves at
 least MIN_SPLIT_CELLS per head (`attention_groups`); each group attends on
 its own (B_g, n_g) grid, n_g its longest member, with the top-left block of
-the model's relative-position buckets. The output is the packed rows, the
+the model's relative-position buckets. Queries are scaled by 1/sqrt(d_head)
+before the score matmul. The relative-position bias is a tape add on the
+scores; the key-padding bias (-1e9 at a grid's padded keys) is a constant
+that `ad.softmax` adds into its own buffer, so a padded key gets exactly
+zero probability and gradient. The output is the packed rows, the
 sequences' tokens in batch order. The LM head is tied to the embedding
 table (plus a learnable per-vocab bias); three independent binary detection
 heads (rtd, std, itd) read the discriminator output.
@@ -207,7 +211,7 @@ class Model:
         if ids.size and not 0 <= ids.min() <= ids.max() < self.config.vocab_size:
             raise InputError(f"token ids {ids.min()}..{ids.max()} outside vocabulary "
                              f"of size {self.config.vocab_size}")
-        if not np.isin(mask, (0, 1)).all():
+        if not ((mask == 0) | (mask == 1)).all():
             raise InputError("attention mask values must be 0 or 1")
         if (mask[:, 1:] > mask[:, :-1]).any():
             raise InputError("attention mask rows must be right-padded: ones, then zeros")
@@ -231,8 +235,8 @@ class Model:
             slots = np.flatnonzero(sub)  # and their cells in its grid
             buckets = self._buckets[:width, :width]
             rel = ad.transpose(ad.embedding(p[f"{stack}.rel_bias"], buckets), (2, 0, 1))  # (H,w,w)
-            # additive key-padding bias, large negative at padded keys
-            pad_bias = ad.Tensor(((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :])
+            # constant key-padding bias for the softmax, large negative at padded keys
+            pad_bias = ((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :]
             grids.append((rows, slots, len(sub), width, rel, pad_bias))
 
         for i in range(layers):
@@ -240,15 +244,14 @@ class Model:
             ctx_rows = []
             for rows, slots, g, w, rel, pad_bias in grids:
                 grid = ad.reshape(ad.scatter_rows(x, rows, slots, g * w), (g, w, c.hidden_size))
-                q = ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
+                q = ad.scale(ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]), 1.0 / np.sqrt(dh))
                 k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
                 v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
                 qh = ad.transpose(ad.reshape(q, (g, w, heads, dh)), (0, 2, 1, 3))
                 kh = ad.transpose(ad.reshape(k, (g, w, heads, dh)), (0, 2, 1, 3))
                 vh = ad.transpose(ad.reshape(v, (g, w, heads, dh)), (0, 2, 1, 3))
-                scores = ad.scale(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-                scores = ad.add(ad.add(scores, rel), pad_bias)
-                attn = ad.dropout(ad.softmax(scores), c.dropout_rate, rng)
+                scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), rel)
+                attn = ad.dropout(ad.softmax(scores, pad_bias), c.dropout_rate, rng)
                 ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * w, c.hidden_size))
                 ctx_rows.append(ad.scatter_rows(ctx, slots, rows, len(x.data)))
             proj = ad.matmul(ad.add_n(ctx_rows), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erf as exact_erf
 
 from multicourse import autodiff as ad
+from multicourse.encoder import NUM_REL_BUCKETS, _bucket_matrix
 from multicourse.errors import ContractError, DimensionError
 
 from helpers import (
@@ -275,6 +276,60 @@ def test_dropout_inverted_scaling_and_determinism():
     assert ad.dropout(x, 0.25, None) is x
 
 
+def _closure_value(fn, name):
+    """The value a closure `fn` captured under `name`."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+@pytest.mark.parametrize("rate, shape, seed", [
+    (0.1, (7, 13), 0), (0.25, (4, 3, 16), 1), (0.5, (1000,), 2), (0.9, (64, 8), 3),
+])
+def test_dropout_mask_is_a_16_bit_threshold_draw(rate, shape, seed):
+    x = t(np.ones(shape))
+    with ad.Tape() as tape:
+        out = ad.dropout(x, rate, np.random.default_rng(seed))
+    keep = _closure_value(tape.ops[-1].backward, "keep")
+    assert keep.dtype == np.bool_
+    oracle = (np.random.default_rng(seed).integers(0, 65536, shape, dtype=np.uint16)
+              >= round(rate * 65536))
+    np.testing.assert_array_equal(keep, oracle)
+    np.testing.assert_array_equal(out.data != 0.0, oracle)
+
+
+def test_dropout_keeps_the_fraction_its_cut_sets():
+    n, rate = 1_000_000, 0.1
+    out = ad.dropout(t(np.ones(n), grad=False), rate, np.random.default_rng(4))
+    p = 1.0 - round(rate * 65536) / 65536
+    kept = np.count_nonzero(out.data) / n
+    assert abs(kept - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("rate, cut", [(1e-6, 0), (0.99999, 65535)])
+def test_dropout_extreme_rates_stay_finite(rate, cut):
+    # round(0.99999 * 65536) is 65535; a cut of 65536 would drop every element
+    x = t(np.ones((1024, 1024)))
+    with ad.Tape() as tape:
+        out = ad.dropout(x, rate, np.random.default_rng(5))
+        keep = _closure_value(tape.ops[-1].backward, "keep")
+        tape.backward(ad.tensor_sum(out))
+    draws = np.random.default_rng(5).integers(0, 65536, x.data.shape, dtype=np.uint16)
+    np.testing.assert_array_equal(keep, draws >= cut)
+    assert keep.any()
+    assert np.isfinite(out.data).all() and np.isfinite(x.grad).all()
+    np.testing.assert_array_equal(out.data[keep], np.float32(1.0 / (1.0 - rate)))
+    np.testing.assert_array_equal(out.data[~keep], 0.0)
+    np.testing.assert_array_equal(x.grad, out.data)
+
+
+def test_dropout_keeps_float64():
+    x = ad.Tensor(np.random.default_rng(6).normal(size=(8, 8)), requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.dropout(x, 0.3, np.random.default_rng(7))
+        tape.backward(ad.tensor_sum(out))
+    assert out.data.dtype == np.float64 and x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad[out.data == 0.0], 0.0)
+
+
 def test_embedding_gather_and_scatter_grad():
     table = t(np.arange(12, dtype=np.float32).reshape(4, 3))
     ids = np.array([[0, 2, 2], [1, 0, 3]])
@@ -284,6 +339,34 @@ def test_embedding_gather_and_scatter_grad():
     np.testing.assert_allclose(out.data[0, 1], table.data[2])
     expected_counts = np.array([2.0, 1.0, 2.0, 1.0])[:, None] * np.ones((4, 3))
     np.testing.assert_allclose(table.grad, expected_counts)
+
+
+@pytest.mark.parametrize("case", ["word_ids", "bucket_grid", "empty"])
+def test_embedding_backward_matches_add_at_oracle(case):
+    """The sort-and-reduceat backward against np.add.at summed in float64."""
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    if case == "word_ids":
+        table, ids = t(rng.normal(size=(12, 5))), np.array([7, 0, 3, 7, 7, 11, 0, 3, 5])
+    elif case == "bucket_grid":
+        table = t(rng.normal(size=(NUM_REL_BUCKETS, 4)))
+        ids = _bucket_matrix(128, NUM_REL_BUCKETS, 128)
+    else:
+        table, ids = t(rng.normal(size=(6, 3))), np.zeros((2, 0), dtype=np.int64)
+    w = rng.normal(size=ids.shape + table.data.shape[1:]).astype(np.float32)
+    with ad.Tape() as tape:
+        out = ad.embedding(table, ids)
+        tape.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(w))))
+    oracle = np.zeros(table.data.shape)
+    np.add.at(oracle, ids, w.astype(np.float64))
+    magnitude = np.zeros(table.data.shape)
+    np.add.at(magnitude, ids, np.abs(w.astype(np.float64)))
+    assert table.grad.dtype == np.float32
+    # float32 sums of up to a few thousand terms, against their magnitude
+    assert (np.abs(table.grad - oracle) <= 1e-5 * magnitude).all()
+    missed = np.setdiff1d(np.arange(table.data.shape[0]), ids)
+    assert (table.grad[missed] == 0.0).all()
+    if case == "word_ids":
+        assert missed.size > 0
 
 
 def test_gather_rows_selects_and_scatters():
@@ -372,6 +455,12 @@ def _fd_case(name):
         tensors = {"a": t(rng.normal(size=(3, 5)))}
         make = lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts["a"]), ts["w"]))
         w = rng.normal(size=(3, 5))
+    elif name == "softmax_bias":
+        tensors = {"a": t(rng.normal(size=(3, 5)))}
+        bias = rng.normal(size=5).astype(np.float32)
+        bias[3] = -1e9  # a padded key
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts["a"], bias), ts["w"]))
+        w = rng.normal(size=(3, 5))
     elif name == "layer_norm":
         tensors = {"a": t(rng.normal(size=(3, 8)) * 2),
                    "gain": t(rng.normal(1, 0.2, size=(8,))),
@@ -415,7 +504,7 @@ def _fd_case(name):
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "mul", "gelu", "softmax", "layer_norm", "transpose_reshape",
+    "add", "mul", "gelu", "softmax", "softmax_bias", "layer_norm", "transpose_reshape",
     "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
 ])
 def test_gradients_match_finite_differences(op_name):
@@ -431,6 +520,23 @@ def test_gradients_match_finite_differences(op_name):
         coords.extend((name, idx) for idx in flat)
     failures = check_gradients(make, tensors, twins, coords, reference=reference)
     assert failures == [], f"gradient mismatches: {failures}"
+
+
+def test_softmax_bias_zeroes_a_masked_key_and_its_gradient():
+    rng = np.random.default_rng(12)
+    x = t(rng.normal(size=(2, 3, 6)) * 4)
+    bias = np.zeros((2, 1, 6), dtype=np.float32)
+    bias[0, 0, 4] = -1e9
+    with ad.Tape() as tape:
+        s = ad.softmax(x, bias)
+        tape.backward(ad.tensor_sum(ad.mul(s, t(rng.normal(size=(2, 3, 6)), grad=False))))
+    assert (s.data[0, :, 4] == 0.0).all() and (x.grad[0, :, 4] == 0.0).all()
+    assert (s.data[1] > 0.0).all()
+    np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-6)
+    # the unmasked entries are the softmax of x plus the bias
+    np.testing.assert_allclose(s.data[1], ad.softmax(t(x.data[1])).data, rtol=1e-6)
+    np.testing.assert_allclose(s.data[0][:, [0, 1, 2, 3, 5]],
+                               ad.softmax(t(x.data[0][:, [0, 1, 2, 3, 5]])).data, rtol=1e-6)
 
 
 def test_dropout_gradient_uses_same_mask():

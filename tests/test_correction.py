@@ -197,6 +197,33 @@ def test_rediscrimination_differs_from_view_exactly_at_pos4():
         assert sorted(must_differ) == sorted(nb.pos4.tolist())
 
 
+def test_correction_builders_match_an_isin_oracle():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 20))
+        x = seq(rng.integers(4, 10, size=n).tolist())
+        view = x.copy()
+        replaced = rng.random(n) < 0.4
+        view.ids[replaced] = 4 + (x.ids[replaced] - 4 + 1) % 6
+        nb = classify_confusion(x, view, rng.random(n))
+        redisc, positions, labels = build_rediscrimination(x, view, nb)
+        oracle = np.sort(np.concatenate([nb.pos2, nb.pos3]))
+        assert positions.dtype == oracle.dtype
+        np.testing.assert_array_equal(positions, oracle)
+        np.testing.assert_array_equal(labels, np.isin(oracle, nb.pos3).astype(np.float32))
+        assert labels.dtype == np.float32
+        corrupted = np.flatnonzero(replaced | (rng.random(n) < 0.3))
+        if nb.pos4.size and rng.random() < 0.5:
+            corrupted = np.setdiff1d(corrupted, rng.choice(nb.pos4, 1))
+        if nb.pos4.size and not np.isin(nb.pos4, corrupted).all():
+            with pytest.raises(ContractError):
+                build_regeneration(x, corrupted, nb)
+        else:
+            regen, targets, pos = build_regeneration(x, corrupted, nb)
+            np.testing.assert_array_equal(pos, nb.pos4)
+            np.testing.assert_array_equal(targets, x.ids[nb.pos4])
+
+
 def test_rediscrimination_empty_cells_zero_loss(tiny_model):
     x = seq([4, 5, 6])
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
