@@ -45,7 +45,6 @@ def _setup_parser():
     p = sub.add_parser("probe", help="train/evaluate the CLS classification probe")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="label<TAB>sentence lines")
-    p.add_argument("--fine-tune", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export-metrics", help="copy a run's metrics stream after validation")
@@ -78,6 +77,16 @@ def cmd_pretrain(args):
     return 0
 
 
+def _probe_checkpoint(path, data, seed):
+    """Held-out accuracy of the frozen-discriminator probe on a checkpoint."""
+    ckpt = load_checkpoint(path)
+    if not ckpt.vocab_tokens:
+        raise InputError(f"{path} carries no vocabulary; cannot tokenize probe data")
+    examples = probe_mod.load_labeled_dataset(data, Vocab(ckpt.vocab_tokens),
+                                              ckpt.config.max_seq_len)
+    return probe_mod.probe_train_eval(build_model(ckpt), examples, seed=seed)
+
+
 def cmd_sweep(args):
     manifest = soups.load_manifest(args.manifest)
     base = read_json(manifest.config_path)
@@ -91,12 +100,7 @@ def cmd_sweep(args):
             target.parent.mkdir(parents=True, exist_ok=True)
             shutil.copyfile(final, target)
         if manifest.probe_data:
-            ckpt = load_checkpoint(run.checkpoint)
-            model = build_model(ckpt)
-            vocab = Vocab(ckpt.vocab_tokens)
-            examples = probe_mod.load_labeled_dataset(manifest.probe_data, vocab,
-                                                      ckpt.config.max_seq_len)
-            run.score = probe_mod.probe_train_eval(model, examples, seed=run.seed)
+            run.score = _probe_checkpoint(run.checkpoint, manifest.probe_data, run.seed)
             log.info("run %s probe accuracy %.4f", run.name, run.score)
         # saved per run so a later failure keeps every score taken so far
         soups.save_manifest(manifest, args.manifest)
@@ -156,14 +160,7 @@ def cmd_soup(args):
 def cmd_probe(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    ckpt = load_checkpoint(args.checkpoint)
-    if not ckpt.vocab_tokens:
-        raise InputError(f"{args.checkpoint} carries no vocabulary; cannot tokenize probe data")
-    model = build_model(ckpt)
-    vocab = Vocab(ckpt.vocab_tokens)
-    examples = probe_mod.load_labeled_dataset(args.data, vocab, ckpt.config.max_seq_len)
-    accuracy = probe_mod.probe_train_eval(model, examples, seed=args.seed,
-                                          fine_tune=args.fine_tune)
+    accuracy = _probe_checkpoint(args.checkpoint, args.data, args.seed)
     print(f"probe accuracy: {accuracy:.4f}")
     return 0
 

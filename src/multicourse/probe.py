@@ -2,11 +2,8 @@
 
 Each sentence is encoded with a prepended CLS token; the discriminator runs
 in eval mode and a single logistic layer is trained on the CLS hidden
-state. With the encoder frozen this featurizes once and fits fast; the
-fine-tune flag instead backprops into the discriminator as well.
+state. The encoder stays frozen, so the probe featurizes once and fits fast.
 """
-
-import logging
 
 import numpy as np
 
@@ -15,7 +12,7 @@ from .courses import pad_batch, row_starts, TokenSequence
 from .errors import InputError
 from .vocab import CLS_ID
 
-log = logging.getLogger(__name__)
+HOLDOUT_FRACTION = 0.2
 
 
 def load_labeled_dataset(path, vocab, max_seq_len):
@@ -39,14 +36,10 @@ def load_labeled_dataset(path, vocab, max_seq_len):
     return [(ids[: max_seq_len - 1], label) for ids, label in examples]
 
 
-def _cls_sequences(examples):
-    return [TokenSequence([CLS_ID] + list(ids)) for ids, _ in examples]
-
-
 def _featurize(model, examples, batch_size=64):
     """CLS hidden states from a frozen discriminator, eval mode."""
     feats = []
-    seqs = _cls_sequences(examples)
+    seqs = [TokenSequence([CLS_ID] + list(ids)) for ids, _ in examples]
     with ad.no_tape():
         for start in range(0, len(seqs), batch_size):
             batch = seqs[start:start + batch_size]
@@ -80,53 +73,24 @@ def _fit_logistic(features, labels, seed, epochs=300, lr=0.05):
     return w.data[:, 0], float(b.data[0])
 
 
-def probe_train_eval(model, examples, seed=0, holdout_fraction=0.2, fine_tune=False):
+def probe_train_eval(model, examples, seed=0):
     """Train the probe layer, return held-out accuracy.
 
     Splits deterministically under `seed`. A dataset with a single class
-    cannot be probed and raises. `fine_tune=True` first runs two epochs of
-    plain low-rate SGD on the discriminator, in place on the caller's model.
+    cannot be probed and raises.
     """
     labels = np.asarray([label for _, label in examples], dtype=np.int64)
     if len(np.unique(labels)) < 2:
         raise InputError("probe dataset contains a single class")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(examples))
-    n_hold = max(1, int(len(examples) * holdout_fraction))
+    n_hold = max(1, int(len(examples) * HOLDOUT_FRACTION))
     hold, fit = order[:n_hold], order[n_hold:]
     if len(np.unique(labels[fit])) < 2:
         raise InputError("training split contains a single class")
-
-    if fine_tune:
-        _fine_tune_encoder(model, [examples[i] for i in fit], seed)
 
     features = _featurize(model, examples)
     w, b = _fit_logistic(features[fit], labels[fit], seed)
     predictions = (features[hold] @ w + b) >= 0.0
     return float((predictions == labels[hold].astype(bool)).mean())
 
-
-def _fine_tune_encoder(model, examples, seed, epochs=2, lr=5e-5, batch_size=16):
-    """Lightly adapt the discriminator with a temporary classifier head."""
-    rng = np.random.default_rng(seed)
-    dim = model.config.hidden_size
-    w = ad.Tensor(rng.normal(0, 0.01, (dim, 1)).astype(np.float32), requires_grad=True)
-    b = ad.Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    seqs = _cls_sequences(examples)
-    labels = np.asarray([label for _, label in examples], dtype=np.float32)
-    params = list(model.named_parameters().values()) + [w, b]
-    for _ in range(epochs):
-        for start in range(0, len(seqs), batch_size):
-            batch = seqs[start:start + batch_size]
-            y = labels[start:start + batch_size]
-            for p in params:
-                p.grad = None
-            with ad.Tape() as tape:
-                h = model.encode_discriminator(*pad_batch(batch), rng=None)
-                cls = ad.gather_rows(h, row_starts(batch)[:-1])
-                logits = ad.reshape(ad.matmul(cls, w, b), (len(y),))
-                loss = ad.sigmoid_bce(logits, y)
-                tape.backward(loss)
-            for p in params:
-                if p.grad is not None:
-                    p.data = p.data - np.float32(lr) * p.grad

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .fileio import atomic_open, read_json
+from .fileio import atomic_open
 from .trainer import TrainConfig
 
 
@@ -73,10 +73,6 @@ def parse_config(raw: dict) -> RunConfig:
     # fail fast on bad encoder fields without needing the vocabulary yet
     EncoderConfig(vocab_size=8, **encoder_overrides)
     return RunConfig(encoder_overrides=encoder_overrides, rates=rates, train=train, **pick(_RUN))
-
-
-def load_config(path) -> RunConfig:
-    return parse_config(read_json(path))
 
 
 def default_config_dict(corpus_path, run_dir, **overrides):

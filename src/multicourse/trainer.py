@@ -152,16 +152,6 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
     return run_courses(model, batch, cfg, rng), batch
 
 
-def evaluate_losses(model, batch: crs.CourseBatch, cfg: TrainConfig):
-    """Recompute enabled losses from a captured step's frozen views, without dropout.
-
-    Unlike step_losses this resamples nothing: spliced views, notebooks,
-    and hence the regeneration/rediscrimination inputs are data. Used for
-    gradient checking and fixed-point evaluations.
-    """
-    return run_courses(model, batch, cfg)
-
-
 def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     """Every enabled loss of one step; views of one width share an encoder pass.
 

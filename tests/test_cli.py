@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import multicourse
-from multicourse.checkpoint import load_checkpoint
+from multicourse.checkpoint import build_model, load_checkpoint, save_checkpoint
 from multicourse.cli import cli
 from multicourse.runconfig import default_config_dict, save_config
 from multicourse.soups import SweepManifest, SweepRun, save_manifest
@@ -73,6 +73,7 @@ def test_missing_config_flag_exits_2():
 
 def test_unknown_flag_exits_2():
     assert cli(["pretrain", "--config", "x", "--frobnicate"]) == 2
+    assert cli(["probe", "--checkpoint", "x", "--data", "y", "--fine-tune"]) == 2
 
 
 def test_unknown_command_exits_2():
@@ -143,6 +144,15 @@ def test_probe_negative_seed_exits_1(run1, tmp_path, capsys):
     assert cli(["probe", "--checkpoint", str(run1[0] / "checkpoint_final.bin"),
                 "--data", str(data), "--seed", "-1"]) == 1
     assert "error: --seed" in capsys.readouterr().err
+
+
+def test_probe_of_a_checkpoint_without_vocabulary_exits_1(run1, tmp_path, capsys):
+    ckpt = tmp_path / "no_vocab.bin"
+    save_checkpoint(ckpt, build_model(load_checkpoint(run1[0] / "checkpoint_final.bin")))
+    data = tmp_path / "probe.tsv"
+    write_probe_dataset(data, 60, seed=3)
+    assert cli(["probe", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    assert f"error: {ckpt} carries no vocabulary" in capsys.readouterr().err
 
 
 def _two_copies_manifest(run1, tmp_path, seeds=(0, 0)):
@@ -278,7 +288,7 @@ def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
     assert f"error: {mpath}" in capsys.readouterr().err
 
 
-def test_sweep_runs_all_manifest_entries(workspace, tmp_path):
+def test_sweep_runs_all_manifest_entries(workspace, tmp_path, capsys):
     cfg_path = tmp_path / "sweep_cfg.json"
     save_config(tiny_overrides(workspace, tmp_path / "unused", total_steps=4, warmup_steps=1,
                                batch_size=4), cfg_path)
@@ -300,6 +310,12 @@ def test_sweep_runs_all_manifest_entries(workspace, tmp_path):
         assert (tmp_path / "sweep" / run.name / "checkpoint_final.bin").exists()
     rescored = json.loads(mpath.read_text())
     assert all("score" in r for r in rescored["runs"])
+    # each score is what `multicourse probe` reports for that run's checkpoint and seed
+    capsys.readouterr()
+    for run in rescored["runs"]:
+        assert cli(["probe", "--checkpoint", run["checkpoint"], "--data", manifest.probe_data,
+                    "--seed", str(run["seed"])]) == 0
+        assert capsys.readouterr().out == f"probe accuracy: {run['score']:.4f}\n"
     # the sweep config must enable exactly the requested correction losses
     run_cfg = json.loads((tmp_path / "sweep" / "re_mlm" / "config.json").read_text())
     assert run_cfg["re_mlm"] is True and run_cfg["re_rtd"] is False

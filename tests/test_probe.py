@@ -15,16 +15,12 @@ def vocab(tmp_path_factory):
     return build_vocab(path, 4096)
 
 
-def _model(vocab):
+@pytest.fixture(scope="module")
+def model(vocab):
     cfg = EncoderConfig(vocab_size=len(vocab), hidden_size=32, generator_layers=1,
                         discriminator_layers=2, attention_heads=2, ffn_inner_size=48,
                         max_seq_len=24, dropout_rate=0.1)
     return Model(cfg, seed=0)
-
-
-@pytest.fixture(scope="module")
-def model(vocab):
-    return _model(vocab)
 
 
 def test_random_labels_score_at_chance(model, vocab):
@@ -73,18 +69,3 @@ def test_probe_is_deterministic(model, vocab):
     b = probe_train_eval(model, examples, seed=5)
     assert a == b
 
-
-def test_fine_tune_is_repeatable_and_moves_only_the_discriminator(vocab):
-    examples = [(vocab.encode(s), y) for s, y in token_presence_dataset(80, seed=4)]
-    runs = []
-    for _ in range(2):
-        model = _model(vocab)
-        before = model.state()
-        accuracy = probe_train_eval(model, examples, seed=5, fine_tune=True)
-        runs.append((accuracy, model.state()))
-    (acc_a, after), (acc_b, again) = runs
-    assert acc_a == acc_b
-    for name in after:
-        np.testing.assert_array_equal(after[name], again[name], err_msg=name)
-    moved = {name for name in after if not np.array_equal(after[name], before[name])}
-    assert moved == {"embedding.word"} | {n for n in after if n.startswith("discriminator.")}

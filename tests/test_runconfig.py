@@ -6,10 +6,10 @@ import pytest
 from multicourse.courses import CorruptionRates
 from multicourse.encoder import EncoderConfig
 from multicourse.errors import ConfigError
+from multicourse.fileio import read_json
 from multicourse.runconfig import (
     RunConfig,
     default_config_dict,
-    load_config,
     parse_config,
     save_config,
 )
@@ -145,7 +145,7 @@ def test_bad_encoder_geometry_rejected():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "config.json"
     save_config(base_dict(total_steps=123, warmup_steps=10), path)
-    cfg = load_config(path)
+    cfg = parse_config(read_json(path))
     assert cfg.train.total_steps == 123 and cfg.train.warmup_steps == 10
 
 
@@ -153,11 +153,11 @@ def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
-        load_config(path)
+        parse_config(read_json(path))
 
 
 def test_non_object_json_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
     with pytest.raises(ConfigError):
-        load_config(path)
+        parse_config(read_json(path))

@@ -19,8 +19,8 @@ from multicourse.trainer import (
     build_views,
     clip_gradients,
     compute_metrics,
-    evaluate_losses,
     learning_rate_at,
+    run_courses,
     step_losses,
     total_loss,
     train,
@@ -458,7 +458,7 @@ def test_metrics_equal_a_recount_from_the_views(corpus, seed):
     assert rec.itd_nonoriginal == inserted
 
 
-# -- evaluate_losses consistency ----------------------------------------------------
+# -- dropout-free replay consistency ------------------------------------------------
 
 
 @pytest.mark.parametrize("correction_start_step", [0, 3])
@@ -469,7 +469,7 @@ def test_evaluate_losses_matches_step_losses_without_dropout(corpus, correction_
     rng = np.random.default_rng(14)
     with ad.Tape():
         losses, batch = step_losses(model, seqs[:4], cfg, RATES, rng, step=0)
-    replay = evaluate_losses(model, batch, cfg)
+    replay = run_courses(model, batch, cfg)
     assert set(replay) == set(losses)
     for name in losses:
         assert float(replay[name].data) == pytest.approx(float(losses[name].data), abs=1e-7)
@@ -497,7 +497,7 @@ def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
         _, batch = step_losses(model, seqs[:6], cfg, RATES, np.random.default_rng(15))
         if replay:
             calls.clear()
-            evaluate_losses(model, batch, cfg)
+            run_courses(model, batch, cfg)
     assert bool(batch.itd_kept) == cfg.itd_course
     assert (calls["generator"], calls["discriminator"]) == passes
 
@@ -557,7 +557,7 @@ def test_shared_passes_match_one_pass_per_course(corpus, overrides):
     with ad.Tape():
         _, batch = step_losses(model, seqs[:6], cfg, RATES, np.random.default_rng(16))
     shared, shared_grads = _loss_values_and_gradients(
-        model, lambda: evaluate_losses(model, batch, cfg), cfg)
+        model, lambda: run_courses(model, batch, cfg), cfg)
     alone, alone_grads = _loss_values_and_gradients(
         model, lambda: _one_pass_per_course(model, batch, cfg), cfg)
     assert set(shared) == set(alone) == set(cfg.enabled_losses())
