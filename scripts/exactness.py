@@ -7,10 +7,11 @@ Trains one small model per course configuration from this checkout and from
 process with its own PYTHONPATH and BLAS pinned to one thread. For each
 configuration it prints `identical` when every step's record (every loss at
 full float precision, the confusion cells, the label tallies, the learning
-rate), the sha256 of `checkpoint_final.bin` and the frozen-probe accuracy of
-the final model (`token_presence_dataset(200, seed=4)`, probe seed 3) agree;
-otherwise the first step whose record differs and the largest relative loss
-difference over all steps.
+rate), the sha256 of `checkpoint_final.bin`, the sha256 of the final model's
+frozen CLS features and its frozen-probe accuracy on them
+(`token_presence_dataset(200, seed=4)`, probe seed 3) agree; otherwise the
+first step whose record differs and the largest relative loss difference over
+all steps.
 
 Configurations: five course mixes on `generate_corpus(200, seed=5)`, hidden
 32, 1+2 layers, batch 8, seed 3 (correction from step 2), and `ragged`, every
@@ -55,10 +56,11 @@ def corpus_lines(name):
 
 
 def run_config(name, steps, dropout, work):
-    """One training run in this process's tree; its records, checkpoint digest and probe score."""
+    """One training run in this process's tree; its records, checkpoint and feature digests
+    and probe score."""
+    from multicourse import probe
     from multicourse.courses import CorruptionRates
     from multicourse.encoder import EncoderConfig, Model
-    from multicourse.probe import probe_train_eval
     from multicourse.toycorpus import token_presence_dataset
     from multicourse.trainer import TrainConfig, load_corpus_sequences, train
     from multicourse.vocab import build_vocab
@@ -77,9 +79,11 @@ def run_config(name, steps, dropout, work):
     records = train(model, seqs, cfg, CorruptionRates(), run_dir=run_dir, vocab=vocab)
     digest = hashlib.sha256((run_dir / "checkpoint_final.bin").read_bytes()).hexdigest()
     examples = [(vocab.encode(s), y) for s, y in token_presence_dataset(200, seed=4)]
+    features = probe._featurize(model, examples)
     return {"records": [vars(r) for r in records],
             "checkpoint": digest,
-            "probe": probe_train_eval(model, examples, seed=3)}
+            "features": hashlib.sha256(features.tobytes()).hexdigest(),
+            "probe": probe.probe_train_eval(model, examples, seed=3)}
 
 
 def worker(steps, dropout):
@@ -106,7 +110,7 @@ def compare(a, b):
         return f"differs: {len(ra)} against {len(rb)} steps"
     first = next((i for i, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
     if first is None:
-        return "differs in the final checkpoint or probe only"
+        return "differs in the final checkpoint, features or probe only"
     worst = 0.0
     for x, y in zip(ra, rb):
         for name, u in x["losses"].items():

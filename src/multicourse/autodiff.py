@@ -38,9 +38,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self):
-        return float(self.data)
-
     def accumulate_grad(self, g):
         if g.shape != self.data.shape:
             raise DimensionError(f"grad shape {g.shape} != tensor shape {self.data.shape}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig, Model
-from .errors import CheckpointFormatError, DigestMismatchError
+from .errors import CheckpointFormatError, ConfigError, DigestMismatchError
 from .fileio import atomic_open
 
 MAGIC = b"MCL1"
@@ -110,7 +110,10 @@ def read_header(path):
         meta_raw = _read_exact(fh, meta_len, "metadata")
         if hashlib.sha256(meta_raw).digest() != digest:
             raise CheckpointFormatError(f"{path}: metadata does not match stored digest")
-        meta = json.loads(meta_raw.decode("utf-8"))
+        try:
+            meta = json.loads(meta_raw.decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{path}: metadata is not JSON ({exc})") from None
         n_params = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))[0]
         table = {}
         expected = header_len
@@ -133,8 +136,11 @@ def read_header(path):
 def load_checkpoint(path, expected_config: EncoderConfig = None, expected_vocab=None) -> Checkpoint:
     """Read and validate a checkpoint; refuses mismatched configs."""
     header_len, digest_hex, meta, table = read_header(path)
-    config = EncoderConfig(**meta["encoder"])
-    tokens = meta["vocab"]
+    try:
+        config = EncoderConfig(**meta["encoder"])
+        tokens = meta["vocab"]
+    except (TypeError, KeyError, ConfigError) as exc:
+        raise CheckpointFormatError(f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
     if expected_config is not None:
         want = config_digest(expected_config,
                              tokens if expected_vocab is None else expected_vocab.id_to_token)

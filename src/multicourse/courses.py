@@ -1,12 +1,15 @@
 """Corruption courses: masked, swapped, and inserted views of a batch.
 
-Every view of a training step derives from the same original sequence.
+Every view of a training step derives from the same original sequences. A
+batch packs them once, sequence after sequence, with no padding, and each
+view is one id array in that layout: `course_batch` turns the plans'
+positions into rows of it once, and the view builders, the generator-sample
+splice and every loss work elementwise on those rows, once per view set.
 The generator fills corrupted slots by sampling its own softmax (detached,
 temperature 1, full vocabulary); the discriminator then labels each token
-original-or-not. A sequence is its unpadded ids: padding exists only in
-the rectangular arrays `pad_batch` builds for an encoder pass. A pass
-returns its packed real-token rows, so a loss turns its positions into
-rows by where each sequence starts and gathers them before its head.
+original-or-not. Padding exists only in the grid `pad_batch` fills for an
+encoder pass, which returns the same packed rows. Plans and insert views
+stay per sequence: they fix the rng draw order and which sequences overflow.
 """
 
 from dataclasses import dataclass, field
@@ -29,9 +32,6 @@ class TokenSequence:
     @property
     def n_real(self):
         return len(self.ids)
-
-    def copy(self):
-        return TokenSequence(self.ids.copy())
 
 
 @dataclass(frozen=True)
@@ -91,20 +91,22 @@ def plan_corruption(x: TokenSequence, rates: CorruptionRates, rng) -> Corruption
     )
 
 
-def apply_mask(x: TokenSequence, plan: CorruptionPlan) -> TokenSequence:
-    out = x.copy()
-    out.ids[plan.mask_positions] = MASK_ID
+def apply_mask(ids, rows):
+    """The cloze view: `ids` with MASK at `rows`."""
+    out = ids.copy()
+    out[rows] = MASK_ID
     return out
 
 
-def apply_swap(x: TokenSequence, plan: CorruptionPlan) -> TokenSequence:
-    out = x.copy()
-    out.ids[plan.swap_positions] = x.ids[plan.swap_sources]
+def apply_swap(ids, rows, source_rows):
+    """The rearranged view: view[rows[k]] = ids[source_rows[k]]."""
+    out = ids.copy()
+    out[rows] = ids[source_rows]
     return out
 
 
-def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None) -> TokenSequence:
-    """Extended view with MASK at the planned slots; deleting them recovers x."""
+def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None):
+    """One sequence's extended view with MASK at the planned slots; deleting them recovers x."""
     ext = plan.extended_length
     if max_len is not None and ext > max_len:
         raise InputError(f"extended length {ext} exceeds max_seq_len {max_len}")
@@ -113,20 +115,17 @@ def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None) -> TokenS
     keep[plan.insert_positions] = False
     ids[plan.insert_positions] = MASK_ID
     ids[keep] = x.ids
-    return TokenSequence(ids)
+    return ids
 
 
-def splice_generator_samples(model, view: TokenSequence, g_hidden, positions, rng) -> TokenSequence:
-    """Replace `positions` in a view with tokens sampled from the generator.
+def splice_generator_samples(model, view, g_hidden, rows, rng):
+    """`view` with generator samples at `rows`, drawn from the rows of `g_hidden` aligned with it.
 
     Sampling reads the hidden states' values only; no gradient flows into
     the sampled token identities.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    h = g_hidden.data if isinstance(g_hidden, ad.Tensor) else np.asarray(g_hidden)
-    probs = model.lm_probs_detached(h[positions])
     out = view.copy()
-    out.ids[positions] = sample_rows(probs, rng)
+    out[rows] = sample_rows(model.lm_probs_detached(g_hidden[rows]), rng)
     return out
 
 
@@ -138,18 +137,7 @@ def sample_rows(probs, rng):
     return (cdf < draws).sum(axis=-1).astype(np.int64)
 
 
-# -- batched loss helpers ----------------------------------------------------
-
-
-def row_starts(seqs, first_row=0):
-    """Each sequence's first row in a pass packed in order from `first_row`, then the end row."""
-    return first_row + np.cumsum([0] + [len(s.ids) for s in seqs])
-
-
-def packed_rows(seqs, position_lists, first_row=0):
-    """Each sequence's positions as rows of that packed pass, pooled in order."""
-    starts = row_starts(seqs, first_row)[:-1]
-    return np.repeat(starts, [len(p) for p in position_lists]) + np.concatenate(position_lists)
+# -- losses over packed rows ---------------------------------------------------
 
 
 def cross_entropy_at(model, g_hidden, rows, targets):
@@ -167,87 +155,108 @@ def binary_detection_loss(model, d_hidden, head, rows, labels):
 # -- the five self-supervision losses ----------------------------------------
 
 
-def loss_mlm(model, g_hidden, plans, originals, first_row=0):
-    """CE at masked positions, targets = original tokens."""
-    rows = packed_rows(originals, [p.mask_positions for p in plans], first_row)
-    targets = np.concatenate([x.ids[p.mask_positions] for x, p in zip(originals, plans)])
-    return cross_entropy_at(model, g_hidden, rows, targets)
+def loss_mlm(model, g_hidden, batch, first_row=0):
+    """CE at masked rows, targets = original tokens."""
+    return cross_entropy_at(model, g_hidden, first_row + batch.mask_rows, batch.ids[batch.mask_rows])
 
 
-def loss_slm(model, g_hidden, plans, originals, first_row=0):
-    """CE at swapped positions, targets = original tokens, same full-vocab head."""
-    rows = packed_rows(originals, [p.swap_positions for p in plans], first_row)
-    targets = np.concatenate([x.ids[p.swap_positions] for x, p in zip(originals, plans)])
-    return cross_entropy_at(model, g_hidden, rows, targets)
+def loss_slm(model, g_hidden, batch, first_row=0):
+    """CE at swapped rows, targets = original tokens, same full-vocab head."""
+    return cross_entropy_at(model, g_hidden, first_row + batch.swap_rows, batch.ids[batch.swap_rows])
 
 
-def original_labels(view: TokenSequence, x: TokenSequence):
-    """One label per position of x: 1.0 where the view token equals the original."""
-    return (view.ids == x.ids).astype(np.float32)
+def original_labels(view, ids):
+    """One label per row: 1.0 where the view token equals the original."""
+    return (view == ids).astype(np.float32)
 
 
-def _every_row_loss(model, d_hidden, head, label_lists, first_row):
-    """BCE with `head` over whole sequences, one label per row from `first_row` on."""
-    labels = np.concatenate(label_lists)
+def _every_row_loss(model, d_hidden, head, labels, first_row):
+    """BCE with `head` over whole view sets, one label per row from `first_row` on."""
     return binary_detection_loss(model, d_hidden, head, first_row + np.arange(len(labels)), labels)
 
 
-def loss_rtd(model, d_hidden, views, originals, first_row=0):
-    """BCE with the rtd head over every position of each sequence."""
-    return _every_row_loss(model, d_hidden, "rtd", list(map(original_labels, views, originals)),
-                           first_row)
+def loss_rtd(model, d_hidden, view, ids, first_row=0):
+    """BCE with the rtd head over every row of the view."""
+    return _every_row_loss(model, d_hidden, "rtd", original_labels(view, ids), first_row)
 
 
-def loss_std(model, d_hidden, views, originals, first_row=0):
+def loss_std(model, d_hidden, view, ids, first_row=0):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    return _every_row_loss(model, d_hidden, "std", list(map(original_labels, views, originals)),
-                           first_row)
+    return _every_row_loss(model, d_hidden, "std", original_labels(view, ids), first_row)
 
 
-def itd_labels(plan: CorruptionPlan):
-    """Original iff the extended position is not an inserted slot."""
-    labels = np.ones(plan.extended_length, dtype=np.float32)
-    labels[plan.insert_positions] = 0.0
+def itd_labels(n_rows, insert_rows):
+    """Original iff the row is not an inserted slot."""
+    labels = np.ones(n_rows, dtype=np.float32)
+    labels[insert_rows] = 0.0
     return labels
 
 
-def loss_itd(model, d_hidden, plans, first_row=0):
-    """BCE with the itd head over the extended sequences; labels are by
+def loss_itd(model, d_hidden, batch):
+    """BCE with the itd head over the insert views; labels are by
     construction, independent of what the generator sampled."""
-    return _every_row_loss(model, d_hidden, "itd", [itd_labels(p) for p in plans], first_row)
+    labels = itd_labels(len(batch.inserted), batch.insert_rows)
+    return _every_row_loss(model, d_hidden, "itd", labels, 0)
 
 
 # -- batch assembly -----------------------------------------------------------
 
 
-def pad_batch(seqs, pad_id=0):
-    """Right-pad sequences to a rectangular (ids, mask) pair; mask is 1 at real tokens."""
-    n = max(len(s.ids) for s in seqs)
-    ids = np.full((len(seqs), n), pad_id, dtype=np.int64)
-    mask = np.zeros((len(seqs), n), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s.ids)] = s.ids
-        mask[i, : len(s.ids)] = 1
-    return ids, mask
+def pad_batch(ids, lengths, pad_id=0):
+    """Right-pad packed sequences of `lengths` into an (ids, mask) grid; mask is 1 at real tokens."""
+    lengths = np.asarray(lengths)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.full(real.shape, pad_id, dtype=np.int64)
+    grid[real] = ids
+    return grid, real.astype(np.int64)
+
+
+def _rows(lengths, position_lists):
+    """Each sequence's positions as rows of its packing, sequence after sequence."""
+    starts = np.repeat(np.cumsum(lengths) - lengths, [len(p) for p in position_lists])
+    return starts + np.concatenate([np.zeros(0, np.int64), *position_lists])
 
 
 @dataclass(eq=False)
 class CourseBatch:
-    """Everything one step derives from the same underlying sequences: its
-    views, the discriminator's notebooks and whether it ran self-correction."""
+    """Everything one step derives from the same sequences. Each view is one
+    int64 id array in the packed layout of `ids`, the originals sequence after
+    sequence; the insert views pack the sequences in `itd_kept` the same way.
+    The plans are kept as rows of those layouts, and each notebook files rows."""
     originals: list
     plans: list
-    masked: list
-    swapped: list = field(default_factory=list)
-    inserted: list = field(default_factory=list)
-    itd_kept: list = field(default_factory=list)   # indices that fit max_seq_len
-    rtd_views: list = field(default_factory=list)
-    std_views: list = field(default_factory=list)
-    itd_views: list = field(default_factory=list)
-    notebooks: dict = field(default_factory=dict)  # course name -> per-sequence notebooks
+    ids: np.ndarray
+    lengths: np.ndarray
+    mask_rows: np.ndarray
+    swap_rows: np.ndarray
+    swap_sources: np.ndarray          # rows: swapped[swap_rows[k]] = ids[swap_sources[k]]
+    itd_kept: list                    # indices of the sequences whose insert view fits
+    inserted: np.ndarray              # their insert views, packed
+    inserted_lengths: np.ndarray
+    insert_rows: np.ndarray           # rows of `inserted`
+    masked: np.ndarray = None
+    swapped: np.ndarray = None
+    rtd_view: np.ndarray = None
+    std_view: np.ndarray = None
+    itd_view: np.ndarray = None
+    notebooks: dict = field(default_factory=dict)  # course name -> ConfusionNotebook
     corrected: bool = False
 
-    @property
-    def kept_plans(self):
-        """Plans of the sequences whose insert view fits max_seq_len."""
-        return [self.plans[j] for j in self.itd_kept]
+
+def course_batch(originals, plans, inserted):
+    """The packed originals, and every plan turned into rows once; `inserted`
+    maps the index of each sequence whose insert view fits to that view."""
+    lengths = np.array([x.n_real for x in originals], dtype=np.int64)
+    kept = [plans[i] for i in inserted]
+    inserted_lengths = np.array([p.extended_length for p in kept], dtype=np.int64)
+    return CourseBatch(
+        originals=originals, plans=plans,
+        ids=np.concatenate([x.ids for x in originals]), lengths=lengths,
+        mask_rows=_rows(lengths, [p.mask_positions for p in plans]),
+        swap_rows=_rows(lengths, [p.swap_positions for p in plans]),
+        swap_sources=_rows(lengths, [p.swap_sources for p in plans]),
+        itd_kept=list(inserted),
+        inserted=np.concatenate([np.zeros(0, np.int64), *inserted.values()]),
+        inserted_lengths=inserted_lengths,
+        insert_rows=_rows(inserted_lengths, [p.insert_positions for p in kept]),
+    )

@@ -8,7 +8,7 @@ state. The encoder stays frozen, so the probe featurizes once and fits fast.
 import numpy as np
 
 from . import autodiff as ad
-from .courses import pad_batch, row_starts, TokenSequence
+from .courses import pad_batch
 from .errors import InputError
 from .vocab import CLS_ID
 
@@ -39,12 +39,13 @@ def load_labeled_dataset(path, vocab, max_seq_len):
 def _featurize(model, examples, batch_size=64):
     """CLS hidden states from a frozen discriminator, eval mode."""
     feats = []
-    seqs = [TokenSequence([CLS_ID] + list(ids)) for ids, _ in examples]
+    seqs = [[CLS_ID] + list(ids) for ids, _ in examples]
     with ad.no_tape():
         for start in range(0, len(seqs), batch_size):
             batch = seqs[start:start + batch_size]
-            h = model.encode_discriminator(*pad_batch(batch), rng=None)
-            feats.append(h.data[row_starts(batch)[:-1]])
+            lengths = np.array([len(s) for s in batch])
+            h = model.encode_discriminator(*pad_batch(np.concatenate(batch), lengths), rng=None)
+            feats.append(h.data[np.cumsum(lengths) - lengths])
     return np.concatenate(feats, axis=0)
 
 

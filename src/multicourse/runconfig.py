@@ -10,6 +10,7 @@ allocated.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 
 from .courses import CorruptionRates
@@ -49,6 +50,9 @@ def _coerce(key, value):
     # bool is an int subclass: only a bool field takes true/false, and only those
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    # JSON's NaN and Infinity pass every range check, since each comparison is false
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return kind(value)
 
 

@@ -2,10 +2,12 @@
 
 A step corrupts one batch into every course's views and runs the courses
 (`run_courses`) in at most three generator and three discriminator passes.
-Its CourseBatch is its one record: views, notebooks and whether correction
-ran. One clipped AdamW update follows on the generator losses plus
-lambda-scaled discriminator losses. Metrics: replace rate/accuracy and
-confusion-cell counts, read off the notebooks.
+Its CourseBatch is its one record: the views as packed id arrays, one
+notebook per discriminator stream and whether correction ran; each course
+function runs once per view set, not once per sequence. One clipped AdamW
+update follows on the generator losses plus lambda-scaled discriminator
+losses. Metrics: replace rate/accuracy and confusion-cell counts, read off
+the notebooks.
 """
 
 import csv
@@ -118,25 +120,22 @@ class MetricsRecord:
 
 
 def build_views(seqs, rates, rng, max_seq_len, swap=True, insert=True):
-    """Corruption plans plus the mask views for one batch, and the swap and
+    """Corruption plans plus the mask view for one batch, and the swap and
     insert views when those courses run. Every plan is drawn either way."""
     plans = [crs.plan_corruption(x, rates, rng) for x in seqs]
-    batch = crs.CourseBatch(originals=seqs, plans=plans,
-                            masked=[crs.apply_mask(x, p) for x, p in zip(seqs, plans)])
-    if swap:
-        batch.swapped = [crs.apply_swap(x, p) for x, p in zip(seqs, plans)]
-    if not insert:
-        return batch
-    skipped = []
-    for i, (x, p) in enumerate(zip(seqs, plans)):
+    inserted, skipped = {}, []
+    for i, (x, p) in enumerate(zip(seqs, plans) if insert else ()):
         try:
-            batch.inserted.append(crs.apply_insert(x, p, max_len=max_seq_len))
-            batch.itd_kept.append(i)
+            inserted[i] = crs.apply_insert(x, p, max_len=max_seq_len)
         except InputError:
             skipped.append(i)
     if skipped:
         log.warning("skipping sequences %s in insert course: extension overflows max_seq_len",
                     skipped)
+    batch = crs.course_batch(seqs, plans, inserted)
+    batch.masked = crs.apply_mask(batch.ids, batch.mask_rows)
+    if swap:
+        batch.swapped = crs.apply_swap(batch.ids, batch.swap_rows, batch.swap_sources)
     return batch
 
 
@@ -153,85 +152,74 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
 
 
 def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
-    """Every enabled loss of one step; views of one width share an encoder pass.
+    """Every enabled loss of one step; view sets of one width share an encoder pass.
 
     The passes, in order: mlm+slm (generator), the off-tape insert pass,
     rtd+std (discriminator), itd, then for a `corrected` batch re_mlm+re_slm
-    and re_rtd+re_std from the rtd/std notebooks; each loss reads its own
-    rows. Given an rng the step samples: generator samples fill the
-    rtd/std/itd views and the discriminator files its notebooks in the
-    batch. Without one it replays those from the batch, dropout-free.
+    and re_rtd+re_std from the rtd/std notebooks. A shared pass holds its
+    view sets one after another, so the second one's rows start at t; each
+    loss reads its own rows. Given an rng the step samples: generator
+    samples fill the rtd/std/itd views and the discriminator files its
+    notebooks in the batch. Without one it replays those from the batch,
+    dropout-free.
     """
     on = cfg.enabled_losses()
     sample = rng is not None
-    x = batch.originals
-    t = sum(len(s.ids) for s in x)  # the rows of one view set; only insert views are longer
-    masks, swaps = [p.mask_positions for p in batch.plans], [p.swap_positions for p in batch.plans]
+    x = batch.ids
+    t = len(x)  # the rows of one view set; only insert views are longer
     swap = "slm" in on
     losses = {}
 
-    h = model.encode_generator(*crs.pad_batch(batch.masked + batch.swapped), rng)
-    losses["mlm"] = crs.loss_mlm(model, h, batch.plans, x)
-    if sample:
-        batch.rtd_views = _splice(model, h.data, batch.masked, masks, rng)
-    if swap:
-        losses["slm"] = crs.loss_slm(model, h, batch.plans, x, t)
-        if sample:
-            batch.std_views = _splice(model, h.data, batch.swapped, swaps, rng, t)
-    if sample and batch.inserted:
-        with ad.no_tape():
-            h = model.encode_generator(*crs.pad_batch(batch.inserted), rng)
-        batch.itd_views = _splice(model, h.data, batch.inserted,
-                                  [p.insert_positions for p in batch.kept_plans], rng)
+    def grid(views):
+        return crs.pad_batch(np.concatenate(views), np.tile(batch.lengths, len(views)))
 
-    h = model.encode_discriminator(*crs.pad_batch(batch.rtd_views + batch.std_views), rng)
-    losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_views, x)
+    h = model.encode_generator(*grid([batch.masked, batch.swapped] if swap else [batch.masked]), rng)
+    losses["mlm"] = crs.loss_mlm(model, h, batch)
     if sample:
-        batch.notebooks["rtd"] = _notebooks(model, h.data, "rtd", x, batch.rtd_views)
+        batch.rtd_view = crs.splice_generator_samples(model, batch.masked, h.data, batch.mask_rows, rng)
     if swap:
-        losses["std"] = crs.loss_std(model, h, batch.std_views, x, t)
+        losses["slm"] = crs.loss_slm(model, h, batch, t)
         if sample:
-            batch.notebooks["std"] = _notebooks(model, h.data, "std", x, batch.std_views, t)
-    if "itd" in on and batch.itd_views:
-        h = model.encode_discriminator(*crs.pad_batch(batch.itd_views), rng)
-        losses["itd"] = crs.loss_itd(model, h, batch.kept_plans)
+            batch.std_view = crs.splice_generator_samples(model, batch.swapped, h.data[t:],
+                                                          batch.swap_rows, rng)
+    if sample and batch.itd_kept:
+        with ad.no_tape():
+            h = model.encode_generator(*crs.pad_batch(batch.inserted, batch.inserted_lengths), rng)
+        batch.itd_view = crs.splice_generator_samples(model, batch.inserted, h.data,
+                                                      batch.insert_rows, rng)
+
+    h = model.encode_discriminator(
+        *grid([batch.rtd_view, batch.std_view] if swap else [batch.rtd_view]), rng)
+    losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_view, x)
+    if sample:
+        batch.notebooks["rtd"] = corr.classify_confusion(
+            x, batch.rtd_view, model.detection_probs_detached(h.data[:t], "rtd"))
+    if swap:
+        losses["std"] = crs.loss_std(model, h, batch.std_view, x, t)
+        if sample:
+            batch.notebooks["std"] = corr.classify_confusion(
+                x, batch.std_view, model.detection_probs_detached(h.data[t:], "std"))
+    if "itd" in on and batch.itd_kept:
+        h = model.encode_discriminator(*crs.pad_batch(batch.itd_view, batch.inserted_lengths), rng)
+        losses["itd"] = crs.loss_itd(model, h, batch)
     if not batch.corrected:
         return losses
 
     books = batch.notebooks
-    re_mlm = list(map(corr.build_regeneration, x, masks, books["rtd"])) if "re_mlm" in on else []
-    re_slm = list(map(corr.build_regeneration, x, swaps, books["std"])) if "re_slm" in on else []
-    if re_mlm or re_slm:
-        h = model.encode_generator(*crs.pad_batch([r[0] for r in re_mlm + re_slm]), rng)
-        if re_mlm:
-            losses["re_mlm"] = corr.loss_regeneration(model, h, re_mlm)
-        if re_slm:
-            losses["re_slm"] = corr.loss_regeneration(model, h, re_slm, t if re_mlm else 0)
-    re_rtd = (list(map(corr.build_rediscrimination, x, batch.rtd_views, books["rtd"]))
-              if "re_rtd" in on else [])
-    re_std = (list(map(corr.build_rediscrimination, x, batch.std_views, books["std"]))
-              if "re_std" in on else [])
-    if re_rtd or re_std:
-        h = model.encode_discriminator(*crs.pad_batch([r[0] for r in re_rtd + re_std]), rng)
-        if re_rtd:
-            losses["re_rtd"] = corr.loss_rediscrimination(model, h, "rtd", re_rtd)
-        if re_std:
-            losses["re_std"] = corr.loss_rediscrimination(model, h, "std", re_std, t if re_rtd else 0)
+    regen = {name: corr.build_regeneration(x, rows, books[book])
+             for name, book, rows in (("re_mlm", "rtd", batch.mask_rows),
+                                      ("re_slm", "std", batch.swap_rows)) if name in on}
+    if regen:
+        h = model.encode_generator(*grid([view for view, _, _ in regen.values()]), rng)
+        for k, (name, built) in enumerate(regen.items()):
+            losses[name] = corr.loss_regeneration(model, h, built, k * t)
+    redisc = {name: corr.build_rediscrimination(x, view, books[name[3:]])
+              for name, view in (("re_rtd", batch.rtd_view), ("re_std", batch.std_view)) if name in on}
+    if redisc:
+        h = model.encode_discriminator(*grid([view for view, _, _ in redisc.values()]), rng)
+        for k, (name, built) in enumerate(redisc.items()):
+            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, k * t)
     return losses
-
-
-def _splice(model, h, views, positions, rng, first_row=0):
-    """`views` with generator samples at `positions`, read off their rows of `h` from `first_row`."""
-    return [crs.splice_generator_samples(model, v, h[start:start + len(v.ids)], pos, rng)
-            for v, start, pos in zip(views, crs.row_starts(views, first_row), positions)]
-
-
-def _notebooks(model, h, head, originals, views, first_row=0):
-    """Confusion notebooks of `views`, judged by `head` on their rows of `h` from `first_row`."""
-    starts = crs.row_starts(views, first_row)
-    probs = model.detection_probs_detached(h[starts[0]:starts[-1]], head)
-    return [corr.classify_confusion(x, v, pr)
-            for x, v, pr in zip(originals, views, np.split(probs, starts[1:-1] - starts[0]))]
 
 
 def total_loss(losses, cfg: TrainConfig):
@@ -325,11 +313,8 @@ def compute_metrics(step, losses, total, batch: crs.CourseBatch, lr, cfg: TrainC
     positions, so a notebook's pos2|pos4 are the replaced tokens and pos4
     the ones the discriminator caught.
     """
-    cells = [0, 0, 0, 0]
-    for nb in batch.notebooks["rtd"]:
-        for i, cell in enumerate(nb.cells()):
-            cells[i] += len(cell)
-    kept = sum(len(plan.mask_positions) for plan in batch.plans)
+    cells = [len(cell) for cell in batch.notebooks["rtd"].cells()]
+    kept = len(batch.mask_rows)
     replaced = cells[1] + cells[3]
     replace_rate = replaced / kept if kept else None
     replace_accuracy = cells[3] / replaced if replaced else None
@@ -337,13 +322,13 @@ def compute_metrics(step, losses, total, batch: crs.CourseBatch, lr, cfg: TrainC
     d_nonorig = replaced
     d_corrupted = kept
     if cfg.std_course:
-        d_corrupted += sum(len(plan.swap_positions) for plan in batch.plans)
-        d_nonorig += sum(len(nb.pos2) + len(nb.pos4) for nb in batch.notebooks["std"])
+        std = batch.notebooks["std"]
+        d_corrupted += len(batch.swap_rows)
+        d_nonorig += len(std.pos2) + len(std.pos4)
     itd_nonorig = itd_total = 0
     if cfg.itd_course:
-        for plan in batch.kept_plans:
-            itd_nonorig += len(plan.insert_positions)
-            itd_total += plan.extended_length
+        itd_nonorig = len(batch.insert_rows)
+        itd_total = len(batch.inserted)
         d_nonorig += itd_nonorig
         d_corrupted += itd_nonorig
 

@@ -1,14 +1,16 @@
-"""Shared oracles and the finite-difference gradient harness.
+"""Shared oracles, the finite-difference gradient harness and malformed checkpoints.
 
 Oracles are written first and stay independent of the code paths they
 check: scalar loops, float64 arithmetic, no calls into the autodiff ops.
 """
 
+import json
 import math
 
 import numpy as np
 
 from multicourse import autodiff as ad
+from multicourse import checkpoint
 
 
 # -- scalar oracles -------------------------------------------------------------
@@ -105,3 +107,23 @@ def promote_model_to_float64(model):
     for p in model.named_parameters().values():
         p.data = p.data.astype(np.float64)
     return model
+
+
+# -- malformed checkpoints ------------------------------------------------------------
+
+
+def save_with_metadata(path, model, meta_bytes, monkeypatch):
+    """A checkpoint of `model` whose metadata is `meta_bytes`, under the digest of those bytes."""
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint, "_meta_bytes", lambda config, tokens: meta_bytes)
+        checkpoint.save_checkpoint(path, model)
+
+
+def bad_metadata(model, tokens):
+    """Metadata bytes that pass the digest check but describe no checkpoint."""
+    good = {"encoder": model.config.to_dict(), "vocab": list(tokens)}
+    return {
+        "extra_encoder_field": json.dumps({**good, "encoder": {**good["encoder"], "depth": 3}}).encode(),
+        "missing_vocab": json.dumps({"encoder": good["encoder"]}).encode(),
+        "not_json": b"encoder: 16",
+    }

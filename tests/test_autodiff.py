@@ -117,22 +117,22 @@ def test_folded_matmul_matches_numpy_and_finite_differences(a_shape, strided, a_
 def test_cross_entropy_uniform_logits():
     logits = t(np.zeros((1, 4)))
     loss = ad.softmax_cross_entropy(logits, [1])
-    assert abs(loss.item() - LN4) < 1e-6
+    assert abs(float(loss.data) - LN4) < 1e-6
 
 
 def test_cross_entropy_saturated_margin():
     row = np.zeros((1, 4), dtype=np.float32)
     row[0, 2] = 30.0
     loss = ad.softmax_cross_entropy(t(row), [2])
-    assert loss.item() < 1e-9
+    assert float(loss.data) < 1e-9
 
 
 def test_cross_entropy_matches_scalar_enumeration():
     logits = [[0.3, -1.2, 0.7], [2.0, 0.1, -0.5]]
     targets = [2, 0]
     loss = ad.softmax_cross_entropy(t(logits), targets)
-    assert abs(loss.item() - scalar_softmax_ce(logits, targets)) < 1e-6
-    assert abs(loss.item() - 0.4035664987586196) < 1e-6  # frozen oracle value
+    assert abs(float(loss.data) - scalar_softmax_ce(logits, targets)) < 1e-6
+    assert abs(float(loss.data) - 0.4035664987586196) < 1e-6  # frozen oracle value
 
 
 def test_cross_entropy_rejects_out_of_range_target():
@@ -156,20 +156,20 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 def test_bce_logit_zero_is_ln2():
     for label in (0.0, 1.0):
         loss = ad.sigmoid_bce(t([0.0]), [label])
-        assert abs(loss.item() - LN2) < 1e-6
+        assert abs(float(loss.data) - LN2) < 1e-6
 
 
 def test_bce_saturated():
     loss = ad.sigmoid_bce(t([30.0]), [1.0])
-    assert loss.item() < 1e-9
+    assert float(loss.data) < 1e-9
 
 
 def test_bce_matches_scalar_oracle():
     zs = [0.5, -1.5, 2.0, -0.3, 0.9]
     ys = [1, 0, 1, 1, 0]
     loss = ad.sigmoid_bce(t(zs), ys)
-    assert abs(loss.item() - scalar_bce(zs, ys)) < 1e-7
-    assert abs(loss.item() - 0.5795854784812893) < 1e-7  # frozen oracle value
+    assert abs(float(loss.data) - scalar_bce(zs, ys)) < 1e-7
+    assert abs(float(loss.data) - 0.5795854784812893) < 1e-7  # frozen oracle value
 
 
 def test_bce_empty_positions_is_exact_zero():
@@ -178,7 +178,7 @@ def test_bce_empty_positions_is_exact_zero():
         loss = ad.sigmoid_bce(logits, [])
         total = ad.add(loss, ad.tensor_sum(ad.scale(logits, 0.0)))
         tape.backward(total)
-    assert loss.item() == 0.0
+    assert float(loss.data) == 0.0
     assert logits.grad is None or np.all(logits.grad == 0.0)
 
 
@@ -192,8 +192,8 @@ def test_bce_labels_must_match_logits_shape():
 def test_bce_no_naive_sigmoid_blowup():
     # the naive sigma-then-log form would produce inf at |z| = 500
     loss = ad.sigmoid_bce(t([500.0, -500.0]), [0.0, 1.0])
-    assert np.isfinite(loss.item())
-    assert abs(loss.item() - 500.0) < 1e-3
+    assert np.isfinite(float(loss.data))
+    assert abs(float(loss.data) - 500.0) < 1e-3
 
 
 # -- backward contracts -------------------------------------------------------

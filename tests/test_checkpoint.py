@@ -12,6 +12,8 @@ from multicourse.encoder import EncoderConfig, Model
 from multicourse.errors import CheckpointFormatError, DigestMismatchError, InputError
 from multicourse.vocab import Vocab
 
+from helpers import bad_metadata, save_with_metadata
+
 TOKENS = ["<pad>", "<mask>", "<cls>", "<unk>", "alpha", "beta", "gamma", "delta"]
 
 
@@ -77,6 +79,14 @@ def test_corrupt_metadata_rejected(saved):
     raw[60] ^= 0xFF  # inside the metadata JSON
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", ["extra_encoder_field", "missing_vocab", "not_json"])
+def test_bad_metadata_raises_a_format_error_naming_the_file(saved, case, monkeypatch):
+    path, model, _ = saved
+    save_with_metadata(path, model, bad_metadata(model, TOKENS)[case], monkeypatch)
+    with pytest.raises(CheckpointFormatError, match="model.bin"):
         load_checkpoint(path)
 
 

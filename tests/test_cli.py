@@ -18,6 +18,8 @@ from multicourse.soups import SweepManifest, SweepRun, save_manifest
 from multicourse.toycorpus import write_corpus, write_probe_dataset
 from multicourse.trainer import METRICS_COLUMNS
 
+from helpers import bad_metadata, save_with_metadata
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -153,6 +155,17 @@ def test_probe_of_a_checkpoint_without_vocabulary_exits_1(run1, tmp_path, capsys
     write_probe_dataset(data, 60, seed=3)
     assert cli(["probe", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
     assert f"error: {ckpt} carries no vocabulary" in capsys.readouterr().err
+
+
+def test_probe_of_a_checkpoint_with_bad_metadata_exits_1(run1, tmp_path, capsys, monkeypatch):
+    model = build_model(load_checkpoint(run1[0] / "checkpoint_final.bin"))
+    data = tmp_path / "probe.tsv"
+    write_probe_dataset(data, 60, seed=3)
+    for case, meta in bad_metadata(model, []).items():
+        ckpt = tmp_path / f"{case}.bin"
+        save_with_metadata(ckpt, model, meta, monkeypatch)
+        assert cli(["probe", "--checkpoint", str(ckpt), "--data", str(data)]) == 1, case
+        assert f"error: {ckpt}: " in capsys.readouterr().err
 
 
 def _two_copies_manifest(run1, tmp_path, seeds=(0, 0)):

@@ -16,7 +16,6 @@ from multicourse.courses import (
     apply_mask,
     pad_batch,
     plan_corruption,
-    splice_generator_samples,
 )
 from multicourse.encoder import EncoderConfig, Model
 from multicourse.errors import ContractError
@@ -26,7 +25,7 @@ from helpers import scalar_bce, scalar_softmax_ce
 
 
 def seq(ids):
-    return TokenSequence(ids)
+    return np.asarray(ids, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -88,12 +87,12 @@ def test_threshold_boundary_is_original_prediction():
 def _random_case(rng):
     n = int(rng.integers(2, 12))
     x = seq(rng.integers(4, 10, size=n).tolist())
-    plan = plan_corruption(x, CorruptionRates(0.3, 0, 0), rng)
+    plan = plan_corruption(TokenSequence(x), CorruptionRates(0.3, 0, 0), rng)
     view = x.copy()
     # replace a random subset of the corrupted positions
     for p in plan.mask_positions:
         if rng.random() < 0.6:
-            view.ids[p] = 4 + (x.ids[p] - 4 + 1) % 6
+            view[p] = 4 + (x[p] - 4 + 1) % 6
     probs = rng.random(n)
     return x, view, plan, probs
 
@@ -105,11 +104,23 @@ def test_cells_tile_evaluated_positions(rseed):
     x, view, plan, probs = _random_case(rng)
     nb = classify_confusion(x, view, probs)
     merged = np.concatenate(nb.cells())
-    real = np.arange(len(x.ids))
+    real = np.arange(len(x))
     assert sorted(merged.tolist()) == real.tolist()
     assert np.intersect1d(nb.pos1, nb.pos2).size == 0
     # only corrupted positions can carry the "replaced" label
     assert np.isin(np.concatenate([nb.pos2, nb.pos4]), plan.mask_positions).all()
+
+
+def test_packed_cells_are_each_sequences_cells_from_its_start():
+    rng = np.random.default_rng(17)
+    cases = [_random_case(rng) for _ in range(5)]
+    x, view, probs = (np.concatenate([case[k] for case in cases]) for k in (0, 1, 3))
+    packed = classify_confusion(x, view, probs)
+    starts = np.cumsum([0] + [len(case[0]) for case in cases])
+    one_at_a_time = [classify_confusion(xi, vi, pi) for xi, vi, _, pi in cases]
+    for k, cell in enumerate(packed.cells()):
+        want = np.concatenate([start + nb.cells()[k] for start, nb in zip(starts, one_at_a_time)])
+        np.testing.assert_array_equal(cell, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +146,7 @@ def test_regeneration_masks_exactly_pos4():
     nb = classify_confusion(x, view, [0.9, 0.2, 0.9, 0.1])
     regen, targets, positions = build_regeneration(x, [1, 3], nb)
     np.testing.assert_array_equal(positions, [1, 3])
-    np.testing.assert_array_equal(regen.ids, [4, MASK_ID, 6, MASK_ID])
+    np.testing.assert_array_equal(regen, [4, MASK_ID, 6, MASK_ID])
     np.testing.assert_array_equal(targets, [5, 7])
 
 
@@ -145,26 +156,26 @@ def test_regeneration_restores_other_masks():
     view = seq([4, 5, 6, 8])  # generator resampled position 1 correctly
     nb = classify_confusion(x, view, [0.9, 0.9, 0.9, 0.2])
     regen, targets, positions = build_regeneration(x, [1, 3], nb)
-    np.testing.assert_array_equal(regen.ids, [4, 5, 6, MASK_ID])
-    assert regen.ids[1] == 5  # restored, not MASK
+    np.testing.assert_array_equal(regen, [4, 5, 6, MASK_ID])
+    assert regen[1] == 5  # restored, not MASK
 
 
 def test_regeneration_empty_pos4_emits_nothing():
     x = seq([4, 5, 6])
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
     regen, targets, positions = build_regeneration(x, [1], nb)
-    np.testing.assert_array_equal(regen.ids, x.ids)
+    np.testing.assert_array_equal(regen, x)
     assert targets.size == 0 and positions.size == 0
 
 
 def test_regeneration_everything_failed_equals_masked_view():
-    x = seq([4, 5, 6, 7])
-    plan = plan_corruption(x, CorruptionRates(0, 0, 0), np.random.default_rng(0))
-    plan.mask_positions = np.array([1, 3])
-    view = seq([4, 8, 6, 9])
-    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.1])
-    regen, _, _ = build_regeneration(x, plan.mask_positions, nb)
-    np.testing.assert_array_equal(regen.ids, apply_mask(x, plan).ids)
+    # two packed sequences [4 5 6 7] [8 9 10], masked at rows 1, 3 and 5
+    x = seq([4, 5, 6, 7, 8, 9, 10])
+    mask_rows = np.array([1, 3, 5])
+    view = seq([4, 8, 6, 9, 8, 4, 10])
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.1, 0.9, 0.2, 0.9])
+    regen, _, _ = build_regeneration(x, mask_rows, nb)
+    np.testing.assert_array_equal(regen, apply_mask(x, mask_rows))
 
 
 def test_rediscrimination_restores_pos4_and_targets_pos2_pos3():
@@ -173,7 +184,7 @@ def test_rediscrimination_restores_pos4_and_targets_pos2_pos3():
     probs = [0.9, 0.8, 0.2, 0.1, 0.9]  # 1 missed (pos2), 2 false alarm (pos3), 3 caught (pos4)
     nb = classify_confusion(x, view, probs)
     redisc, positions, labels = build_rediscrimination(x, view, nb)
-    np.testing.assert_array_equal(redisc.ids, [4, 9, 6, 7, 8])  # pos4 restored
+    np.testing.assert_array_equal(redisc, [4, 9, 6, 7, 8])  # pos4 restored
     np.testing.assert_array_equal(positions, [1, 2])
     np.testing.assert_array_equal(labels, [0.0, 1.0])  # pos2 replaced, pos3 original
 
@@ -183,15 +194,15 @@ def test_rediscrimination_differs_from_view_exactly_at_pos4():
     for _ in range(50):
         n = int(rng.integers(2, 12))
         x = seq(rng.integers(4, 10, size=n).tolist())
-        plan = plan_corruption(x, CorruptionRates(0.3, 0, 0), rng)
+        plan = plan_corruption(TokenSequence(x), CorruptionRates(0.3, 0, 0), rng)
         view = x.copy()
         for p in plan.mask_positions:
             if rng.random() < 0.5:
-                view.ids[p] = 4 + (x.ids[p] - 4 + 1) % 6
+                view[p] = 4 + (x[p] - 4 + 1) % 6
         nb = classify_confusion(x, view, rng.random(n))
         redisc, _, _ = build_rediscrimination(x, view, nb)
-        differs = np.flatnonzero(redisc.ids != view.ids)
-        must_differ = [p for p in nb.pos4 if view.ids[p] != x.ids[p]]
+        differs = np.flatnonzero(redisc != view)
+        must_differ = [p for p in nb.pos4 if view[p] != x[p]]
         assert sorted(differs.tolist()) == sorted(must_differ)
         # pos4 is always label-replaced, so it always actually differs
         assert sorted(must_differ) == sorted(nb.pos4.tolist())
@@ -204,7 +215,7 @@ def test_correction_builders_match_an_isin_oracle():
         x = seq(rng.integers(4, 10, size=n).tolist())
         view = x.copy()
         replaced = rng.random(n) < 0.4
-        view.ids[replaced] = 4 + (x.ids[replaced] - 4 + 1) % 6
+        view[replaced] = 4 + (x[replaced] - 4 + 1) % 6
         nb = classify_confusion(x, view, rng.random(n))
         redisc, positions, labels = build_rediscrimination(x, view, nb)
         oracle = np.sort(np.concatenate([nb.pos2, nb.pos3]))
@@ -221,36 +232,36 @@ def test_correction_builders_match_an_isin_oracle():
         else:
             regen, targets, pos = build_regeneration(x, corrupted, nb)
             np.testing.assert_array_equal(pos, nb.pos4)
-            np.testing.assert_array_equal(targets, x.ids[nb.pos4])
+            np.testing.assert_array_equal(targets, x[nb.pos4])
 
 
 def test_rediscrimination_empty_cells_zero_loss(tiny_model):
     x = seq([4, 5, 6])
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
-    redisc, positions, labels = build_rediscrimination(x, x.copy(), nb)
-    ids, mask = pad_batch([redisc])
-    h = tiny_model.encode_discriminator(ids, mask)
-    loss = loss_rediscrimination(tiny_model, h, "rtd", [(redisc, positions, labels)])
-    assert loss.item() == 0.0
+    redisc = build_rediscrimination(x, x.copy(), nb)
+    h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [3]))
+    loss = loss_rediscrimination(tiny_model, h, "rtd", redisc)
+    assert float(loss.data) == 0.0
 
 
 # -- correction losses vs oracles -------------------------------------------------
 
 
 def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
-    x = seq([4, 5, 6, 7, 8])
-    view = seq([4, 9, 6, 9, 8])
-    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9])
-    regen = build_regeneration(x, [1, 3], nb)
-    ids, mask = pad_batch([regen[0]])
-    h = tiny_model.encode_generator(ids, mask)
-    loss = loss_regeneration(tiny_model, h, [regen])
+    # two packed sequences of 5 and 3 tokens, read from row 8 of a shared pass
+    x = seq([4, 5, 6, 7, 8, 6, 5, 4])
+    view = seq([4, 9, 6, 9, 8, 6, 9, 4])
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9, 0.9, 0.3, 0.9])
+    regen = build_regeneration(x, [1, 3, 6], nb)
+    np.testing.assert_array_equal(regen[2], [1, 3, 6])
+    h = tiny_model.encode_generator(*pad_batch(np.concatenate([x, regen[0]]), [5, 3, 5, 3]))
+    loss = loss_regeneration(tiny_model, h, regen, first_row=8)
     table = tiny_model.params["embedding.word"].data
     bias = tiny_model.params["lm_head.bias"].data
-    rows = [[float(np.dot(table[v], h.data[p])) + float(bias[v]) for v in range(10)]
+    rows = [[float(np.dot(table[v], h.data[8 + p])) + float(bias[v]) for v in range(10)]
             for p in regen[2]]
     oracle = scalar_softmax_ce(rows, [int(t) for t in regen[1]])
-    assert abs(loss.item() - oracle) < 1e-6
+    assert abs(float(loss.data) - oracle) < 1e-6
 
 
 def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
@@ -258,20 +269,18 @@ def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
     view = seq([4, 9, 6, 5, 8])
     nb = classify_confusion(x, view, [0.9, 0.8, 0.2, 0.1, 0.9])
     redisc = build_rediscrimination(x, view, nb)
-    ids, mask = pad_batch([redisc[0]])
-    h = tiny_model.encode_discriminator(ids, mask)
-    loss = loss_rediscrimination(tiny_model, h, "std", redisc_batch=[redisc])
+    h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [5]))
+    loss = loss_rediscrimination(tiny_model, h, "std", redisc=redisc)
     w = tiny_model.params["head.std.w"].data
     b = float(tiny_model.params["head.std.b"].data[0])
     logits = [float(np.dot(w, h.data[p])) + b for p in redisc[1]]
     oracle = scalar_bce(logits, redisc[2].tolist())
-    assert abs(loss.item() - oracle) < 1e-7
+    assert abs(float(loss.data) - oracle) < 1e-7
 
 
 def test_loss_regeneration_empty_is_zero(tiny_model):
     x = seq([4, 5, 6])
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
     regen = build_regeneration(x, [], nb)
-    ids, mask = pad_batch([regen[0]])
-    h = tiny_model.encode_generator(ids, mask)
-    assert loss_regeneration(tiny_model, h, [regen]).item() == 0.0
+    h = tiny_model.encode_generator(*pad_batch(regen[0], [3]))
+    assert float(loss_regeneration(tiny_model, h, regen).data) == 0.0

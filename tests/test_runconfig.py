@@ -101,6 +101,22 @@ def test_out_of_range_values_rejected_at_parse_time(key, value):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("key", [f.name for f in SCHEMA_FIELDS if f.type is float])
+def test_non_finite_floats_rejected(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_dict(**{key: value}))
+    assert key in str(err.value)
+
+
+def test_non_finite_floats_in_a_config_file_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_dict(learning_rate=float("nan"))), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match="learning_rate"):
+        parse_config(read_json(path))
+
+
 def test_boundary_values_stay_valid():
     cfg = parse_config(base_dict(grad_clip_norm=0.0, checkpoint_every=0, adam_beta1=0.0,
                                  generator_layers=1, discriminator_layers=1, max_seq_len=2,

@@ -202,7 +202,7 @@ def test_total_reduces_to_two_term_objective(setup):
         assert set(losses) == {"mlm", "rtd"}
         total = total_loss(losses, cfg)
     want = np.float32(losses["mlm"].data) + np.float32(50.0) * np.float32(losses["rtd"].data)
-    assert abs(total.item() - float(want)) < 1e-7 * abs(float(want))
+    assert abs(float(total.data) - float(want)) < 1e-7 * abs(float(want))
 
 
 def test_total_matches_hand_summed_components(setup):
@@ -219,7 +219,7 @@ def test_total_matches_hand_summed_components(setup):
     for name in tr.D_LOSSES:
         if name in losses:
             by_hand = np.float32(by_hand + np.float32(50.0) * np.float32(losses[name].data))
-    assert abs(total.item() - float(by_hand)) < 1e-7 * max(1.0, abs(float(by_hand)))
+    assert abs(float(total.data) - float(by_hand)) < 1e-7 * max(1.0, abs(float(by_hand)))
 
 
 def test_zero_lambda_gradient_touches_only_generator_side(setup):
@@ -346,21 +346,16 @@ def _manual_info(model):
     x2 = TokenSequence([10, 11, 12, 13])
     rng = np.random.default_rng(0)
     batch = build_views([x1, x2], CorruptionRates(0.34, 0, 0), rng, 24)
-    # hand-craft the spliced views: one replacement caught, one missed, one resampled
-    batch.rtd_views = [x1.copy(), x2.copy()]
-    p1 = batch.plans[0].mask_positions  # two positions
-    batch.rtd_views[0].ids[p1[0]] = 20
-    batch.rtd_views[0].ids[p1[1]] = x1.ids[p1[1]]  # resampled the original
-    p2 = batch.plans[1].mask_positions  # one position
-    batch.rtd_views[1].ids[p2[0]] = 21
-    probs1 = np.full(6, 0.9)
-    probs1[p1[0]] = 0.1   # caught
-    probs2 = np.full(4, 0.9)  # missed
-    from multicourse.correction import classify_confusion
-    batch.notebooks["rtd"] = [
-        classify_confusion(x, v, pr)
-        for x, v, pr in zip([x1, x2], batch.rtd_views, [probs1, probs2])
-    ]
+    # hand-craft the spliced view: one replacement caught, one missed, one resampled
+    r = batch.mask_rows  # two rows of x1 (rows 0-5), then one of x2 (rows 6-9)
+    assert len(r) == 3 and r[1] < 6 <= r[2]
+    batch.rtd_view = batch.ids.copy()
+    batch.rtd_view[r[0]] = 20
+    batch.rtd_view[r[1]] = batch.ids[r[1]]  # resampled the original
+    batch.rtd_view[r[2]] = 21
+    probs = np.full(10, 0.9)
+    probs[r[0]] = 0.1   # caught; r[2] missed
+    batch.notebooks["rtd"] = corr.classify_confusion(batch.ids, batch.rtd_view, probs)
     return batch
 
 
@@ -384,9 +379,8 @@ def test_metrics_omitted_when_no_positions(corpus):
     x = TokenSequence([4, 5, 6, 7])
     rng = np.random.default_rng(0)
     batch = build_views([x], CorruptionRates(0, 0, 0), rng, 24)
-    batch.rtd_views = [x.copy()]
-    from multicourse.correction import classify_confusion
-    batch.notebooks["rtd"] = [classify_confusion(x, x.copy(), np.full(4, 0.9))]
+    batch.rtd_view = batch.ids.copy()
+    batch.notebooks["rtd"] = corr.classify_confusion(batch.ids, batch.rtd_view, np.full(4, 0.9))
     cfg = small_train(std_course=False, itd_course=False, re_slm=False, re_std=False)
     rec = compute_metrics(0, {}, 0.0, batch, 1e-4, cfg)
     assert rec.replace_rate is None and rec.replace_accuracy is None
@@ -430,24 +424,25 @@ def test_metrics_equal_a_recount_from_the_views(corpus, seed):
     with ad.Tape():
         losses, batch = step_losses(model, seqs[6 * seed: 6 * seed + 6], cfg, RATES, rng)
     rec = compute_metrics(0, losses, 1.0, batch, 1e-4, cfg)
+    starts = np.cumsum([0] + [x.n_real for x in batch.originals])
     # a view differs from its original only where its course corrupted it
-    for views, field in ((batch.rtd_views, "mask_positions"), (batch.std_views, "swap_positions")):
-        for x, view, plan in zip(batch.originals, views, batch.plans):
-            assert np.isin(np.flatnonzero(view.ids != x.ids), getattr(plan, field)).all()
+    for view, field in ((batch.rtd_view, "mask_positions"), (batch.std_view, "swap_positions")):
+        for x, start, plan in zip(batch.originals, starts, batch.plans):
+            differs = np.flatnonzero(view[start:start + x.n_real] != x.ids)
+            assert np.isin(differs, getattr(plan, field)).all()
     # brute force: compare the views with the originals, re-judge the rtd views
     probs = model.detection_probs_detached(
-        model.encode_discriminator(*pad_batch(batch.rtd_views)).data, "rtd")
-    kept = replaced = caught = start = 0
-    for x, view, plan in zip(batch.originals, batch.rtd_views, batch.plans):
+        model.encode_discriminator(*pad_batch(batch.rtd_view, batch.lengths)).data, "rtd")
+    kept = replaced = caught = 0
+    for x, start, plan in zip(batch.originals, starts, batch.plans):
         r = plan.mask_positions
-        is_replaced = view.ids[r] != x.ids[r]
+        is_replaced = batch.rtd_view[start + r] != x.ids[r]
         kept += len(r)
         replaced += int(is_replaced.sum())
         caught += int((probs[start + r][is_replaced] < 0.5).sum())
-        start += len(view.ids)
     swapped = sum(len(p.swap_positions) for p in batch.plans)
-    std_replaced = sum(int((v.ids != x.ids).sum()) for x, v in zip(batch.originals, batch.std_views))
-    inserted = sum(len(p.insert_positions) for p in batch.kept_plans)
+    std_replaced = int((batch.std_view != np.concatenate([x.ids for x in batch.originals])).sum())
+    inserted = sum(len(batch.plans[j].insert_positions) for j in batch.itd_kept)
     assert replaced > 0 and std_replaced > 0 and inserted > 0
     assert rec.replace_rate == replaced / kept
     assert rec.replace_accuracy == caught / replaced
@@ -504,33 +499,31 @@ def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
 
 def _one_pass_per_course(model, batch, cfg):
     """Every enabled loss, each from one encoder pass over its own course's views."""
-    def gen(views):
-        return model.encode_generator(*pad_batch(views))
+    def gen(view):
+        return model.encode_generator(*pad_batch(view, batch.lengths))
 
-    def disc(views):
-        return model.encode_discriminator(*pad_batch(views))
+    def disc(view, lengths=batch.lengths):
+        return model.encode_discriminator(*pad_batch(view, lengths))
 
     on = cfg.enabled_losses()
-    x, plans = batch.originals, batch.plans
-    losses = {"mlm": crs.loss_mlm(model, gen(batch.masked), plans, x),
-              "rtd": crs.loss_rtd(model, disc(batch.rtd_views), batch.rtd_views, x)}
+    x = batch.ids
+    losses = {"mlm": crs.loss_mlm(model, gen(batch.masked), batch),
+              "rtd": crs.loss_rtd(model, disc(batch.rtd_view), batch.rtd_view, x)}
     if "slm" in on:
-        losses["slm"] = crs.loss_slm(model, gen(batch.swapped), plans, x)
-        losses["std"] = crs.loss_std(model, disc(batch.std_views), batch.std_views, x)
+        losses["slm"] = crs.loss_slm(model, gen(batch.swapped), batch)
+        losses["std"] = crs.loss_std(model, disc(batch.std_view), batch.std_view, x)
     if "itd" in on:
-        losses["itd"] = crs.loss_itd(model, disc(batch.itd_views), batch.kept_plans)
-    for course, views, corrupted, regen, redisc in (
-            ("rtd", batch.rtd_views, "mask_positions", "re_mlm", "re_rtd"),
-            ("std", batch.std_views, "swap_positions", "re_slm", "re_std")):
-        notebooks = batch.notebooks.get(course)
+        losses["itd"] = crs.loss_itd(model, disc(batch.itd_view, batch.inserted_lengths), batch)
+    for course, view, rows, regen, redisc in (
+            ("rtd", batch.rtd_view, batch.mask_rows, "re_mlm", "re_rtd"),
+            ("std", batch.std_view, batch.swap_rows, "re_slm", "re_std")):
+        notebook = batch.notebooks.get(course)
         if regen in on:
-            built = [corr.build_regeneration(xi, getattr(p, corrupted), nb)
-                     for xi, p, nb in zip(x, plans, notebooks)]
-            losses[regen] = corr.loss_regeneration(model, gen([b[0] for b in built]), built)
+            built = corr.build_regeneration(x, rows, notebook)
+            losses[regen] = corr.loss_regeneration(model, gen(built[0]), built)
         if redisc in on:
-            built = [corr.build_rediscrimination(xi, v, nb) for xi, v, nb in zip(x, views, notebooks)]
-            losses[redisc] = corr.loss_rediscrimination(
-                model, disc([b[0] for b in built]), course, built)
+            built = corr.build_rediscrimination(x, view, notebook)
+            losses[redisc] = corr.loss_rediscrimination(model, disc(built[0]), course, built)
     return losses
 
 
@@ -618,7 +611,8 @@ def test_insert_overflow_skips_sequence(caplog):
     with caplog.at_level(logging.WARNING):
         batch = build_views([x_long, x_short], CorruptionRates(0.15, 0.15, 0.15), rng, 24)
     assert batch.itd_kept == [1]
-    assert len(batch.inserted) == 1
+    assert batch.inserted_lengths.tolist() == [batch.plans[1].extended_length]
+    assert len(batch.inserted) == batch.plans[1].extended_length
     assert "overflow" in caplog.text
     caplog.clear()
     with caplog.at_level(logging.WARNING):
@@ -636,6 +630,6 @@ def test_disabled_courses_build_no_views(corpus, caplog):
     with caplog.at_level(logging.WARNING), ad.Tape():
         losses, batch = step_losses(model, [x_long] + seqs[:3], cfg, RATES,
                                     np.random.default_rng(1))
-    assert batch.swapped == [] and batch.inserted == [] and batch.itd_kept == []
+    assert batch.swapped is None and batch.inserted.size == 0 and batch.itd_kept == []
     assert "overflow" not in caplog.text
     assert set(losses) == {"mlm", "rtd", "re_mlm", "re_rtd"}
