@@ -141,6 +141,8 @@ def load_checkpoint(path, expected_config: EncoderConfig = None, expected_vocab=
         tokens = meta["vocab"]
     except (TypeError, KeyError, ConfigError) as exc:
         raise CheckpointFormatError(f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise CheckpointFormatError(f"{path}: bad metadata (vocab must be a list of strings)")
     if expected_config is not None:
         want = config_digest(expected_config,
                              tokens if expected_vocab is None else expected_vocab.id_to_token)

@@ -82,12 +82,14 @@ def build_rediscrimination(ids, view, notebook: ConfusionNotebook):
 
 
 def loss_regeneration(model, g_hidden, regen, first_row=0):
-    """CE at pos4 only; same functional form as the first-pass cloze loss."""
-    _, targets, rows = regen
-    return cross_entropy_at(model, g_hidden, first_row + rows, targets)
+    """CE at pos4 only; same functional form as the first-pass cloze loss.
+    `g_hidden` holds the pos4 rows' hidden states from `first_row` on."""
+    _, targets, _ = regen
+    return cross_entropy_at(model, g_hidden, first_row, targets)
 
 
 def loss_rediscrimination(model, d_hidden, head, redisc, first_row=0):
-    """BCE at pos2|pos3 only, using the matching course head."""
-    _, rows, labels = redisc
-    return binary_detection_loss(model, d_hidden, head, first_row + rows, labels)
+    """BCE at pos2|pos3 only, using the matching course head. `d_hidden`
+    holds the retry rows' hidden states from `first_row` on."""
+    _, _, labels = redisc
+    return binary_detection_loss(model, d_hidden, head, first_row, labels)

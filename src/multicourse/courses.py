@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InputError
+from .errors import ConfigError, ContractError, InputError
 from .vocab import MASK_ID
 
 
@@ -119,13 +119,16 @@ def apply_insert(x: TokenSequence, plan: CorruptionPlan, max_len=None):
 
 
 def splice_generator_samples(model, view, g_hidden, rows, rng):
-    """`view` with generator samples at `rows`, drawn from the rows of `g_hidden` aligned with it.
+    """`view` with generator samples at `rows`, drawn from `g_hidden`, the
+    generator's hidden rows aligned with `rows` (row k is sampled from g_hidden[k]).
 
     Sampling reads the hidden states' values only; no gradient flows into
     the sampled token identities.
     """
+    if len(g_hidden) != len(rows):
+        raise ContractError(f"{len(g_hidden)} hidden rows for {len(rows)} sampled rows")
     out = view.copy()
-    out[rows] = sample_rows(model.lm_probs_detached(g_hidden[rows]), rng)
+    out[rows] = sample_rows(model.lm_probs_detached(g_hidden), rng)
     return out
 
 
@@ -137,18 +140,24 @@ def sample_rows(probs, rng):
     return (cdf < draws).sum(axis=-1).astype(np.int64)
 
 
-# -- losses over packed rows ---------------------------------------------------
+# -- losses over blocks of hidden rows -----------------------------------------
+# A loss reads one contiguous block of its encoder pass's output, one row per
+# target from `first_row` on: every row of a view set for rtd/std/itd, and for
+# the others the rows their pass was asked for (`rows` of `Model.encode_*`).
 
 
-def cross_entropy_at(model, g_hidden, rows, targets):
-    """Mean CE over packed rows, full-vocabulary logits from the tied head."""
-    logits = model.lm_logits(ad.gather_rows(g_hidden, rows))
+def cross_entropy_at(model, g_hidden, first_row, targets):
+    """Mean CE over the hidden rows from `first_row` on, one per target,
+    full-vocabulary logits from the tied head."""
+    block = np.arange(first_row, first_row + len(targets))
+    logits = model.lm_logits(ad.gather_rows(g_hidden, block))
     return ad.softmax_cross_entropy(logits, targets)
 
 
-def binary_detection_loss(model, d_hidden, head, rows, labels):
-    """Mean BCE with the chosen head over packed rows."""
-    logits = model.detection_logits(ad.gather_rows(d_hidden, rows), head)
+def binary_detection_loss(model, d_hidden, head, first_row, labels):
+    """Mean BCE with the chosen head over the hidden rows from `first_row` on, one per label."""
+    block = np.arange(first_row, first_row + len(labels))
+    logits = model.detection_logits(ad.gather_rows(d_hidden, block), head)
     return ad.sigmoid_bce(logits, labels)
 
 
@@ -156,13 +165,15 @@ def binary_detection_loss(model, d_hidden, head, rows, labels):
 
 
 def loss_mlm(model, g_hidden, batch, first_row=0):
-    """CE at masked rows, targets = original tokens."""
-    return cross_entropy_at(model, g_hidden, first_row + batch.mask_rows, batch.ids[batch.mask_rows])
+    """CE at masked rows, targets = original tokens; `g_hidden` holds the
+    masked rows' hidden states in `mask_rows` order from `first_row` on."""
+    return cross_entropy_at(model, g_hidden, first_row, batch.ids[batch.mask_rows])
 
 
 def loss_slm(model, g_hidden, batch, first_row=0):
-    """CE at swapped rows, targets = original tokens, same full-vocab head."""
-    return cross_entropy_at(model, g_hidden, first_row + batch.swap_rows, batch.ids[batch.swap_rows])
+    """CE at swapped rows, targets = original tokens, same full-vocab head;
+    `g_hidden` holds the swapped rows' hidden states from `first_row` on."""
+    return cross_entropy_at(model, g_hidden, first_row, batch.ids[batch.swap_rows])
 
 
 def original_labels(view, ids):
@@ -170,19 +181,14 @@ def original_labels(view, ids):
     return (view == ids).astype(np.float32)
 
 
-def _every_row_loss(model, d_hidden, head, labels, first_row):
-    """BCE with `head` over whole view sets, one label per row from `first_row` on."""
-    return binary_detection_loss(model, d_hidden, head, first_row + np.arange(len(labels)), labels)
-
-
 def loss_rtd(model, d_hidden, view, ids, first_row=0):
     """BCE with the rtd head over every row of the view."""
-    return _every_row_loss(model, d_hidden, "rtd", original_labels(view, ids), first_row)
+    return binary_detection_loss(model, d_hidden, "rtd", first_row, original_labels(view, ids))
 
 
 def loss_std(model, d_hidden, view, ids, first_row=0):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    return _every_row_loss(model, d_hidden, "std", original_labels(view, ids), first_row)
+    return binary_detection_loss(model, d_hidden, "std", first_row, original_labels(view, ids))
 
 
 def itd_labels(n_rows, insert_rows):
@@ -196,7 +202,7 @@ def loss_itd(model, d_hidden, batch):
     """BCE with the itd head over the insert views; labels are by
     construction, independent of what the generator sampled."""
     labels = itd_labels(len(batch.inserted), batch.insert_rows)
-    return _every_row_loss(model, d_hidden, "itd", labels, 0)
+    return binary_detection_loss(model, d_hidden, "itd", 0, labels)
 
 
 # -- batch assembly -----------------------------------------------------------

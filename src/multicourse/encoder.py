@@ -13,7 +13,11 @@ before the score matmul. The relative-position bias is a tape add on the
 scores; the key-padding bias (-1e9 at a grid's padded keys) is a constant
 that `ad.softmax` adds into its own buffer, so a padded key gets exactly
 zero probability and gradient. The output is the packed rows, the
-sequences' tokens in batch order. The LM head is tied to the embedding
+sequences' tokens in batch order, or only the rows a caller reads: given
+`rows`, a pass drops the sequences that hold none of them before embedding,
+and its last layer runs the output projection, the residual adds, both layer
+norms and the FFN on those rows alone, so a row nothing reads is not
+computed. The LM head is tied to the embedding
 table (plus a learnable per-vocab bias); three independent binary detection
 heads (rtd, std, itd) read the discriminator output.
 """
@@ -194,13 +198,16 @@ class Model:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode_generator(self, ids, mask, rng=None):
-        return self._encode("generator", self.config.generator_layers, ids, mask, rng)
+    def encode_generator(self, ids, mask, rng=None, rows=None):
+        return self._encode("generator", self.config.generator_layers, ids, mask, rng, rows)
 
-    def encode_discriminator(self, ids, mask, rng=None):
-        return self._encode("discriminator", self.config.discriminator_layers, ids, mask, rng)
+    def encode_discriminator(self, ids, mask, rng=None, rows=None):
+        return self._encode("discriminator", self.config.discriminator_layers, ids, mask, rng, rows)
 
-    def _encode(self, stack, layers, ids, mask, rng):
+    def _encode(self, stack, layers, ids, mask, rng, rows):
+        """The (T, h) packed real-token rows of a right-padded (ids, mask)
+        grid; given `rows`, distinct packed rows in any order, only those
+        rows, as a (len(rows), h) tensor in the order given."""
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
@@ -223,6 +230,15 @@ class Model:
         # the per-token layers run on the T real rows, in batch order; only
         # attention sees a padded grid, one per length group
         lengths = mask.sum(axis=1)
+        if rows is not None:
+            rows = ad._row_index(rows, int(lengths.sum()))
+            if not rows.size:
+                return ad.Tensor(np.zeros((0, c.hidden_size), dtype=dtype))
+            # drop the sequences holding no read row, and renumber the rows
+            kept = np.zeros(len(lengths), dtype=bool)
+            kept[np.repeat(np.arange(len(lengths)), lengths)[rows]] = True
+            rows = (np.cumsum(np.repeat(kept, lengths)) - 1)[rows]
+            ids, mask, lengths = ids[kept], mask[kept], lengths[kept]
 
         x = ad.embedding(p["embedding.word"], ids[mask.astype(bool)])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
@@ -231,19 +247,19 @@ class Model:
         grids = []
         for members, width in attention_groups(lengths):
             sub = mask[members, :width]
-            rows = np.flatnonzero(np.repeat(members, lengths))  # the group's packed rows
+            group_rows = np.flatnonzero(np.repeat(members, lengths))  # the group's packed rows
             slots = np.flatnonzero(sub)  # and their cells in its grid
             buckets = self._buckets[:width, :width]
             rel = ad.transpose(ad.embedding(p[f"{stack}.rel_bias"], buckets), (2, 0, 1))  # (H,w,w)
             # constant key-padding bias for the softmax, large negative at padded keys
             pad_bias = ((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :]
-            grids.append((rows, slots, len(sub), width, rel, pad_bias))
+            grids.append((group_rows, slots, len(sub), width, rel, pad_bias))
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
             ctx_rows = []
-            for rows, slots, g, w, rel, pad_bias in grids:
-                grid = ad.reshape(ad.scatter_rows(x, rows, slots, g * w), (g, w, c.hidden_size))
+            for group_rows, slots, g, w, rel, pad_bias in grids:
+                grid = ad.reshape(ad.scatter_rows(x, group_rows, slots, g * w), (g, w, c.hidden_size))
                 q = ad.scale(ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]), 1.0 / np.sqrt(dh))
                 k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
                 v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
@@ -253,8 +269,12 @@ class Model:
                 scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), rel)
                 attn = ad.dropout(ad.softmax(scores, pad_bias), c.dropout_rate, rng)
                 ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * w, c.hidden_size))
-                ctx_rows.append(ad.scatter_rows(ctx, slots, rows, len(x.data)))
-            proj = ad.matmul(ad.add_n(ctx_rows), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
+                ctx_rows.append(ad.scatter_rows(ctx, slots, group_rows, len(x.data)))
+            ctx = ad.add_n(ctx_rows)
+            if rows is not None and i == layers - 1:
+                # past attention every op is per row: run the last layer on the read rows
+                ctx, x = ad.gather_rows(ctx, rows), ad.gather_rows(x, rows)
+            proj = ad.matmul(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             proj = ad.dropout(proj, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])
             f = ad.gelu(ad.matmul(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))

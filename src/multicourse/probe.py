@@ -2,7 +2,8 @@
 
 Each sentence is encoded with a prepended CLS token; the discriminator runs
 in eval mode and a single logistic layer is trained on the CLS hidden
-state. The encoder stays frozen, so the probe featurizes once and fits fast.
+state. A pass computes only the CLS rows it reads. The encoder stays
+frozen, so the probe featurizes once and fits fast.
 """
 
 import numpy as np
@@ -44,8 +45,9 @@ def _featurize(model, examples, batch_size=64):
         for start in range(0, len(seqs), batch_size):
             batch = seqs[start:start + batch_size]
             lengths = np.array([len(s) for s in batch])
-            h = model.encode_discriminator(*pad_batch(np.concatenate(batch), lengths), rng=None)
-            feats.append(h.data[np.cumsum(lengths) - lengths])
+            cls_rows = np.cumsum(lengths) - lengths
+            h = model.encode_discriminator(*pad_batch(np.concatenate(batch), lengths), None, cls_rows)
+            feats.append(h.data)
     return np.concatenate(feats, axis=0)
 
 

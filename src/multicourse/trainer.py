@@ -157,11 +157,14 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     The passes, in order: mlm+slm (generator), the off-tape insert pass,
     rtd+std (discriminator), itd, then for a `corrected` batch re_mlm+re_slm
     and re_rtd+re_std from the rtd/std notebooks. A shared pass holds its
-    view sets one after another, so the second one's rows start at t; each
-    loss reads its own rows. Given an rng the step samples: generator
-    samples fill the rtd/std/itd views and the discriminator files its
-    notebooks in the batch. Without one it replays those from the batch,
-    dropout-free.
+    view sets one after another, so the second one's rows start at t. A pass
+    computes only the rows its caller reads: the generator passes the masked
+    and swapped rows, the inserted slots and pos4, the rediscrimination pass
+    the retry rows, and the rtd+std and itd passes every row. Each loss and
+    splice reads its own contiguous block of the output. Given an rng the
+    step samples: generator samples fill the rtd/std/itd views and the
+    discriminator files its notebooks in the batch. Without one it replays
+    those from the batch, dropout-free.
     """
     on = cfg.enabled_losses()
     sample = rng is not None
@@ -173,18 +176,28 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     def grid(views):
         return crs.pad_batch(np.concatenate(views), np.tile(batch.lengths, len(views)))
 
-    h = model.encode_generator(*grid([batch.masked, batch.swapped] if swap else [batch.masked]), rng)
+    def read(row_sets):
+        """View set k's rows, shifted to its place in a shared pass, and where
+        each set's block starts in the pass's output."""
+        rows = np.concatenate([k * t + r for k, r in enumerate(row_sets)])
+        return rows, np.cumsum([0] + [len(r) for r in row_sets])
+
+    rows, first = read([batch.mask_rows, batch.swap_rows] if swap else [batch.mask_rows])
+    h = model.encode_generator(*grid([batch.masked, batch.swapped] if swap else [batch.masked]),
+                               rng, rows)
     losses["mlm"] = crs.loss_mlm(model, h, batch)
     if sample:
-        batch.rtd_view = crs.splice_generator_samples(model, batch.masked, h.data, batch.mask_rows, rng)
+        batch.rtd_view = crs.splice_generator_samples(model, batch.masked, h.data[:first[1]],
+                                                      batch.mask_rows, rng)
     if swap:
-        losses["slm"] = crs.loss_slm(model, h, batch, t)
+        losses["slm"] = crs.loss_slm(model, h, batch, first[1])
         if sample:
-            batch.std_view = crs.splice_generator_samples(model, batch.swapped, h.data[t:],
+            batch.std_view = crs.splice_generator_samples(model, batch.swapped, h.data[first[1]:],
                                                           batch.swap_rows, rng)
     if sample and batch.itd_kept:
         with ad.no_tape():
-            h = model.encode_generator(*crs.pad_batch(batch.inserted, batch.inserted_lengths), rng)
+            h = model.encode_generator(*crs.pad_batch(batch.inserted, batch.inserted_lengths), rng,
+                                       batch.insert_rows)
         batch.itd_view = crs.splice_generator_samples(model, batch.inserted, h.data,
                                                       batch.insert_rows, rng)
 
@@ -206,19 +219,21 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
         return losses
 
     books = batch.notebooks
-    regen = {name: corr.build_regeneration(x, rows, books[book])
-             for name, book, rows in (("re_mlm", "rtd", batch.mask_rows),
-                                      ("re_slm", "std", batch.swap_rows)) if name in on}
+    regen = {name: corr.build_regeneration(x, corrupted, books[book])
+             for name, book, corrupted in (("re_mlm", "rtd", batch.mask_rows),
+                                           ("re_slm", "std", batch.swap_rows)) if name in on}
     if regen:
-        h = model.encode_generator(*grid([view for view, _, _ in regen.values()]), rng)
+        rows, first = read([pos4 for _, _, pos4 in regen.values()])
+        h = model.encode_generator(*grid([view for view, _, _ in regen.values()]), rng, rows)
         for k, (name, built) in enumerate(regen.items()):
-            losses[name] = corr.loss_regeneration(model, h, built, k * t)
+            losses[name] = corr.loss_regeneration(model, h, built, first[k])
     redisc = {name: corr.build_rediscrimination(x, view, books[name[3:]])
               for name, view in (("re_rtd", batch.rtd_view), ("re_std", batch.std_view)) if name in on}
     if redisc:
-        h = model.encode_discriminator(*grid([view for view, _, _ in redisc.values()]), rng)
+        rows, first = read([retry for _, retry, _ in redisc.values()])
+        h = model.encode_discriminator(*grid([view for view, _, _ in redisc.values()]), rng, rows)
         for k, (name, built) in enumerate(redisc.items()):
-            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, k * t)
+            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, first[k])
     return losses
 
 

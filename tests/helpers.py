@@ -126,4 +126,6 @@ def bad_metadata(model, tokens):
         "extra_encoder_field": json.dumps({**good, "encoder": {**good["encoder"], "depth": 3}}).encode(),
         "missing_vocab": json.dumps({"encoder": good["encoder"]}).encode(),
         "not_json": b"encoder: 16",
+        "vocab_number": json.dumps({**good, "vocab": 5}).encode(),
+        "vocab_of_numbers": json.dumps({**good, "vocab": ["[PAD]", 3]}).encode(),
     }

@@ -82,7 +82,8 @@ def test_corrupt_metadata_rejected(saved):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("case", ["extra_encoder_field", "missing_vocab", "not_json"])
+@pytest.mark.parametrize("case", ["extra_encoder_field", "missing_vocab", "not_json",
+                                  "vocab_number", "vocab_of_numbers"])
 def test_bad_metadata_raises_a_format_error_naming_the_file(saved, case, monkeypatch):
     path, model, _ = saved
     save_with_metadata(path, model, bad_metadata(model, TOKENS)[case], monkeypatch)

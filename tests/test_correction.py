@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicourse import autodiff as ad
 from multicourse.correction import (
     build_rediscrimination,
     build_regeneration,
@@ -248,14 +249,16 @@ def test_rediscrimination_empty_cells_zero_loss(tiny_model):
 
 
 def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
-    # two packed sequences of 5 and 3 tokens, read from row 8 of a shared pass
+    # two packed sequences of 5 and 3 tokens, the second view set of a shared
+    # pass, whose pos4 rows follow two other rows of the loss's hidden block
     x = seq([4, 5, 6, 7, 8, 6, 5, 4])
     view = seq([4, 9, 6, 9, 8, 6, 9, 4])
     nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9, 0.9, 0.3, 0.9])
     regen = build_regeneration(x, [1, 3, 6], nb)
     np.testing.assert_array_equal(regen[2], [1, 3, 6])
     h = tiny_model.encode_generator(*pad_batch(np.concatenate([x, regen[0]]), [5, 3, 5, 3]))
-    loss = loss_regeneration(tiny_model, h, regen, first_row=8)
+    loss = loss_regeneration(tiny_model, ad.gather_rows(h, np.r_[0, 2, 8 + regen[2]]), regen,
+                             first_row=2)
     table = tiny_model.params["embedding.word"].data
     bias = tiny_model.params["lm_head.bias"].data
     rows = [[float(np.dot(table[v], h.data[8 + p])) + float(bias[v]) for v in range(10)]
@@ -270,7 +273,7 @@ def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
     nb = classify_confusion(x, view, [0.9, 0.8, 0.2, 0.1, 0.9])
     redisc = build_rediscrimination(x, view, nb)
     h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [5]))
-    loss = loss_rediscrimination(tiny_model, h, "std", redisc=redisc)
+    loss = loss_rediscrimination(tiny_model, ad.gather_rows(h, redisc[1]), "std", redisc=redisc)
     w = tiny_model.params["head.std.w"].data
     b = float(tiny_model.params["head.std.b"].data[0])
     logits = [float(np.dot(w, h.data[p])) + b for p in redisc[1]]

@@ -27,7 +27,7 @@ from multicourse.courses import (
     splice_generator_samples,
 )
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ConfigError, InputError
+from multicourse.errors import ConfigError, ContractError, InputError
 from multicourse.vocab import MASK_ID
 
 from helpers import scalar_bce, scalar_softmax_ce
@@ -237,7 +237,7 @@ def test_splice_degenerate_distribution(tiny_model):
     tiny_model.params["lm_head.bias"].data[:] = 0.0
     tiny_model.params["lm_head.bias"].data[7] = 1e4
     view = np.array([4, 5, 6, 8, 9])  # two packed sequences, one row sampled in each
-    h = np.zeros((5, 8), dtype=np.float32)
+    h = np.zeros((2, 8), dtype=np.float32)  # the hidden rows of the two sampled rows
     out = splice_generator_samples(tiny_model, view, h, np.array([1, 3]), rng_())
     np.testing.assert_array_equal(out, [4, 7, 6, 7, 9])
     tiny_model.params["lm_head.bias"].data[:] = 0.0
@@ -245,17 +245,25 @@ def test_splice_degenerate_distribution(tiny_model):
 
 def test_splice_empty_positions_is_identity(tiny_model):
     view = np.array([4, 5, 6])
-    h = np.zeros((3, 8), dtype=np.float32)
+    h = np.zeros((0, 8), dtype=np.float32)
     out = splice_generator_samples(tiny_model, view, h, np.zeros(0, np.int64), rng_())
     np.testing.assert_array_equal(out, view)
     assert out is not view
 
 
+def test_splice_refuses_hidden_rows_not_aligned_with_its_rows(tiny_model):
+    # one hidden row for two sampled rows would otherwise broadcast one draw
+    with pytest.raises(ContractError):
+        splice_generator_samples(tiny_model, np.array([4, 5, 6]), np.zeros((1, 8), np.float32),
+                                 np.array([0, 2]), rng_())
+
+
 def test_splice_touches_only_its_positions(tiny_model):
     rng = rng_(5)
     view = np.array([4, 5, 6, 7, 8])
+    rows = np.array([1, 4])
     h = rng.normal(size=(5, 8)).astype(np.float32)
-    out = splice_generator_samples(tiny_model, view, h, np.array([1, 4]), rng)
+    out = splice_generator_samples(tiny_model, view, h[rows], rows, rng)
     untouched = [0, 2, 3]
     np.testing.assert_array_equal(out[untouched], view[untouched])
 
@@ -265,10 +273,10 @@ def test_splice_draws_what_one_sequence_at_a_time_draws(tiny_model):
     view = np.array([4, 5, 6, 7, 8, 9, 4])  # sequences of 3 and 4 rows
     h = rng.normal(size=(7, 8)).astype(np.float32)
     rows = np.array([0, 2, 4, 5])
-    pooled = splice_generator_samples(tiny_model, view, h, rows, rng_(9))
+    pooled = splice_generator_samples(tiny_model, view, h[rows], rows, rng_(9))
     draws, one_at_a_time = rng_(9), []
     for a, b, sampled in ((0, 3, [0, 2]), (3, 7, [1, 2])):
-        one_at_a_time.append(splice_generator_samples(tiny_model, view[a:b], h[a:b],
+        one_at_a_time.append(splice_generator_samples(tiny_model, view[a:b], h[a:b][sampled],
                                                       np.array(sampled), draws))
     np.testing.assert_array_equal(pooled, np.concatenate(one_at_a_time))
 
@@ -299,7 +307,7 @@ def test_loss_mlm_uniform_logits_is_ln_vocab(tiny_model):
     tiny_model.params["embedding.word"].data[:] = 0.0
     try:
         h = _hidden_for(tiny_model, [apply_mask(x.ids, plan.mask_positions)])
-        loss = loss_mlm(tiny_model, h, _batch([x], [plan]))
+        loss = loss_mlm(tiny_model, ad.gather_rows(h, plan.mask_positions), _batch([x], [plan]))
         assert abs(float(loss.data) - np.log(10)) < 1e-5
     finally:
         tiny_model.params["embedding.word"].data = saved
@@ -341,7 +349,7 @@ def test_loss_mlm_matches_enumeration_oracle(tiny_model):
     views = [apply_mask(x.ids, p.mask_positions) for x, p in zip(xs, plans)]
     np.testing.assert_array_equal(apply_mask(batch.ids, batch.mask_rows), np.concatenate(views))
     h = _hidden_for(tiny_model, views)
-    loss = loss_mlm(tiny_model, h, batch)
+    loss = loss_mlm(tiny_model, ad.gather_rows(h, batch.mask_rows), batch)
     oracle = _ce_oracle(tiny_model, h, views,
                         [p.mask_positions for p in plans],
                         [x.ids[p.mask_positions] for x, p in zip(xs, plans)])
@@ -353,7 +361,7 @@ def test_loss_slm_matches_enumeration_oracle(tiny_model):
     plans = [plan_corruption(xs[0], CorruptionRates(0, 0.4, 0), rng_(7))]
     views = [apply_swap(xs[0].ids, plans[0].swap_positions, plans[0].swap_sources)]
     h = _hidden_for(tiny_model, views)
-    loss = loss_slm(tiny_model, h, _batch(xs, plans))
+    loss = loss_slm(tiny_model, ad.gather_rows(h, plans[0].swap_positions), _batch(xs, plans))
     oracle = _ce_oracle(tiny_model, h, views,
                         [plans[0].swap_positions],
                         [xs[0].ids[plans[0].swap_positions]])

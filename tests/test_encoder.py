@@ -11,7 +11,7 @@ from multicourse.encoder import (
     relative_position_bucket,
     _bucket_matrix,
 )
-from multicourse.errors import ConfigError, InputError
+from multicourse.errors import ConfigError, ContractError, InputError
 
 from helpers import check_gradients, relative_error, fd_gradient, scalar_dot, promote_model_to_float64
 
@@ -159,6 +159,112 @@ def test_split_pass_is_deterministic_under_fixed_seed():
         other = encode(ids, mask, np.random.default_rng(6)).data
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a[:80], other[:80]) and not np.array_equal(a[80:], other[80:])
+
+
+# -- a pass computes only the rows its caller reads ----------------------------------
+
+STACKS = ["generator", "discriminator"]
+
+
+def ragged_pass(dropout=0.0):
+    """A model and a ragged batch of sequences of 70, 8, 6, 12 and 5 tokens
+    (rows 0, 70, 78, 84 and 96 on), whose pass splits into two attention groups."""
+    model = Model(tiny_config(dropout_rate=dropout, max_seq_len=70), seed=5)
+    ids, mask = padded(token_rows((70, 8, 6, 12, 5), seed=9), 70)
+    assert len(attention_groups(mask.sum(axis=1))) == 2
+    return model, ids, mask
+
+
+def read_rows(seed=0):
+    """Distinct rows in shuffled order from the first, third and last sequences
+    only: the second and fourth hold none, and the rest still split in two groups."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([rng.choice(70, 9, replace=False), 78 + rng.choice(6, 3, replace=False),
+                           [96, 100]])
+    return rng.permutation(rows)
+
+
+def weighted_sum_gradients(model, make_rows):
+    """The hidden rows `make_rows()` returns, and every parameter gradient of sum(w * h) for them."""
+    model.zero_grad()
+    with ad.Tape() as tape:
+        h = make_rows()
+        w = ad.constant(np.random.default_rng(3).normal(size=h.data.shape))
+        tape.backward(ad.tensor_sum(ad.mul(h, w)))
+    return h.data, {n: p.grad for n, p in model.params.items() if p.grad is not None}
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_a_pass_given_rows_returns_those_rows_of_the_full_pass(stack):
+    model, ids, mask = ragged_pass()
+    encode = getattr(model, f"encode_{stack}")
+    rows = read_rows()
+    full = encode(ids, mask).data
+    h = encode(ids, mask, None, rows).data
+    assert h.shape == (len(rows), 16)
+    np.testing.assert_allclose(h, full[rows], rtol=0, atol=1e-6 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_a_pass_given_rows_has_the_gradients_of_the_full_pass_read_at_them(stack):
+    model, ids, mask = ragged_pass()
+    encode = getattr(model, f"encode_{stack}")
+    rows = read_rows(1)
+    _, pruned = weighted_sum_gradients(model, lambda: encode(ids, mask, None, rows))
+    _, full = weighted_sum_gradients(model, lambda: ad.gather_rows(encode(ids, mask), rows))
+    assert set(pruned) == set(full)
+    largest = max(float(np.abs(g).max()) for g in full.values())
+    for name, g in full.items():
+        # the key bias's exact gradient is zero (the softmax ignores a shift of
+        # every score of a query), so both sides hold rounding noise alone
+        scale = largest if name.endswith(".attn.bk") else float(np.abs(g).max())
+        np.testing.assert_allclose(pruned[name], g, rtol=0, atol=1e-6 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_a_pass_given_no_rows_encodes_nothing(stack):
+    model, ids, mask = ragged_pass(dropout=0.1)
+    rng = np.random.default_rng(4)
+    with ad.Tape() as tape:
+        h = getattr(model, f"encode_{stack}")(ids, mask, rng, np.zeros(0, np.int64))
+    assert h.data.shape == (0, 16) and tape.ops == []
+    assert rng.random() == np.random.default_rng(4).random()  # no dropout mask was drawn
+
+
+@pytest.mark.parametrize("rows", [[3, 5, 3], [0, 101], [-1, 2]],
+                         ids=["repeated", "past_the_end", "negative"])
+def test_a_pass_refuses_rows_that_repeat_or_fall_outside(rows):
+    model, ids, mask = ragged_pass()
+    for encode in (model.encode_generator, model.encode_discriminator):
+        with pytest.raises(ContractError):
+            encode(ids, mask, None, np.asarray(rows))
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_a_pass_given_rows_is_deterministic_under_fixed_seed(stack):
+    model, ids, mask = ragged_pass(dropout=0.1)
+    encode = getattr(model, f"encode_{stack}")
+    rows = read_rows(2)
+    a = encode(ids, mask, np.random.default_rng(5), rows).data
+    b = encode(ids, mask, np.random.default_rng(5), rows).data
+    other = encode(ids, mask, np.random.default_rng(6), rows).data
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, other)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_a_pass_given_every_row_in_order_is_the_pass_given_none(stack):
+    # with every row read, nothing is dropped and the last layer's gathers copy
+    # its rows in order, so values, dropout draws and gradients are bit-equal
+    model, ids, mask = ragged_pass(dropout=0.1)
+    encode = getattr(model, f"encode_{stack}")
+    (h, grads), (h_every, grads_every) = (
+        weighted_sum_gradients(model, lambda: encode(ids, mask, np.random.default_rng(7), rows))
+        for rows in (None, np.arange(int(mask.sum()))))
+    np.testing.assert_array_equal(h_every, h)
+    assert set(grads_every) == set(grads)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(grads_every[name], g, err_msg=name)
 
 
 # -- length groups ---------------------------------------------------------------
