@@ -264,6 +264,29 @@ def embedding(table, ids):
     return out
 
 
+def relative_bias(table, buckets):
+    """Per-head bias table[buckets[..., q, k], h] of an (n_buckets, H) table,
+    laid out (..., H, q, k): the head axis goes before the bucket ids' last
+    two axes, as attention scores hold it. The backward sums each head's
+    gradient into its table column with one `np.bincount`."""
+    buckets = np.asarray(buckets)
+    if buckets.ndim < 2:
+        raise DimensionError(f"relative_bias needs (..., q, k) bucket ids, got {buckets.shape}")
+    # np.take copies whole (H,) rows, far faster here than fancy indexing
+    out = Tensor(np.ascontiguousarray(np.moveaxis(np.take(table.data, buckets, axis=0), -1, -3)),
+                 table.requires_grad)
+
+    def backward(g):
+        flat = buckets.reshape(-1)
+        acc = np.empty_like(table.data)
+        for h in range(acc.shape[1]):
+            acc[:, h] = np.bincount(flat, weights=g[..., h, :, :].reshape(-1), minlength=acc.shape[0])
+        table.accumulate_grad(acc)
+
+    _record(out, backward)
+    return out
+
+
 def _row_index(index, n_rows):
     """An int64 index into `n_rows` rows; a row outside them or repeated raises."""
     index = np.asarray(index, dtype=np.int64)

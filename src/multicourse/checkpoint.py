@@ -168,6 +168,4 @@ def load_checkpoint(path, expected_config: EncoderConfig = None, expected_vocab=
 
 
 def build_model(ckpt: Checkpoint) -> Model:
-    model = Model(ckpt.config, seed=0)
-    model.load_state(ckpt.params)
-    return model
+    return Model.from_state(ckpt.config, ckpt.params)

@@ -9,15 +9,19 @@ once by length where that saves the most query-key cells, if it saves at
 least MIN_SPLIT_CELLS per head (`attention_groups`); each group attends on
 its own (B_g, n_g) grid, n_g its longest member, with the top-left block of
 the model's relative-position buckets. Queries are scaled by 1/sqrt(d_head)
-before the score matmul. The relative-position bias is a tape add on the
-scores; the key-padding bias (-1e9 at a grid's padded keys) is a constant
-that `ad.softmax` adds into its own buffer, so a padded key gets exactly
-zero probability and gradient. The output is the packed rows, the
-sequences' tokens in batch order, or only the rows a caller reads: given
-`rows`, a pass drops the sequences that hold none of them before embedding,
-and its last layer runs the output projection, the residual adds, both layer
-norms and the FFN on those rows alone, so a row nothing reads is not
-computed. The LM head is tied to the embedding
+before the score matmul. The relative-position bias (`ad.relative_bias`) is a
+tape add on the scores; the key-padding bias (-1e9 at a grid's padded keys)
+is a constant that `ad.softmax` adds into its own buffer, so a padded key
+gets exactly zero probability and gradient. The output is the packed rows,
+the sequences' tokens in batch order, or only the rows a caller reads: given
+`rows`, a pass drops the sequences that hold none of them before embedding.
+Its last layer then attends from those rows alone: a group read in part
+takes its queries from its read rows, each sequence's in one row of a
+(B_g, r) query grid, r the most reads any of its sequences has, against keys
+and values over all its rows; a group read in full keeps its full grid. The
+output projection, the residual adds, both layer norms and the FFN of that
+layer run on the read rows alone, so a row nothing reads is not computed.
+The LM head is tied to the embedding
 table (plus a learnable per-vocab bias); three independent binary detection
 heads (rtd, std, itd) read the discriminator output.
 """
@@ -132,44 +136,78 @@ def relative_position_bucket(relative_position, num_buckets=NUM_REL_BUCKETS, max
     return buckets + np.where(dist < max_exact, dist, large)
 
 
+def _parameter_layout(config):
+    """Every parameter's shape and initialiser, by name in canonical order: "normal"
+    draws N(0, 0.02) from the model seed in this order, "zeros" and "ones" draw nothing."""
+    c = config
+    h = c.hidden_size
+    layout = {"embedding.word": ((c.vocab_size, h), "normal"), "lm_head.bias": ((c.vocab_size,), "zeros")}
+    for stack, layers in (("generator", c.generator_layers),
+                          ("discriminator", c.discriminator_layers)):
+        layout[f"{stack}.rel_bias"] = ((NUM_REL_BUCKETS, c.attention_heads), "normal")
+        layout[f"{stack}.embed_norm.gain"] = ((h,), "ones")
+        layout[f"{stack}.embed_norm.bias"] = ((h,), "zeros")
+        for i in range(layers):
+            p = f"{stack}.layer{i}"
+            for name in ("wq", "wk", "wv", "wo"):
+                layout[f"{p}.attn.{name}"] = ((h, h), "normal")
+            for name in ("bq", "bk", "bv", "bo"):
+                layout[f"{p}.attn.{name}"] = ((h,), "zeros")
+            layout[f"{p}.norm_attn.gain"] = ((h,), "ones")
+            layout[f"{p}.norm_attn.bias"] = ((h,), "zeros")
+            layout[f"{p}.ffn.w1"] = ((h, c.ffn_inner_size), "normal")
+            layout[f"{p}.ffn.b1"] = ((c.ffn_inner_size,), "zeros")
+            layout[f"{p}.ffn.w2"] = ((c.ffn_inner_size, h), "normal")
+            layout[f"{p}.ffn.b2"] = ((h,), "zeros")
+            layout[f"{p}.norm_ffn.gain"] = ((h,), "ones")
+            layout[f"{p}.norm_ffn.bias"] = ((h,), "zeros")
+    for head in DETECTION_HEADS:
+        layout[f"head.{head}.w"] = ((h,), "normal")
+        layout[f"head.{head}.b"] = ((1,), "zeros")
+    return layout
+
+
+def _checked_state(config, state):
+    """Float32 copies of `state`'s arrays in canonical order; an unknown, missing
+    or misshaped parameter raises InputError."""
+    layout = _parameter_layout(config)
+    unknown = sorted(set(state) - set(layout))
+    if unknown:
+        raise InputError(f"unknown parameters {', '.join(unknown)}")
+    checked = {}
+    for name, (shape, _) in layout.items():
+        if name not in state:
+            raise InputError(f"missing parameter {name}")
+        arr = np.array(state[name], dtype=np.float32)
+        if arr.shape != shape:
+            raise InputError(f"shape mismatch for {name}: {arr.shape} vs {shape}")
+        checked[name] = arr
+    return checked
+
+
 class Model:
     """Shared-embedding generator/discriminator pair with detection heads."""
 
     def __init__(self, config: EncoderConfig, seed: int = 0):
-        self.config = config
-        self.params = {}
         rng = np.random.default_rng(seed)
-        c = config
+        draw = {"normal": lambda shape: rng.normal(0, 0.02, shape), "zeros": np.zeros, "ones": np.ones}
+        self._build(config, {name: draw[init](shape)
+                             for name, (shape, init) in _parameter_layout(config).items()})
+
+    @classmethod
+    def from_state(cls, config: EncoderConfig, state):
+        """A model holding copies of `state`'s arrays, checked as `load_state`
+        checks them, with no random initialisation."""
+        model = cls.__new__(cls)
+        model._build(config, state)
+        return model
+
+    def _build(self, config, state):
+        self.config = config
         # every attention grid's relative-position buckets are its top-left block
-        self._buckets = _bucket_matrix(c.max_seq_len, NUM_REL_BUCKETS, c.max_relative_position)
-
-        self._add("embedding.word", rng.normal(0, 0.02, (c.vocab_size, c.hidden_size)))
-        self._add("lm_head.bias", np.zeros(c.vocab_size))
-        for stack, layers in (("generator", c.generator_layers),
-                              ("discriminator", c.discriminator_layers)):
-            self._add(f"{stack}.rel_bias", rng.normal(0, 0.02, (NUM_REL_BUCKETS, c.attention_heads)))
-            self._add(f"{stack}.embed_norm.gain", np.ones(c.hidden_size))
-            self._add(f"{stack}.embed_norm.bias", np.zeros(c.hidden_size))
-            for i in range(layers):
-                p = f"{stack}.layer{i}"
-                for name in ("wq", "wk", "wv", "wo"):
-                    self._add(f"{p}.attn.{name}", rng.normal(0, 0.02, (c.hidden_size, c.hidden_size)))
-                for name in ("bq", "bk", "bv", "bo"):
-                    self._add(f"{p}.attn.{name}", np.zeros(c.hidden_size))
-                self._add(f"{p}.norm_attn.gain", np.ones(c.hidden_size))
-                self._add(f"{p}.norm_attn.bias", np.zeros(c.hidden_size))
-                self._add(f"{p}.ffn.w1", rng.normal(0, 0.02, (c.hidden_size, c.ffn_inner_size)))
-                self._add(f"{p}.ffn.b1", np.zeros(c.ffn_inner_size))
-                self._add(f"{p}.ffn.w2", rng.normal(0, 0.02, (c.ffn_inner_size, c.hidden_size)))
-                self._add(f"{p}.ffn.b2", np.zeros(c.hidden_size))
-                self._add(f"{p}.norm_ffn.gain", np.ones(c.hidden_size))
-                self._add(f"{p}.norm_ffn.bias", np.zeros(c.hidden_size))
-        for head in DETECTION_HEADS:
-            self._add(f"head.{head}.w", rng.normal(0, 0.02, c.hidden_size))
-            self._add(f"head.{head}.b", np.zeros(1))
-
-    def _add(self, name, value):
-        self.params[name] = ad.Tensor(np.asarray(value, dtype=np.float32), requires_grad=True)
+        self._buckets = _bucket_matrix(config.max_seq_len, NUM_REL_BUCKETS, config.max_relative_position)
+        self.params = {name: ad.Tensor(arr, requires_grad=True)
+                       for name, arr in _checked_state(config, state).items()}
 
     # -- parameter access -------------------------------------------------
 
@@ -181,16 +219,8 @@ class Model:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, state):
-        unknown = sorted(set(state) - set(self.params))
-        if unknown:
-            raise InputError(f"unknown parameters {', '.join(unknown)}")
-        for name, p in self.params.items():
-            if name not in state:
-                raise InputError(f"missing parameter {name}")
-            arr = np.asarray(state[name], dtype=np.float32)
-            if arr.shape != p.data.shape:
-                raise InputError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.copy()
+        for name, arr in _checked_state(self.config, state).items():
+            self.params[name].data = arr
 
     def zero_grad(self):
         for p in self.params.values():
@@ -207,7 +237,9 @@ class Model:
     def _encode(self, stack, layers, ids, mask, rng, rows):
         """The (T, h) packed real-token rows of a right-padded (ids, mask)
         grid; given `rows`, distinct packed rows in any order, only those
-        rows, as a (len(rows), h) tensor in the order given."""
+        rows, as a (len(rows), h) tensor in the order given. The last layer
+        then scores only the read rows' queries of a length group that is
+        read in part, and writes every context straight to its output row."""
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
@@ -234,11 +266,18 @@ class Model:
             rows = ad._row_index(rows, int(lengths.sum()))
             if not rows.size:
                 return ad.Tensor(np.zeros((0, c.hidden_size), dtype=dtype))
+            # each read row's sequence and position in it
+            seq = np.repeat(np.arange(len(lengths)), lengths)[rows]
+            pos = rows - (np.cumsum(lengths) - lengths)[seq]
             # drop the sequences holding no read row, and renumber the rows
             kept = np.zeros(len(lengths), dtype=bool)
-            kept[np.repeat(np.arange(len(lengths)), lengths)[rows]] = True
-            rows = (np.cumsum(np.repeat(kept, lengths)) - 1)[rows]
+            kept[seq] = True
             ids, mask, lengths = ids[kept], mask[kept], lengths[kept]
+            seq = (np.cumsum(kept) - 1)[seq]
+            rows = (np.cumsum(lengths) - lengths)[seq] + pos
+            by_seq = np.argsort(seq, kind="stable")  # the reads, each sequence's together
+            out_row = np.zeros(int(lengths.sum()), dtype=np.int64)  # a read row's output row
+            out_row[rows] = np.arange(rows.size)
 
         x = ad.embedding(p["embedding.word"], ids[mask.astype(bool)])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
@@ -247,33 +286,59 @@ class Model:
         grids = []
         for members, width in attention_groups(lengths):
             sub = mask[members, :width]
+            g = len(sub)
             group_rows = np.flatnonzero(np.repeat(members, lengths))  # the group's packed rows
             slots = np.flatnonzero(sub)  # and their cells in its grid
-            buckets = self._buckets[:width, :width]
-            rel = ad.transpose(ad.embedding(p[f"{stack}.rel_bias"], buckets), (2, 0, 1))  # (H,w,w)
             # constant key-padding bias for the softmax, large negative at padded keys
             pad_bias = ((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :]
-            grids.append((group_rows, slots, len(sub), width, rel, pad_bias))
+            pruned = None
+            if rows is not None:
+                reads = by_seq[members[seq[by_seq]]]  # output rows of the group's reads
+                if reads.size < group_rows.size:
+                    # the last layer's queries are the reads alone: each sequence's
+                    # in its own row of a (g, r) grid, r the most any sequence has
+                    local = (np.cumsum(members) - 1)[seq[reads]]
+                    counts = np.bincount(local, minlength=g)
+                    r = int(counts.max())
+                    cells = local * r + np.arange(reads.size) - (np.cumsum(counts) - counts)[local]
+                    qpos = np.zeros(g * r, dtype=np.int64)
+                    qpos[cells] = pos[reads]
+                    rel = ad.relative_bias(p[f"{stack}.rel_bias"],
+                                           self._buckets[qpos, :width].reshape(g, r, width))
+                    pruned = (rows[reads], cells, reads, r, rel)  # rel is (g, H, r, w)
+            # the full grid's (H, w, w) bias, unless only a pruned last layer would read it
+            full = None if pruned is not None and layers == 1 else ad.relative_bias(
+                p[f"{stack}.rel_bias"], self._buckets[:width, :width])
+            # the last layer's (query rows, their cells, their output rows, queries
+            # per sequence, bias); a group whose every row is read keeps its full grid
+            last = pruned or (None, slots, group_rows if rows is None else out_row[group_rows],
+                              width, full)
+            grids.append((group_rows, slots, g, width, full, pad_bias, last))
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
+            final = rows is not None and i == layers - 1
             ctx_rows = []
-            for group_rows, slots, g, w, rel, pad_bias in grids:
+            for group_rows, slots, g, w, full, pad_bias, last in grids:
+                # queries from rows `src` (every row when None) into `cells` of a
+                # (g, r) grid, whose contexts go to rows `dst`
+                src, cells, dst, r, rel = last if i == layers - 1 else (None, slots, group_rows, w, full)
                 grid = ad.reshape(ad.scatter_rows(x, group_rows, slots, g * w), (g, w, c.hidden_size))
-                q = ad.scale(ad.matmul(grid, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]), 1.0 / np.sqrt(dh))
+                queries = grid if src is None else ad.scatter_rows(x, src, cells, g * r)
+                q = ad.scale(ad.matmul(queries, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]), 1.0 / np.sqrt(dh))
                 k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
                 v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
-                qh = ad.transpose(ad.reshape(q, (g, w, heads, dh)), (0, 2, 1, 3))
+                qh = ad.transpose(ad.reshape(q, (g, r, heads, dh)), (0, 2, 1, 3))
                 kh = ad.transpose(ad.reshape(k, (g, w, heads, dh)), (0, 2, 1, 3))
                 vh = ad.transpose(ad.reshape(v, (g, w, heads, dh)), (0, 2, 1, 3))
                 scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), rel)
                 attn = ad.dropout(ad.softmax(scores, pad_bias), c.dropout_rate, rng)
-                ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * w, c.hidden_size))
-                ctx_rows.append(ad.scatter_rows(ctx, slots, group_rows, len(x.data)))
+                ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * r, c.hidden_size))
+                ctx_rows.append(ad.scatter_rows(ctx, cells, dst, rows.size if final else len(x.data)))
             ctx = ad.add_n(ctx_rows)
-            if rows is not None and i == layers - 1:
+            if final:
                 # past attention every op is per row: run the last layer on the read rows
-                ctx, x = ad.gather_rows(ctx, rows), ad.gather_rows(x, rows)
+                x = ad.gather_rows(x, rows)
             proj = ad.matmul(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             proj = ad.dropout(proj, c.dropout_rate, rng)
             x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])

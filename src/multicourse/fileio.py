@@ -1,20 +1,34 @@
-"""Whole-file JSON reads, and writes that leave either the old file or the new one, never a mix."""
+"""Whole-file JSON reads, UTF-8 line reads, and writes that leave either the old
+file or the new one, never a mix."""
 
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 
 def read_json(path):
-    """The value a JSON file holds; invalid JSON raises ConfigError naming the file."""
+    """The value a JSON file holds; invalid JSON or bytes that are not UTF-8 raise
+    ConfigError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def text_lines(path):
+    """The lines of a UTF-8 text file, as iterating the open file yields them;
+    bytes that are not UTF-8 raise InputError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 @contextmanager

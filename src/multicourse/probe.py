@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .courses import pad_batch
 from .errors import InputError
+from .fileio import text_lines
 from .vocab import CLS_ID
 
 HOLDOUT_FRACTION = 0.2
@@ -19,19 +20,18 @@ HOLDOUT_FRACTION = 0.2
 def load_labeled_dataset(path, vocab, max_seq_len):
     """Read 'label<TAB>sentence' lines into (ids, label) pairs."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                label, text = line.split("\t", 1)
-                label = int(label)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: expected 'label<TAB>sentence'") from exc
-            if label not in (0, 1):
-                raise InputError(f"{path}:{lineno}: label must be 0 or 1")
-            examples.append((vocab.encode(text), label))
+    for lineno, line in enumerate(text_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            label, text = line.split("\t", 1)
+            label = int(label)
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: expected 'label<TAB>sentence'") from exc
+        if label not in (0, 1):
+            raise InputError(f"{path}:{lineno}: label must be 0 or 1")
+        examples.append((vocab.encode(text), label))
     if not examples:
         raise InputError(f"probe dataset {path} is empty")
     return [(ids[: max_seq_len - 1], label) for ids, label in examples]

@@ -21,6 +21,7 @@ from . import autodiff as ad
 from . import courses as crs
 from . import correction as corr
 from .errors import ConfigError, InputError, NonFiniteLossError
+from .fileio import text_lines
 
 log = logging.getLogger(__name__)
 
@@ -402,13 +403,12 @@ def load_corpus_sequences(path, vocab, max_seq_len, min_tokens=2):
     """Tokenize a one-sentence-per-line corpus into trainable sequences."""
     seqs = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            ids = vocab.encode(line.strip())
-            if len(ids) < min_tokens:
-                skipped += 1
-                continue
-            seqs.append(crs.TokenSequence(ids[:max_seq_len]))
+    for line in text_lines(path):
+        ids = vocab.encode(line.strip())
+        if len(ids) < min_tokens:
+            skipped += 1
+            continue
+        seqs.append(crs.TokenSequence(ids[:max_seq_len]))
     if not seqs:
         raise InputError(f"corpus {path} has no usable sentences")
     if skipped:

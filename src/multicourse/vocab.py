@@ -10,6 +10,7 @@ import re
 from collections import Counter
 
 from .errors import InputError
+from .fileio import text_lines
 
 PAD_ID = 0
 MASK_ID = 1
@@ -61,13 +62,12 @@ def build_vocab(corpus_path, max_size):
     """
     counts = Counter()
     n_lines = 0
-    with open(corpus_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            counts.update(tokenize(line))
+    for line in text_lines(corpus_path):
+        line = line.strip()
+        if not line:
+            continue
+        n_lines += 1
+        counts.update(tokenize(line))
     if n_lines == 0:
         raise InputError(f"corpus {corpus_path} is empty")
     if max_size < len(_RESERVED):

@@ -369,6 +369,39 @@ def test_embedding_backward_matches_add_at_oracle(case):
         assert missed.size > 0
 
 
+@pytest.mark.parametrize("case", ["full_grid", "query_grid"])
+def test_relative_bias_matches_a_lookup_and_an_add_at_oracle(case):
+    """Each head's bias at the bucket ids, laid out (..., H, q, k), and the
+    bincount backward against np.add.at summed in float64."""
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    table = t(rng.normal(size=(NUM_REL_BUCKETS, 4)))
+    full = _bucket_matrix(128, NUM_REL_BUCKETS, 128)
+    # the full (w, w) block, or each of 3 sequences' 5 read rows of it
+    buckets = full if case == "full_grid" else full[rng.integers(0, 128, size=(3, 5))]
+    w = rng.normal(size=buckets.shape[:-2] + (4,) + buckets.shape[-2:]).astype(np.float32)
+    with ad.Tape() as tape:
+        out = ad.relative_bias(table, buckets)
+        tape.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(w))))
+    assert out.data.shape == w.shape
+    for h in range(4):
+        np.testing.assert_array_equal(out.data[..., h, :, :], table.data[buckets, h])
+    oracle = np.zeros(table.data.shape)
+    magnitude = np.zeros(table.data.shape)
+    for h in range(4):
+        np.add.at(oracle[:, h], buckets, w[..., h, :, :].astype(np.float64))
+        np.add.at(magnitude[:, h], buckets, np.abs(w[..., h, :, :].astype(np.float64)))
+    assert table.grad.dtype == np.float32
+    # float64 sums rounded once to float32
+    assert (np.abs(table.grad - oracle) <= 1e-6 * magnitude).all()
+    missed = np.setdiff1d(np.arange(NUM_REL_BUCKETS), buckets)
+    assert (table.grad[missed] == 0.0).all()
+
+
+def test_relative_bias_needs_query_and_key_axes():
+    with pytest.raises(DimensionError):
+        ad.relative_bias(t(np.zeros((4, 2))), np.arange(3))
+
+
 def test_gather_rows_selects_and_scatters():
     x = t(np.arange(24, dtype=np.float32).reshape(8, 3))
     with ad.Tape() as tape:
@@ -496,6 +529,11 @@ def _fd_case(name):
         ids = np.array([[0, 3, 3], [2, 1, 0]])
         make = lambda ts: ad.tensor_sum(ad.mul(ad.embedding(ts["a"], ids), ts["w"]))
         w = rng.normal(size=(2, 3, 4))
+    elif name == "relative_bias":
+        tensors = {"a": t(rng.normal(size=(6, 3)))}
+        buckets = rng.integers(0, 6, size=(2, 3, 4))
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.relative_bias(ts["a"], buckets), ts["w"]))
+        w = rng.normal(size=(2, 3, 3, 4))
     else:
         raise AssertionError(name)
     if w is not None:
@@ -506,6 +544,7 @@ def _fd_case(name):
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "gelu", "softmax", "softmax_bias", "layer_norm", "transpose_reshape",
     "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
+    "relative_bias",
 ])
 def test_gradients_match_finite_differences(op_name):
     tensors, make, reference = _fd_case(op_name)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,35 @@ def test_build_model_runs_forward(saved):
         rebuilt.encode_discriminator(ids, mask).data,
         model.encode_discriminator(ids, mask).data,
     )
+
+
+def test_build_model_holds_the_checkpoints_arrays_without_a_random_init(saved, monkeypatch):
+    path, _, _ = saved
+    ckpt = load_checkpoint(path)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("build_model drew a random initialisation")
+
+    monkeypatch.setattr(Model, "__init__", no_init)
+    model = build_model(ckpt)
+    assert list(model.params) == list(ckpt.params)
+    for name, arr in ckpt.params.items():
+        data = model.params[name].data
+        assert data.dtype == np.float32 and data.tobytes() == arr.tobytes(), name
+        assert not np.shares_memory(data, arr), name
+
+
+@pytest.mark.parametrize("damage, name", [
+    ("missing", "head.itd.b"), ("extra", "extra.param"), ("misshaped", "lm_head.bias"),
+])
+def test_build_model_refuses_a_missing_extra_or_misshaped_parameter(saved, damage, name):
+    params = dict(load_checkpoint(saved[0]).params)
+    if damage == "missing":
+        del params[name]
+    else:
+        params[name] = np.zeros(9, dtype=np.float32)
+    with pytest.raises(InputError, match=name):
+        build_model(replace(load_checkpoint(saved[0]), params=params))
 
 
 def test_load_state_refuses_unknown_and_missing_names():

@@ -87,6 +87,19 @@ def test_nonexistent_config_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["config", "corpus"])
+def test_a_config_or_corpus_that_is_not_utf8_exits_1(workspace, tmp_path, capsys, bad):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes((workspace / "corpus.txt").read_bytes() + (b"\xff\n" if bad == "corpus" else b""))
+    cfg_path = tmp_path / "cfg.json"
+    save_config(tiny_overrides(tmp_path, tmp_path / "run"), cfg_path)
+    if bad == "config":
+        cfg_path.write_bytes(b"\xff")
+    assert cli(["pretrain", "--config", str(cfg_path)]) == 1
+    named = cfg_path if bad == "config" else corpus
+    assert capsys.readouterr().err.startswith(f"error: {named} is not UTF-8 text")
+
+
 def test_directory_as_config_exits_1(tmp_path, capsys):
     assert cli(["pretrain", "--config", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err

@@ -267,6 +267,35 @@ def test_a_pass_given_every_row_in_order_is_the_pass_given_none(stack):
         np.testing.assert_array_equal(grads_every[name], g, err_msg=name)
 
 
+def part_and_full_rows(seed=0):
+    """Every row of the 70-token sequence and 2 + 3 rows of the 8- and 12-token
+    ones, shuffled: once the unread sequences are dropped, the pass splits into
+    the read-in-part group of those two (width 12, at most 3 reads a sequence)
+    and the read-in-full group of the long one."""
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.arange(70), 70 + rng.choice(8, 2, replace=False),
+                           84 + rng.choice(12, 3, replace=False)])
+    return rng.permutation(rows)
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_the_last_layer_attends_from_the_read_rows_of_a_group_read_in_part(stack, monkeypatch):
+    model, ids, mask = ragged_pass()
+    heads = model.config.attention_heads
+    shapes = []
+    softmax = ad.softmax
+
+    def spy(x, bias=None):
+        shapes.append(x.data.shape)
+        return softmax(x, bias)
+
+    monkeypatch.setattr(ad, "softmax", spy)
+    getattr(model, f"encode_{stack}")(ids, mask, None, part_and_full_rows())
+    full_grids = [(2, heads, 12, 12), (1, heads, 70, 70)]
+    earlier = full_grids * (getattr(model.config, f"{stack}_layers") - 1)
+    assert shapes == earlier + [(2, heads, 3, 12), (1, heads, 70, 70)]
+
+
 # -- length groups ---------------------------------------------------------------
 
 
@@ -478,16 +507,18 @@ def test_rtd_only_gradient_leaves_other_heads_untouched(model):
 # -- end-to-end gradient check through a tiny encoder -----------------------------
 
 
-def _encoder_fd_failures(cfg, ids, mask, lm_rows, lm_targets, labels, seed=4):
-    """(name, index, analytic, fd) for 20 sampled parameter entries whose float32
-    gradient misses the float64 central difference by more than 1e-3."""
+def _encoder_fd_failures(cfg, ids, mask, lm_rows, lm_targets, labels, seed=4, rows=None, extra=()):
+    """(name, index, analytic, fd) for 20 sampled parameter entries, and one
+    entry of each parameter named in `extra`, whose float32 gradient misses the
+    float64 central difference by more than 1e-3. Both passes are given `rows`,
+    which `lm_rows` and `labels` then index."""
     model32 = Model(cfg, seed=seed)
     model64 = promote_model_to_float64(Model(cfg, seed=seed))
 
     def loss_on(model):
-        h = model.encode_generator(ids, mask)
+        h = model.encode_generator(ids, mask, None, rows)
         ce = ad.softmax_cross_entropy(model.lm_logits(ad.gather_rows(h, lm_rows)), lm_targets)
-        hd = model.encode_discriminator(ids, mask)
+        hd = model.encode_discriminator(ids, mask, None, rows)
         bce = ad.sigmoid_bce(model.detection_logits(hd, "rtd"), labels)
         return ad.add(ce, bce)
 
@@ -497,10 +528,9 @@ def _encoder_fd_failures(cfg, ids, mask, lm_rows, lm_targets, labels, seed=4):
 
     rng = np.random.default_rng(12)
     names = [n for n, p in model32.params.items() if p.grad is not None]
-    picked = rng.choice(len(names), size=20, replace=False)
+    picked = [names[j] for j in rng.choice(len(names), size=20, replace=False)] + list(extra)
     failures = []
-    for j in picked:
-        name = names[j]
+    for name in picked:
         p32, p64 = model32.params[name], model64.params[name]
         idx = np.unravel_index(rng.integers(p32.data.size), p32.data.shape)
         fd = fd_gradient(lambda: loss_on(model64), p64, idx)
@@ -525,4 +555,20 @@ def test_two_group_encoder_gradients_match_finite_differences():
     labels = np.random.default_rng(8).integers(0, 2, size=84)
     failures = _encoder_fd_failures(tiny_config(dropout_rate=0.0, max_seq_len=70), ids, mask,
                                     lm_rows, ids[mask == 1][lm_rows], labels)
+    assert failures == [], failures
+
+
+def test_pruned_encoder_gradients_match_finite_differences():
+    # the short group is read in part and the long one in full, in shuffled order
+    _, ids, mask = ragged_pass()
+    rows = part_and_full_rows(1)
+    lm_rows = [0, 3, 70, 71, 74]
+    labels = np.random.default_rng(8).integers(0, 2, size=len(rows))
+    # the parameters the query grid reads: the relative bias and the last layers' queries
+    extra = (("generator.rel_bias",) * 4 + ("discriminator.rel_bias",) * 4
+             + ("generator.layer0.attn.wq", "generator.layer0.attn.bq",
+                "discriminator.layer1.attn.wq", "discriminator.layer1.attn.bq"))
+    failures = _encoder_fd_failures(tiny_config(dropout_rate=0.0, max_seq_len=70), ids, mask,
+                                    lm_rows, ids[mask == 1][rows[lm_rows]], labels,
+                                    rows=rows, extra=extra)
     assert failures == [], failures
