@@ -340,25 +340,33 @@ def scatter_rows(x, src, dst, n_rows):
     return out
 
 
+def _softmax_rows(s):
+    """Shift-stabilized softmax over the last axis of `s`, in place."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_grad(g, p, out=None):
+    """The gradient (g - sum(g * p)) * p reaching a softmax's input from the
+    gradient g of its output p, written into `out` when given (it may be g)."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    gx = np.subtract(g, dot, out=out)
+    gx *= p
+    return gx
+
+
 def softmax(x, bias=None):
     """Row softmax over the last axis, shift-stabilized. A constant `bias`
     array (no gradient), broadcast against x, is added into the output
     buffer first: a large negative bias, such as a key-padding mask, gives
     its entries an exact-zero probability and gradient."""
-    if bias is None:
-        s = x.data - x.data.max(axis=-1, keepdims=True)
-    else:
-        s = x.data + bias
-        s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = _softmax_rows(x.data.copy() if bias is None else x.data + bias)
     out = Tensor(s, x.requires_grad)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        gx = g - dot
-        gx *= s
-        x.accumulate_grad(gx)
+        x.accumulate_grad(_softmax_grad(g, s))
 
     _record(out, backward)
     return out
@@ -441,17 +449,100 @@ def dropout(x, rate, rng):
     """
     if rng is None or rate == 0.0:
         return x
-    cut = min(round(rate * 65536), 65535)
-    keep = rng.integers(0, 65536, x.data.shape, dtype=np.uint16) >= cut
+    keep = _keep_mask(x.data.shape, rate, rng)
     s = x.data.dtype.type(1.0 / (1.0 - rate))
-    y = x.data * s
-    y *= keep
-    out = Tensor(y, x.requires_grad)
+    out = Tensor(_dropped(x.data, keep, s), x.requires_grad)
 
     def backward(g):
-        gx = g * s
-        gx *= keep
-        x.accumulate_grad(gx)
+        x.accumulate_grad(_dropped(g, keep, s))
+
+    _record(out, backward)
+    return out
+
+
+def _keep_mask(shape, rate, rng):
+    """Dropout's bool keep mask: a uniform 16-bit draw per element from `rng`,
+    kept when at least cut = min(round(rate * 65536), 65535)."""
+    cut = min(round(rate * 65536), 65535)
+    return rng.integers(0, 65536, shape, dtype=np.uint16) >= cut
+
+
+def _dropped(x, keep, s, out=None):
+    """x * s with the dropped elements zeroed, written into `out` when given
+    (it may be x); the same arithmetic maps a gradient back through dropout."""
+    y = np.multiply(x, s, out=out)
+    y *= keep
+    return y
+
+
+def attention(q, k, v, bias, pad_bias, heads, rate, rng):
+    """Multi-head scaled dot-product attention with additive biases and
+    attention dropout, as one tape op.
+
+    k and v are (g, w, h) key and value grids. q holds g * r query rows of
+    width h, each group's r together: a (g, r, h) grid or (g * r, h) rows.
+    The heads are views of width h / heads, and q is scaled by
+    1 / sqrt(h / heads). The (g, heads, r, w) scores get the tensor `bias`
+    and then the constant array `pad_bias` (in q's dtype), both broadcast,
+    added in place; a large negative `pad_bias` at a padded key gives it an
+    exact-zero probability and gradient. The softmax runs in that buffer,
+    dropout draws `dropout`'s 16-bit mask, and the (g * r, h) context rows
+    come back with the heads merged.
+
+    The op keeps only the softmax and the bool keep mask for its backward,
+    which rebuilds the dropped attention from them. Its arithmetic is that of
+    `scale`, `reshape`, `transpose`, batched `matmul`, `add`, `softmax` and
+    `dropout` chained, in the same order, so both give the same bits.
+    """
+    g, w, h = k.data.shape if k.data.ndim == 3 else (0, 0, 0)
+    if (not g or v.data.shape != k.data.shape or q.data.ndim not in (2, 3)
+            or q.data.shape[-1] != h or heads < 1 or h % heads
+            or q.data.shape[0] % g or (q.data.ndim == 3 and q.data.shape[0] != g)):
+        raise DimensionError(f"attention shapes incompatible: q {q.data.shape}, k {k.data.shape}, "
+                             f"v {v.data.shape}, {heads} heads")
+    r, dh = q.data.size // (g * h), h // heads
+    s = q.data.dtype.type(1.0 / np.sqrt(dh))
+
+    def split(x, n):  # (g, n, h) data as (g, heads, n, dh) views
+        return x.reshape(g, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, shape):  # the inverse of split, into a new array of `shape`
+        return x.transpose(0, 2, 1, 3).reshape(shape)
+
+    kh, vh = split(k.data, w), split(v.data, w)
+    p = split(q.data * s, r) @ kh.swapaxes(-1, -2)
+    p += bias.data
+    p += pad_bias
+    _softmax_rows(p)
+    keep = None
+    if rng is not None and rate != 0.0:
+        keep = _keep_mask(p.shape, rate, rng)
+        d = p.dtype.type(1.0 / (1.0 - rate))
+    attn = p if keep is None else _dropped(p, keep, d)
+    out = Tensor(merge(attn @ vh, (g * r, h)),
+                 q.requires_grad or k.requires_grad or v.requires_grad or bias.requires_grad)
+
+    def backward(grad):
+        gc = split(grad, r)
+        if v.requires_grad:
+            attn = p if keep is None else _dropped(p, keep, d)
+            v.accumulate_grad(merge(attn.swapaxes(-1, -2) @ gc, v.data.shape))
+            del attn  # one grid-sized array at a time beside the softmax
+        if not (q.requires_grad or k.requires_grad or bias.requires_grad):
+            return
+        gs = gc @ vh.swapaxes(-1, -2)
+        if keep is not None:
+            _dropped(gs, keep, d, out=gs)
+        _softmax_grad(gs, p, out=gs)
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(gs, bias.data.shape))
+        if q.requires_grad:
+            gq = merge(gs @ kh, q.data.shape)
+            gq *= s
+            q.accumulate_grad(gq)
+        if k.requires_grad:
+            qt = split(q.data * s, r).swapaxes(-1, -2)
+            k.accumulate_grad((qt @ gs).transpose(0, 3, 1, 2).reshape(k.data.shape))
 
     _record(out, backward)
     return out

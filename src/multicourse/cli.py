@@ -14,7 +14,7 @@ from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
-from .fileio import atomic_open, read_json
+from .fileio import atomic_open, read_json, text_lines
 from .runconfig import parse_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
@@ -132,6 +132,8 @@ def cmd_soup(args):
     if args.mode == "uniform" and args.weights:
         raise ConfigError("--weights sets the weights of --mode weighted; --mode uniform takes none")
     manifest = soups.load_manifest(args.manifest)
+    if not manifest.runs:
+        raise ConfigError(f"{args.manifest}: the manifest lists no runs to merge")
     seeds = sorted({run.seed for run in manifest.runs})
     if len(seeds) > 1:
         # weights from different initialisations do not average into one model
@@ -169,8 +171,7 @@ def cmd_export_metrics(args):
     src = Path(args.run) / "metrics.csv"
     if not src.exists():
         raise InputError(f"{src} does not exist")
-    with open(src, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(text_lines(src)))
     if not rows or tuple(rows[0]) != METRICS_COLUMNS:
         raise InputError(f"{src} does not carry the documented metrics schema")
     for step, row in enumerate(rows[1:]):

@@ -8,11 +8,13 @@ residual adds, both layer norms, the FFN and the dropouts run on those
 once by length where that saves the most query-key cells, if it saves at
 least MIN_SPLIT_CELLS per head (`attention_groups`); each group attends on
 its own (B_g, n_g) grid, n_g its longest member, with the top-left block of
-the model's relative-position buckets. Queries are scaled by 1/sqrt(d_head)
-before the score matmul. The relative-position bias (`ad.relative_bias`) is a
-tape add on the scores; the key-padding bias (-1e9 at a grid's padded keys)
-is a constant that `ad.softmax` adds into its own buffer, so a padded key
-gets exactly zero probability and gradient. The output is the packed rows,
+the model's relative-position buckets. A group's attention, from splitting
+the heads to merging the context, is one `ad.attention` op: it scales the
+queries by 1/sqrt(d_head) and adds the relative-position bias
+(`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
+grid's padded keys) to the scores in place, so a padded key gets exactly
+zero probability and gradient. It keeps only the softmax and the dropout
+mask for its backward. The output is the packed rows,
 the sequences' tokens in batch order, or only the rows a caller reads: given
 `rows`, a pass drops the sequences that hold none of them before embedding.
 Its last layer then attends from those rows alone: a group read in part
@@ -256,7 +258,6 @@ class Model:
             raise InputError("attention mask rows must be right-padded: ones, then zeros")
 
         c = self.config
-        heads, dh = c.attention_heads, c.hidden_size // c.attention_heads
         p = self.params
         dtype = p["embedding.word"].data.dtype
         # the per-token layers run on the T real rows, in batch order; only
@@ -325,15 +326,10 @@ class Model:
                 src, cells, dst, r, rel = last if i == layers - 1 else (None, slots, group_rows, w, full)
                 grid = ad.reshape(ad.scatter_rows(x, group_rows, slots, g * w), (g, w, c.hidden_size))
                 queries = grid if src is None else ad.scatter_rows(x, src, cells, g * r)
-                q = ad.scale(ad.matmul(queries, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"]), 1.0 / np.sqrt(dh))
+                q = ad.matmul(queries, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
                 k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
                 v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
-                qh = ad.transpose(ad.reshape(q, (g, r, heads, dh)), (0, 2, 1, 3))
-                kh = ad.transpose(ad.reshape(k, (g, w, heads, dh)), (0, 2, 1, 3))
-                vh = ad.transpose(ad.reshape(v, (g, w, heads, dh)), (0, 2, 1, 3))
-                scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), rel)
-                attn = ad.dropout(ad.softmax(scores, pad_bias), c.dropout_rate, rng)
-                ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * r, c.hidden_size))
+                ctx = ad.attention(q, k, v, rel, pad_bias, c.attention_heads, c.dropout_rate, rng)
                 ctx_rows.append(ad.scatter_rows(ctx, cells, dst, rows.size if final else len(x.data)))
             ctx = ad.add_n(ctx_rows)
             if final:

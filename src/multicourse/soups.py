@@ -96,6 +96,12 @@ def load_manifest(path) -> SweepManifest:
         raise ConfigError(f"{path}: unknown manifest keys: {sorted(unknown)}")
     if "config" not in raw:
         raise ConfigError(f"{path}: missing manifest key 'config'")
+
+    def text(value, what):
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: {what} is {value!r}, not a string")
+        return value
+
     entries = raw.get("runs", [])
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise ConfigError(f"{path}: 'runs' must be a list of JSON objects")
@@ -107,16 +113,22 @@ def load_manifest(path) -> SweepManifest:
         missing = {"name", "losses", "checkpoint"} - set(entry)
         if missing:
             raise ConfigError(f"{path}: run {len(runs)} misses keys {sorted(missing)}")
-        seed, score = entry.get("seed", 0), entry.get("score")
+        name = text(entry["name"], f"run {len(runs)}'s name")
+        checkpoint = text(entry["checkpoint"], f"run {name!r}'s checkpoint")
+        losses, seed, score = entry["losses"], entry.get("seed", 0), entry.get("score")
+        if not (isinstance(losses, list) and all(isinstance(loss, str) for loss in losses)):
+            raise ConfigError(f"{path}: run {name!r} has losses {losses!r}, not a list of strings")
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"{path}: run {entry['name']!r} has seed {seed!r}, "
+            raise ConfigError(f"{path}: run {name!r} has seed {seed!r}, "
                               f"not a nonnegative integer")
         if score is not None and (isinstance(score, bool) or not isinstance(score, (int, float))):
-            raise ConfigError(f"{path}: run {entry['name']!r} has score {score!r}, not a number")
-        runs.append(SweepRun(name=entry["name"], losses=tuple(entry["losses"]), seed=seed,
-                             checkpoint=entry["checkpoint"], score=score))
-    manifest = SweepManifest(config_path=raw["config"], output_dir=raw.get("output_dir", "."),
-                             runs=runs, probe_data=raw.get("probe_data"))
+            raise ConfigError(f"{path}: run {name!r} has score {score!r}, not a number")
+        runs.append(SweepRun(name=name, losses=tuple(losses), seed=seed,
+                             checkpoint=checkpoint, score=score))
+    probe_data = raw.get("probe_data")
+    manifest = SweepManifest(config_path=text(raw["config"], "'config'"),
+                             output_dir=text(raw.get("output_dir", "."), "'output_dir'"), runs=runs,
+                             probe_data=None if probe_data is None else text(probe_data, "'probe_data'"))
     manifest.validate()
     return manifest
 

@@ -457,6 +457,94 @@ def test_matmul_bias_on_a_batched_right_operand_is_refused():
         ad.matmul(t(np.ones((2, 3, 4))), t(np.ones((2, 4, 5))), t(np.zeros(5)))
 
 
+# -- attention ------------------------------------------------------------------
+
+
+def _attention_chain(q, k, v, bias, pad_bias, heads, rate, rng):
+    """The op chain `ad.attention` fuses, one tape op per step."""
+    g, w, h = k.data.shape
+    r, dh = q.data.size // (g * h), h // heads
+
+    def split(x, n):
+        return ad.transpose(ad.reshape(x, (g, n, heads, dh)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(ad.scale(q, 1.0 / np.sqrt(dh)), r), split(k, w), split(v, w)
+    scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), bias)
+    attn = ad.dropout(ad.softmax(scores, pad_bias), rate, rng)
+    return ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * r, h))
+
+
+def _attention_inputs(case, dtype, seed=0):
+    """(q, k, v, bias, pad_bias) leaves for 3 groups of width 7, 12 wide in 3 heads:
+    a padded full grid with one (H, w, w) bias shared by the groups, or 4
+    queries a group, as a (g, r, h) grid or as (g * r, h) rows, with a
+    (g, H, r, w) bias."""
+    rng = np.random.default_rng(seed)
+    g, w, h, heads = 3, 7, 12, 3
+    r = w if case == "padded_full_grid" else 4
+    q_shape = {"query_rows": (g * r, h)}.get(case, (g, r, h))
+    bias_shape = (heads, w, w) if case == "padded_full_grid" else (g, heads, r, w)
+    leaf = lambda shape: ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    q, k, v, bias = leaf(q_shape), leaf((g, w, h)), leaf((g, w, h)), leaf(bias_shape)
+    lengths = np.array([7, 3, 5])
+    pad_bias = ((np.arange(w) < lengths[:, None]).astype(dtype) - 1.0) * 1e9
+    return q, k, v, bias, pad_bias[:, None, None, :], heads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.0])
+@pytest.mark.parametrize("case", ["padded_full_grid", "query_grid", "query_rows"])
+def test_attention_is_the_op_chain_it_fuses_bit_for_bit(case, rate, dtype):
+    results = []
+    for attend in (ad.attention, _attention_chain):
+        q, k, v, bias, pad_bias, heads = _attention_inputs(case, dtype)
+        weights = ad.Tensor(np.random.default_rng(1).normal(size=(q.data.size // 12, 12)).astype(dtype))
+        rng = np.random.default_rng(2)
+        with ad.Tape() as tape:
+            out = attend(q, k, v, bias, pad_bias, heads, rate, rng)
+            tape.backward(ad.tensor_sum(ad.mul(out, weights)))
+        results.append((out.data, q.grad, k.grad, v.grad, bias.grad, rng.random()))
+    (fused, *fused_grads, fused_next), (chain, *chain_grads, chain_next) = results
+    assert fused.dtype == dtype and fused.shape == (fused.size // 12, 12)
+    np.testing.assert_array_equal(fused, chain)
+    for name, got, want in zip("q k v bias".split(), fused_grads, chain_grads):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert fused_next == chain_next  # both drew the same dropout mask
+    # a padded key gets no gradient; with 3 of 7 keys real, group 1 pads 4
+    np.testing.assert_array_equal(fused_grads[1][1, 3:], 0.0)
+    np.testing.assert_array_equal(fused_grads[2][1, 3:], 0.0)
+
+
+def test_attention_keeps_only_the_softmax_and_the_keep_mask_for_its_backward():
+    q, k, v, bias, pad_bias, heads = _attention_inputs("padded_full_grid", np.float32)
+    with ad.Tape() as tape:
+        ad.attention(q, k, v, bias, pad_bias, heads, 0.1, np.random.default_rng(3))
+    backward = tape.ops[-1].backward
+    arrays = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    inputs = [x.data for x in (q, k, v, bias)]
+    owned = [a for a in arrays if not any(np.shares_memory(a, x) for x in inputs)]
+    assert sorted((a.dtype.name, a.shape) for a in owned) == [("bool", (3, 3, 7, 7)),
+                                                              ("float32", (3, 3, 7, 7))]
+
+
+@pytest.mark.parametrize("shapes, heads", [
+    (((3, 4, 6), (3, 4), (3, 4, 6)), 2),
+    (((3, 4, 6), (3, 4, 6), (3, 5, 6)), 2),
+    (((3, 4, 8), (3, 4, 6), (3, 4, 6)), 2),
+    (((3, 4, 6), (3, 4, 6), (3, 4, 6)), 4),
+    (((2, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
+    (((10, 6), (3, 4, 6), (3, 4, 6)), 2),
+    (((1, 3, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
+    (((0, 6), (0, 4, 6), (0, 4, 6)), 2),
+], ids=["k_2d", "v_width", "q_width", "heads_split_h", "q_groups", "q_rows", "q_4d", "no_groups"])
+def test_attention_refuses_mismatched_shapes(shapes, heads):
+    q, k, v = (t(np.zeros(s)) for s in shapes)
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, t(np.zeros((heads, 4, 4))), np.zeros((1, 1, 1, 4), np.float32),
+                     heads, 0.0, None)
+
+
 # -- finite-difference checks on every differentiable op ------------------------
 
 
@@ -529,6 +617,16 @@ def _fd_case(name):
         ids = np.array([[0, 3, 3], [2, 1, 0]])
         make = lambda ts: ad.tensor_sum(ad.mul(ad.embedding(ts["a"], ids), ts["w"]))
         w = rng.normal(size=(2, 3, 4))
+    elif name == "attention":
+        # a (g, r, h) query grid against 2 groups of 5 keys, 3 and 5 of them real,
+        # one (H, r, w) bias shared by the groups, dropout from a re-seeded rng
+        tensors = {"a": t(rng.normal(size=(2, 3, 4))), "k": t(rng.normal(size=(2, 5, 4))),
+                   "v": t(rng.normal(size=(2, 5, 4))), "bias": t(rng.normal(size=(2, 3, 5)))}
+        pad_bias = np.zeros((2, 1, 1, 5), dtype=np.float32)
+        pad_bias[0, ..., 3:] = -1e9
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.attention(
+            ts["a"], ts["k"], ts["v"], ts["bias"], pad_bias, 2, 0.3, np.random.default_rng(8)), ts["w"]))
+        w = rng.normal(size=(6, 4))
     elif name == "relative_bias":
         tensors = {"a": t(rng.normal(size=(6, 3)))}
         buckets = rng.integers(0, 6, size=(2, 3, 4))
@@ -544,7 +642,7 @@ def _fd_case(name):
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "gelu", "softmax", "softmax_bias", "layer_norm", "transpose_reshape",
     "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
-    "relative_bias",
+    "relative_bias", "attention",
 ])
 def test_gradients_match_finite_differences(op_name):
     tensors, make, reference = _fd_case(op_name)

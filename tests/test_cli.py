@@ -145,6 +145,16 @@ def test_export_metrics_missing_run_exits_1(tmp_path):
     assert cli(["export-metrics", "--run", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_export_metrics_on_a_file_that_is_not_utf8_exits_1(run1, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "metrics.csv").write_bytes((run1[0] / "metrics.csv").read_bytes() + b"\xff\n")
+    out = tmp_path / "copy.csv"
+    assert cli(["export-metrics", "--run", str(run_dir), "--out", str(out)]) == 1
+    assert f"error: {run_dir / 'metrics.csv'} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_cli_runs(workspace, run1, capsys):
     ckpt = run1[0] / "checkpoint_final.bin"
     data = workspace / "probe.tsv"
@@ -312,6 +322,16 @@ def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
     mpath.write_text(text, encoding="utf-8")
     assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform"]) == 1
     assert f"error: {mpath}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["uniform", "weighted"])
+def test_soup_on_a_manifest_with_no_runs_exits_1(tmp_path, capsys, mode):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text('{"config": "c.json", "output_dir": "out", "runs": []}', encoding="utf-8")
+    out = tmp_path / "soup.bin"
+    assert cli(["soup", "--manifest", str(mpath), "--mode", mode, "--out", str(out)]) == 1
+    assert f"error: {mpath}: the manifest lists no runs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_runs_all_manifest_entries(workspace, tmp_path, capsys):

@@ -283,13 +283,14 @@ def test_the_last_layer_attends_from_the_read_rows_of_a_group_read_in_part(stack
     model, ids, mask = ragged_pass()
     heads = model.config.attention_heads
     shapes = []
-    softmax = ad.softmax
+    attention = ad.attention
 
-    def spy(x, bias=None):
-        shapes.append(x.data.shape)
-        return softmax(x, bias)
+    def spy(q, k, v, *args):
+        g, w, h = k.data.shape  # the scores grid is (g, H, r, w)
+        shapes.append((g, heads, q.data.size // (g * h), w))
+        return attention(q, k, v, *args)
 
-    monkeypatch.setattr(ad, "softmax", spy)
+    monkeypatch.setattr(ad, "attention", spy)
     getattr(model, f"encode_{stack}")(ids, mask, None, part_and_full_rows())
     full_grids = [(2, heads, 12, 12), (1, heads, 70, 70)]
     earlier = full_grids * (getattr(model.config, f"{stack}_layers") - 1)
