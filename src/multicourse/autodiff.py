@@ -340,14 +340,6 @@ def scatter_rows(x, src, dst, n_rows):
     return out
 
 
-def _softmax_rows(s):
-    """Shift-stabilized softmax over the last axis of `s`, in place."""
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
 def _softmax_grad(g, p, out=None):
     """The gradient (g - sum(g * p)) * p reaching a softmax's input from the
     gradient g of its output p, written into `out` when given (it may be g)."""
@@ -362,7 +354,13 @@ def softmax(x, bias=None):
     array (no gradient), broadcast against x, is added into the output
     buffer first: a large negative bias, such as a key-padding mask, gives
     its entries an exact-zero probability and gradient."""
-    s = _softmax_rows(x.data.copy() if bias is None else x.data + bias)
+    if bias is None:
+        s = x.data - x.data.max(axis=-1, keepdims=True)
+    else:
+        s = x.data + bias
+        s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s, x.requires_grad)
 
     def backward(g):
@@ -482,25 +480,29 @@ def attention(q, k, v, bias, pad_bias, heads, rate, rng):
     k and v are (g, w, h) key and value grids. q holds g * r query rows of
     width h, each group's r together: a (g, r, h) grid or (g * r, h) rows.
     The heads are views of width h / heads, and q is scaled by
-    1 / sqrt(h / heads). The (g, heads, r, w) scores get the tensor `bias`
-    and then the constant array `pad_bias` (in q's dtype), both broadcast,
-    added in place; a large negative `pad_bias` at a padded key gives it an
-    exact-zero probability and gradient. The softmax runs in that buffer,
-    dropout draws `dropout`'s 16-bit mask, and the (g * r, h) context rows
-    come back with the heads merged.
+    1 / sqrt(h / heads). The tensor `bias` is added in place to the
+    (g, heads, r, w) scores, and `softmax` adds the constant array `pad_bias`
+    (in q's dtype) into its own buffer, both broadcast: a large negative
+    `pad_bias` at a padded key gives it an exact-zero probability and
+    gradient. Dropout draws `dropout`'s 16-bit mask, and the (g * r, h)
+    context rows come back with the heads merged. No groups (g = 0) give
+    (0, h) rows.
 
     The op keeps only the softmax and the bool keep mask for its backward,
     which rebuilds the dropped attention from them. Its arithmetic is that of
     `scale`, `reshape`, `transpose`, batched `matmul`, `add`, `softmax` and
     `dropout` chained, in the same order, so both give the same bits.
     """
-    g, w, h = k.data.shape if k.data.ndim == 3 else (0, 0, 0)
-    if (not g or v.data.shape != k.data.shape or q.data.ndim not in (2, 3)
+    if k.data.ndim != 3:
+        raise DimensionError(f"attention keys must be a (g, w, h) grid, got {k.data.shape}")
+    g, w, h = k.data.shape
+    if (v.data.shape != k.data.shape or q.data.ndim not in (2, 3)
             or q.data.shape[-1] != h or heads < 1 or h % heads
-            or q.data.shape[0] % g or (q.data.ndim == 3 and q.data.shape[0] != g)):
+            or (q.data.shape[0] % g if g else q.data.shape[0])
+            or (q.data.ndim == 3 and q.data.shape[0] != g)):
         raise DimensionError(f"attention shapes incompatible: q {q.data.shape}, k {k.data.shape}, "
                              f"v {v.data.shape}, {heads} heads")
-    r, dh = q.data.size // (g * h), h // heads
+    r, dh = q.data.size // (g * h) if g * h else 0, h // heads
     s = q.data.dtype.type(1.0 / np.sqrt(dh))
 
     def split(x, n):  # (g, n, h) data as (g, heads, n, dh) views
@@ -512,8 +514,9 @@ def attention(q, k, v, bias, pad_bias, heads, rate, rng):
     kh, vh = split(k.data, w), split(v.data, w)
     p = split(q.data * s, r) @ kh.swapaxes(-1, -2)
     p += bias.data
-    p += pad_bias
-    _softmax_rows(p)
+    # the public op on an untaped tensor, so a trace that wraps autodiff's ops
+    # still times every attention softmax; its new buffer replaces the scores
+    p = softmax(Tensor(p), pad_bias).data
     keep = None
     if rng is not None and rate != 0.0:
         keep = _keep_mask(p.shape, rate, rng)

@@ -12,9 +12,9 @@ the model's relative-position buckets. A group's attention, from splitting
 the heads to merging the context, is one `ad.attention` op: it scales the
 queries by 1/sqrt(d_head) and adds the relative-position bias
 (`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
-grid's padded keys) to the scores in place, so a padded key gets exactly
-zero probability and gradient. It keeps only the softmax and the dropout
-mask for its backward. The output is the packed rows,
+grid's padded keys) to the scores, so a padded key gets exactly zero
+probability and gradient. It keeps only the softmax and the dropout mask
+for its backward. The output is the packed rows,
 the sequences' tokens in batch order, or only the rows a caller reads: given
 `rows`, a pass drops the sequences that hold none of them before embedding.
 Its last layer then attends from those rows alone: a group read in part

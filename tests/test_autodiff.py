@@ -536,8 +536,9 @@ def test_attention_keeps_only_the_softmax_and_the_keep_mask_for_its_backward():
     (((2, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
     (((10, 6), (3, 4, 6), (3, 4, 6)), 2),
     (((1, 3, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
-    (((0, 6), (0, 4, 6), (0, 4, 6)), 2),
-], ids=["k_2d", "v_width", "q_width", "heads_split_h", "q_groups", "q_rows", "q_4d", "no_groups"])
+    (((2, 6), (0, 4, 6), (0, 4, 6)), 2),
+], ids=["k_2d", "v_width", "q_width", "heads_split_h", "q_groups", "q_rows", "q_4d",
+        "rows_without_groups"])
 def test_attention_refuses_mismatched_shapes(shapes, heads):
     q, k, v = (t(np.zeros(s)) for s in shapes)
     with pytest.raises(DimensionError):

@@ -313,25 +313,21 @@ def test_soup_with_a_malformed_weight_file_exits_1(run1, tmp_path, capsys, text)
     '{"config": "c", "runs": [{"name": "a", "losses": ["re_mlm"]}]}',
     *(f'{{"config": "c", "runs": [{{"name": "a", "losses": [], "checkpoint": "x.bin", {kv}}}]}}'
       for kv in ('"seed": "x"', '"seed": true', '"seed": 1.5', '"seed": -1', '"score": "high"',
-                 '"score": true')),
+                 '"score": true', '"name": 2', '"checkpoint": null', '"losses": 7',
+                 '"losses": "re_mlm"', '"losses": [1]')),
+    *(f'{{{kv}, "runs": [{{"name": "a", "losses": [], "checkpoint": "x.bin"}}]}}'
+      for kv in ('"config": 3', '"config": "c", "output_dir": ["out"]', '"config": "c", "probe_data": 5')),
+    '{"config": "c", "output_dir": "out", "runs": []}',
 ], ids=["bad_json", "not_object", "no_config", "run_not_object", "runs_not_list", "run_no_name",
         "run_no_checkpoint", "seed_string", "seed_bool", "seed_float", "seed_negative",
-        "score_string", "score_bool"])
+        "score_string", "score_bool", "name_number", "checkpoint_null", "losses_number",
+        "losses_string", "losses_of_numbers", "config_number", "output_dir_list",
+        "probe_data_number", "no_runs"])
 def test_soup_with_a_malformed_manifest_exits_1(tmp_path, capsys, text):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(text, encoding="utf-8")
     assert cli(["soup", "--manifest", str(mpath), "--mode", "uniform"]) == 1
     assert f"error: {mpath}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mode", ["uniform", "weighted"])
-def test_soup_on_a_manifest_with_no_runs_exits_1(tmp_path, capsys, mode):
-    mpath = tmp_path / "manifest.json"
-    mpath.write_text('{"config": "c.json", "output_dir": "out", "runs": []}', encoding="utf-8")
-    out = tmp_path / "soup.bin"
-    assert cli(["soup", "--manifest", str(mpath), "--mode", mode, "--out", str(out)]) == 1
-    assert f"error: {mpath}: the manifest lists no runs" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_sweep_runs_all_manifest_entries(workspace, tmp_path, capsys):

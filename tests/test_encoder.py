@@ -231,6 +231,15 @@ def test_a_pass_given_no_rows_encodes_nothing(stack):
     assert rng.random() == np.random.default_rng(4).random()  # no dropout mask was drawn
 
 
+@pytest.mark.parametrize("stack", STACKS)
+def test_an_empty_batch_encodes_to_no_rows(stack):
+    model, ids, mask = ragged_pass(dropout=0.1)
+    with ad.Tape() as tape:
+        h = getattr(model, f"encode_{stack}")(ids[:0], mask[:0], np.random.default_rng(4))
+        tape.backward(ad.tensor_sum(h))
+    assert h.data.shape == (0, 16)
+
+
 @pytest.mark.parametrize("rows", [[3, 5, 3], [0, 101], [-1, 2]],
                          ids=["repeated", "past_the_end", "negative"])
 def test_a_pass_refuses_rows_that_repeat_or_fall_outside(rows):
@@ -283,14 +292,13 @@ def test_the_last_layer_attends_from_the_read_rows_of_a_group_read_in_part(stack
     model, ids, mask = ragged_pass()
     heads = model.config.attention_heads
     shapes = []
-    attention = ad.attention
+    softmax = ad.softmax
 
-    def spy(q, k, v, *args):
-        g, w, h = k.data.shape  # the scores grid is (g, H, r, w)
-        shapes.append((g, heads, q.data.size // (g * h), w))
-        return attention(q, k, v, *args)
+    def spy(x, bias=None):
+        shapes.append(x.data.shape)
+        return softmax(x, bias)
 
-    monkeypatch.setattr(ad, "attention", spy)
+    monkeypatch.setattr(ad, "softmax", spy)
     getattr(model, f"encode_{stack}")(ids, mask, None, part_and_full_rows())
     full_grids = [(2, heads, 12, 12), (1, heads, 70, 70)]
     earlier = full_grids * (getattr(model.config, f"{stack}_layers") - 1)

@@ -1,6 +1,3 @@
-import json
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,25 +230,4 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text('{"config": "c", "runs": [], "typo_key": 1}', encoding="utf-8")
     with pytest.raises(ConfigError):
-        load_manifest(path)
-
-
-_RUN = {"name": "a", "losses": ["re_mlm"], "checkpoint": "a.bin"}
-
-
-@pytest.mark.parametrize("manifest", [
-    {"config": 3, "runs": [_RUN]},
-    {"config": "c.json", "output_dir": ["out"], "runs": [_RUN]},
-    {"config": "c.json", "probe_data": 5, "runs": [_RUN]},
-    {"config": "c.json", "runs": [{**_RUN, "name": 2}]},
-    {"config": "c.json", "runs": [{**_RUN, "checkpoint": None}]},
-    {"config": "c.json", "runs": [{**_RUN, "losses": 7}]},
-    {"config": "c.json", "runs": [{**_RUN, "losses": "re_mlm"}]},
-    {"config": "c.json", "runs": [{**_RUN, "losses": [1]}]},
-], ids=["config", "output_dir", "probe_data", "name", "checkpoint", "losses_number",
-        "losses_string", "losses_of_numbers"])
-def test_manifest_rejects_a_field_of_the_wrong_type(tmp_path, manifest):
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_manifest(path)
