@@ -4,6 +4,10 @@ Float32 by default. A Tape records every differentiable op in execution
 order (which is already topological); backward walks the list once in
 reverse. No tape active means forward-only: that is how detached passes
 (sampling, metrics) are run.
+
+A tape runs backward once. Backward takes each op's output gradient off its
+tensor as the op consumes it, so afterwards only leaves hold a `.grad`: the
+parameters, and any tensor that no recorded op produced.
 """
 
 import numpy as np
@@ -67,28 +71,38 @@ class Tape:
 
     def __init__(self):
         self.ops = []
+        self._spent = False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise ContractError("a tape must exit before the tapes entered after it")
+        _TAPE_STACK.pop()
         return False
 
     def backward(self, loss):
         """Seed d(loss)/d(loss)=1 and propagate through the tape in reverse.
 
         Each recorded op is visited exactly once; ops that did not
-        contribute to `loss` carry no gradient and are skipped.
+        contribute to `loss` carry no gradient and are skipped. An op's
+        output gradient is taken off its tensor before the op uses it, so a
+        gradient lives from its first consumer's backward until its
+        producer's, and only leaves keep theirs. A second backward on the
+        same tape raises ContractError: it would add every gradient again.
         """
         if loss.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+        if self._spent:
+            raise ContractError("this tape has already run backward")
+        self._spent = True
         loss.accumulate_grad(np.ones_like(loss.data))
         for op in reversed(self.ops):
-            if op.out.grad is not None:
-                op.backward(op.out.grad)
+            g, op.out.grad = op.out.grad, None
+            if g is not None:
+                op.backward(g)
 
 
 class _NoTape:
@@ -301,17 +315,28 @@ def _row_index(index, n_rows):
     return index
 
 
+def _accumulate_rows(x, index, rows):
+    """Add `rows` into the distinct rows `index` of x's gradient: into a copy
+    of the gradient x already holds (which may alias another's), else into a
+    zero array with one assignment."""
+    if x.grad is None:
+        acc = np.zeros_like(x.data)
+        acc[index] = rows
+    else:
+        acc = x.grad.copy()
+        acc[index] += rows
+    x.grad = acc
+
+
 def gather_rows(x, index):
     """Rows index[k] of x, along its first axis. The rows must be distinct
-    (ContractError otherwise), so the backward writes their gradient into a
-    zero array of x's shape with one assignment."""
+    (ContractError otherwise), so the backward adds their gradient into x's
+    with one indexed add."""
     index = _row_index(index, x.data.shape[0])
     out = Tensor(x.data[index], x.requires_grad)
 
     def backward(g):
-        acc = np.zeros_like(x.data)
-        acc[index] = g
-        x.accumulate_grad(acc)
+        _accumulate_rows(x, index, g)
 
     _record(out, backward)
     return out
@@ -321,8 +346,8 @@ def scatter_rows(x, src, dst, n_rows):
     """Row src[k] of x placed at row dst[k] of a zero (n_rows, ...) array, a
     gather and a scatter in one op; swapping src and dst moves the rows back.
     Each index must name distinct rows in range, and both must have one
-    length (ContractError otherwise), so the backward writes the rows'
-    gradient into a zero array of x's shape with one assignment."""
+    length (ContractError otherwise), so the backward adds the rows'
+    gradient into x's with one indexed add."""
     src = _row_index(src, x.data.shape[0])
     dst = _row_index(dst, n_rows)
     if src.shape != dst.shape:
@@ -332,9 +357,7 @@ def scatter_rows(x, src, dst, n_rows):
     out = Tensor(data, x.requires_grad)
 
     def backward(g):
-        acc = np.zeros_like(x.data)
-        acc[src] = g[dst]
-        x.accumulate_grad(acc)
+        _accumulate_rows(x, src, g[dst])
 
     _record(out, backward)
     return out

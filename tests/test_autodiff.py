@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -238,6 +239,71 @@ def test_no_tape_means_no_recording():
         assert tape.ops == []
 
 
+def test_backward_leaves_a_grad_only_on_leaves():
+    rng = np.random.default_rng(5)
+    x = t(rng.normal(size=(4, 3)))
+    w = t(rng.normal(size=(3, 3)))
+    gain, bias = t(np.ones(3)), t(np.zeros(3))
+    frozen = t(rng.normal(size=(4, 3)), grad=False)
+    with ad.no_tape():
+        detached = ad.scale(x, 2.0)  # requires a gradient, but no recorded op made it
+    with ad.Tape() as tape:
+        h = ad.layer_norm(ad.gelu(ad.matmul(ad.add(x, detached), w)), gain, bias)
+        loss = ad.tensor_sum(ad.mul(h, frozen))
+        tape.backward(loss)
+    assert len(tape.ops) == 6
+    assert all(op.out.grad is None for op in tape.ops)
+    for leaf in (x, w, gain, bias, detached):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+    assert frozen.grad is None
+
+
+def test_a_tape_runs_backward_once():
+    x = t([1.0, 2.0])
+    with ad.Tape() as tape:
+        loss = ad.tensor_sum(ad.scale(x, 3.0))
+        tape.backward(loss)
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+def test_a_tape_exiting_out_of_order_is_refused():
+    outer, inner = ad.Tape(), ad.Tape()
+    with outer:
+        inner.__enter__()
+        with pytest.raises(ContractError):
+            outer.__exit__(None, None, None)
+        inner.__exit__(None, None, None)  # the stack is untouched: unwind it in order
+    assert ad._active_tape() is None
+
+
+def test_backward_memory_stays_within_a_few_layer_arrays():
+    # 24 x (matmul -> gelu -> layer_norm) on (256, 64): kept, the intermediate
+    # gradients would be 72 such arrays; dropped, only the parameter gradients
+    # grow and a few arrays are in flight at once
+    rng = np.random.default_rng(6)
+    x = t(rng.normal(size=(256, 64)))
+    layers = [(t(rng.normal(scale=0.125, size=(64, 64))), t(np.ones(64)), t(np.zeros(64)))
+              for _ in range(24)]
+    one_array = x.data.nbytes
+    param_bytes = sum(p.data.nbytes for layer in layers for p in layer)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            h = x
+            for w, gain, bias in layers:
+                h = ad.layer_norm(ad.gelu(ad.matmul(h, w)), gain, bias)
+            loss = ad.tensor_sum(h)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start - param_bytes < 6 * one_array
+
+
 # -- structural ops -----------------------------------------------------------
 
 
@@ -412,6 +478,23 @@ def test_gather_rows_selects_and_scatters():
     picked[[3, 4, 6]] = True
     assert (x.grad[picked] == 2.0).all()
     assert (x.grad[~picked] == 0.0).all()
+
+
+@pytest.mark.parametrize("op", ["gather_rows", "scatter_rows"])
+def test_row_ops_add_into_a_copy_of_a_held_gradient(op):
+    a, b = t(np.ones((5, 2))), t(np.ones((5, 2)))
+    with ad.Tape() as tape:
+        if op == "gather_rows":
+            rows = ad.gather_rows(a, [3, 0])
+        else:
+            rows = ad.scatter_rows(a, [3, 0], [1, 2], 4)
+        # add's backward hands a and b one gradient array, before the row op runs
+        loss = ad.add(ad.tensor_sum(ad.scale(rows, 2.0)), ad.tensor_sum(ad.add(a, b)))
+        tape.backward(loss)
+    expected = np.ones((5, 2), dtype=np.float32)
+    expected[[3, 0]] += 2.0
+    np.testing.assert_array_equal(a.grad, expected)
+    np.testing.assert_array_equal(b.grad, np.ones((5, 2)))
 
 
 @pytest.mark.parametrize("op", [
