@@ -16,6 +16,7 @@ from .errors import ContractError, DimensionError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance before layer norm's 1/sqrt
 # erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], coefficients highest power first
 # (the float32 fit Eigen and XLA use); beyond +-4, erf rounds to +-1 in float32.
 _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
@@ -430,13 +431,13 @@ def gelu(x):
     return out
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then gain*x+bias."""
     h = x.data.shape[-1]
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     # np.var's own arithmetic, on the centred values already at hand
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / h
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(_LAYER_NORM_EPS))
     xhat *= inv
     y = xhat * gain.data
     y += bias.data

@@ -111,10 +111,10 @@ def cmd_sweep(args):
 def _load_weight_file(path, manifest):
     raw = read_json(path)
     if isinstance(raw, dict):
-        missing = [r.name for r in manifest.runs if r.name not in raw]
-        if missing:
-            raise ConfigError(f"{path}: weight file missing runs: {missing}")
-        raw = [raw[r.name] for r in manifest.runs]
+        names = [r.name for r in manifest.runs]
+        if set(raw) != set(names):
+            raise ConfigError(f"{path}: weight file names runs {sorted(raw)}, not the runs {names}")
+        raw = [raw[name] for name in names]
     elif not isinstance(raw, list) or len(raw) != len(manifest.runs):
         raise ConfigError(f"{path}: expected {len(manifest.runs)} weights, a list or "
                           f"an object keyed by run name")

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, InputError
-from .vocab import MASK_ID
+from .vocab import MASK_ID, PAD_ID
+
+MIN_REAL_TOKENS = 2  # a corruption plan's minimum; the corpus loader drops shorter lines
 
 
 @dataclass(eq=False)
@@ -71,7 +73,7 @@ def plan_corruption(x: TokenSequence, rates: CorruptionRates, rng) -> Corruption
     n_real+1 slots between tokens.
     """
     n_real = x.n_real
-    if n_real < 2:
+    if n_real < MIN_REAL_TOKENS:
         raise InputError(f"sequence too short to corrupt (n_real={n_real})")
     n_mask = _round_count(rates.mask_rate, n_real)
     n_swap = _round_count(rates.swap_rate, n_real)
@@ -208,11 +210,11 @@ def loss_itd(model, d_hidden, batch):
 # -- batch assembly -----------------------------------------------------------
 
 
-def pad_batch(ids, lengths, pad_id=0):
+def pad_batch(ids, lengths):
     """Right-pad packed sequences of `lengths` into an (ids, mask) grid; mask is 1 at real tokens."""
     lengths = np.asarray(lengths)
     real = np.arange(lengths.max()) < lengths[:, None]
-    grid = np.full(real.shape, pad_id, dtype=np.int64)
+    grid = np.full(real.shape, PAD_ID, dtype=np.int64)
     grid[real] = ids
     return grid, real.astype(np.int64)
 

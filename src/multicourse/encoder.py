@@ -14,10 +14,10 @@ queries by 1/sqrt(d_head) and adds the relative-position bias
 (`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
 grid's padded keys) to the scores, so a padded key gets exactly zero
 probability and gradient. It keeps only the softmax and the dropout mask
-for its backward. The output is the packed rows,
-the sequences' tokens in batch order, or only the rows a caller reads: given
-`rows`, a pass drops the sequences that hold none of them before embedding.
-Its last layer then attends from those rows alone: a group read in part
+for its backward. A pass returns the packed rows it is given, every row
+(the sequences' tokens in batch order) by default, through one path: it
+drops the sequences that hold none of them before embedding, and its last
+layer attends from those rows alone: a group read in part
 takes its queries from its read rows, each sequence's in one row of a
 (B_g, r) query grid, r the most reads any of its sequences has, against keys
 and values over all its rows; a group read in full keeps its full grid. The
@@ -237,11 +237,11 @@ class Model:
         return self._encode("discriminator", self.config.discriminator_layers, ids, mask, rng, rows)
 
     def _encode(self, stack, layers, ids, mask, rng, rows):
-        """The (T, h) packed real-token rows of a right-padded (ids, mask)
-        grid; given `rows`, distinct packed rows in any order, only those
-        rows, as a (len(rows), h) tensor in the order given. The last layer
-        then scores only the read rows' queries of a length group that is
-        read in part, and writes every context straight to its output row."""
+        """Packed real-token rows `rows` (distinct, any order; every row in
+        batch order when None) of a right-padded (ids, mask) grid, as a
+        (len(rows), h) tensor in that order, by one path: the last layer scores
+        only the read rows' queries of a length group read in part, and writes
+        every context straight to its output row. Reading no row records no op."""
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
@@ -263,22 +263,21 @@ class Model:
         # the per-token layers run on the T real rows, in batch order; only
         # attention sees a padded grid, one per length group
         lengths = mask.sum(axis=1)
-        if rows is not None:
-            rows = ad._row_index(rows, int(lengths.sum()))
-            if not rows.size:
-                return ad.Tensor(np.zeros((0, c.hidden_size), dtype=dtype))
-            # each read row's sequence and position in it
-            seq = np.repeat(np.arange(len(lengths)), lengths)[rows]
-            pos = rows - (np.cumsum(lengths) - lengths)[seq]
-            # drop the sequences holding no read row, and renumber the rows
-            kept = np.zeros(len(lengths), dtype=bool)
-            kept[seq] = True
-            ids, mask, lengths = ids[kept], mask[kept], lengths[kept]
-            seq = (np.cumsum(kept) - 1)[seq]
-            rows = (np.cumsum(lengths) - lengths)[seq] + pos
-            by_seq = np.argsort(seq, kind="stable")  # the reads, each sequence's together
-            out_row = np.zeros(int(lengths.sum()), dtype=np.int64)  # a read row's output row
-            out_row[rows] = np.arange(rows.size)
+        n_real = int(lengths.sum())
+        rows = ad._row_index(np.arange(n_real) if rows is None else rows, n_real)
+        if not rows.size:
+            return ad.Tensor(np.zeros((0, c.hidden_size), dtype=dtype))
+        # each read row's sequence and position in it
+        seq = np.repeat(np.arange(len(lengths)), lengths)[rows]
+        pos = rows - (np.cumsum(lengths) - lengths)[seq]
+        # drop the sequences holding no read row, and renumber the rows
+        kept = np.bincount(seq, minlength=len(lengths)) > 0
+        ids, mask, lengths = ids[kept], mask[kept], lengths[kept]
+        seq = (np.cumsum(kept) - 1)[seq]
+        rows = (np.cumsum(lengths) - lengths)[seq] + pos
+        by_seq = np.argsort(seq, kind="stable")  # the reads, each sequence's together
+        out_row = np.zeros(int(lengths.sum()), dtype=np.int64)  # a read row's output row
+        out_row[rows] = np.arange(rows.size)
 
         x = ad.embedding(p["embedding.word"], ids[mask.astype(bool)])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
@@ -293,37 +292,35 @@ class Model:
             # constant key-padding bias for the softmax, large negative at padded keys
             pad_bias = ((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :]
             pruned = None
-            if rows is not None:
-                reads = by_seq[members[seq[by_seq]]]  # output rows of the group's reads
-                if reads.size < group_rows.size:
-                    # the last layer's queries are the reads alone: each sequence's
-                    # in its own row of a (g, r) grid, r the most any sequence has
-                    local = (np.cumsum(members) - 1)[seq[reads]]
-                    counts = np.bincount(local, minlength=g)
-                    r = int(counts.max())
-                    cells = local * r + np.arange(reads.size) - (np.cumsum(counts) - counts)[local]
-                    qpos = np.zeros(g * r, dtype=np.int64)
-                    qpos[cells] = pos[reads]
-                    rel = ad.relative_bias(p[f"{stack}.rel_bias"],
-                                           self._buckets[qpos, :width].reshape(g, r, width))
-                    pruned = (rows[reads], cells, reads, r, rel)  # rel is (g, H, r, w)
+            reads = by_seq[members[seq[by_seq]]]  # output rows of the group's reads
+            if reads.size < group_rows.size:
+                # the last layer's queries are the reads alone: each sequence's
+                # in its own row of a (g, r) grid, r the most any sequence has
+                local = (np.cumsum(members) - 1)[seq[reads]]
+                counts = np.bincount(local, minlength=g)
+                r = int(counts.max())
+                cells = local * r + np.arange(reads.size) - (np.cumsum(counts) - counts)[local]
+                qpos = np.zeros(g * r, dtype=np.int64)
+                qpos[cells] = pos[reads]
+                rel = ad.relative_bias(p[f"{stack}.rel_bias"],
+                                       self._buckets[qpos, :width].reshape(g, r, width))
+                pruned = (rows[reads], cells, reads, r, rel)  # rel is (g, H, r, w)
             # the full grid's (H, w, w) bias, unless only a pruned last layer would read it
             full = None if pruned is not None and layers == 1 else ad.relative_bias(
                 p[f"{stack}.rel_bias"], self._buckets[:width, :width])
             # the last layer's (query rows, their cells, their output rows, queries
             # per sequence, bias); a group whose every row is read keeps its full grid
-            last = pruned or (None, slots, group_rows if rows is None else out_row[group_rows],
-                              width, full)
+            last = pruned or (None, slots, out_row[group_rows], width, full)
             grids.append((group_rows, slots, g, width, full, pad_bias, last))
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
-            final = rows is not None and i == layers - 1
+            final = i == layers - 1
             ctx_rows = []
             for group_rows, slots, g, w, full, pad_bias, last in grids:
                 # queries from rows `src` (every row when None) into `cells` of a
                 # (g, r) grid, whose contexts go to rows `dst`
-                src, cells, dst, r, rel = last if i == layers - 1 else (None, slots, group_rows, w, full)
+                src, cells, dst, r, rel = last if final else (None, slots, group_rows, w, full)
                 grid = ad.reshape(ad.scatter_rows(x, group_rows, slots, g * w), (g, w, c.hidden_size))
                 queries = grid if src is None else ad.scatter_rows(x, src, cells, g * r)
                 q = ad.matmul(queries, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
@@ -354,12 +351,9 @@ class Model:
         return ad.matmul(rows, table_t, self.params["lm_head.bias"])
 
     def lm_probs_detached(self, h_rows):
-        """Softmax LM distribution for raw hidden rows, outside the graph."""
-        table = self.params["embedding.word"].data
-        logits = h_rows @ table.T + self.params["lm_head.bias"].data
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=-1, keepdims=True)
+        """Softmax of `lm_logits` for raw hidden rows, outside the graph."""
+        with ad.no_tape():
+            return ad.softmax(self.lm_logits(ad.Tensor(h_rows))).data
 
     def detection_logits(self, h, head):
         """One binary logit per hidden row, for one of the rtd/std/itd heads;
@@ -370,8 +364,6 @@ class Model:
         return ad.reshape(ad.matmul(h, w_col, self.params[f"head.{head}.b"]), h.data.shape[:-1])
 
     def detection_probs_detached(self, h_data, head):
-        """Sigmoid probability-of-original per position, outside the graph."""
-        w = self.params[f"head.{head}.w"].data
-        b = self.params[f"head.{head}.b"].data
-        z = h_data @ w + b[0]
-        return 1.0 / (1.0 + np.exp(-z))
+        """Sigmoid of `detection_logits`: p(original) per raw hidden row, outside the graph."""
+        with ad.no_tape():
+            return 1.0 / (1.0 + np.exp(-self.detection_logits(ad.Tensor(h_data), head).data))

@@ -15,6 +15,8 @@ from .fileio import text_lines
 from .vocab import CLS_ID
 
 HOLDOUT_FRACTION = 0.2
+FEATURIZE_BATCH = 64  # sequences per frozen encoder pass
+FIT_EPOCHS, FIT_LR = 300, 0.05  # full-batch Adam on the logistic layer
 
 
 def load_labeled_dataset(path, vocab, max_seq_len):
@@ -37,13 +39,13 @@ def load_labeled_dataset(path, vocab, max_seq_len):
     return [(ids[: max_seq_len - 1], label) for ids, label in examples]
 
 
-def _featurize(model, examples, batch_size=64):
+def _featurize(model, examples):
     """CLS hidden states from a frozen discriminator, eval mode."""
     feats = []
     seqs = [[CLS_ID] + list(ids) for ids, _ in examples]
     with ad.no_tape():
-        for start in range(0, len(seqs), batch_size):
-            batch = seqs[start:start + batch_size]
+        for start in range(0, len(seqs), FEATURIZE_BATCH):
+            batch = seqs[start:start + FEATURIZE_BATCH]
             lengths = np.array([len(s) for s in batch])
             cls_rows = np.cumsum(lengths) - lengths
             h = model.encode_discriminator(*pad_batch(np.concatenate(batch), lengths), None, cls_rows)
@@ -51,7 +53,7 @@ def _featurize(model, examples, batch_size=64):
     return np.concatenate(feats, axis=0)
 
 
-def _fit_logistic(features, labels, seed, epochs=300, lr=0.05):
+def _fit_logistic(features, labels, seed):
     """Full-batch Adam on BCE for a single linear layer."""
     rng = np.random.default_rng(seed)
     n, dim = features.shape
@@ -61,7 +63,7 @@ def _fit_logistic(features, labels, seed, epochs=300, lr=0.05):
     y = labels.astype(np.float32)
     m = {id(w): 0.0, id(b): 0.0}
     v = {id(w): 0.0, id(b): 0.0}
-    for t in range(1, epochs + 1):
+    for t in range(1, FIT_EPOCHS + 1):
         w.grad = b.grad = None
         with ad.Tape() as tape:
             logits = ad.reshape(ad.matmul(x, w, b), (n,))
@@ -72,7 +74,7 @@ def _fit_logistic(features, labels, seed, epochs=300, lr=0.05):
             v[id(p)] = 0.999 * v[id(p)] + 0.001 * p.grad ** 2
             mh = m[id(p)] / (1 - 0.9 ** t)
             vh = v[id(p)] / (1 - 0.999 ** t)
-            p.data = p.data - lr * mh / (np.sqrt(vh) + 1e-8)
+            p.data = p.data - FIT_LR * mh / (np.sqrt(vh) + 1e-8)
     return w.data[:, 0], float(b.data[0])
 
 

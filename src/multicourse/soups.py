@@ -57,15 +57,17 @@ class SweepManifest:
     probe_data: str = None
 
     def validate(self):
+        # two runs of one checkpoint file would be swept into it and merged twice
         seen = set()
         for run in self.runs:
             unknown = set(run.losses) - set(CORRECTION_LOSSES)
             if unknown:
                 raise ConfigError(f"run {run.name}: unknown correction losses {sorted(unknown)}")
-            key = tuple(sorted(run.losses))
-            if key in seen:
-                raise ConfigError(f"duplicate correction subset {key}")
-            seen.add(key)
+            for key in (("correction subset", tuple(sorted(run.losses))), ("name", run.name),
+                        ("checkpoint", Path(run.checkpoint).resolve())):
+                if key in seen:
+                    raise ConfigError(f"run {run.name}: duplicate {key[0]} {key[1]}")
+                seen.add(key)
 
     def to_dict(self):
         d = {"config": self.config_path, "output_dir": self.output_dir,

@@ -399,20 +399,20 @@ class MetricsWriter:
         self._fh.close()
 
 
-def load_corpus_sequences(path, vocab, max_seq_len, min_tokens=2):
+def load_corpus_sequences(path, vocab, max_seq_len):
     """Tokenize a one-sentence-per-line corpus into trainable sequences."""
     seqs = []
     skipped = 0
     for line in text_lines(path):
         ids = vocab.encode(line.strip())
-        if len(ids) < min_tokens:
+        if len(ids) < crs.MIN_REAL_TOKENS:
             skipped += 1
             continue
         seqs.append(crs.TokenSequence(ids[:max_seq_len]))
     if not seqs:
         raise InputError(f"corpus {path} has no usable sentences")
     if skipped:
-        log.info("dropped %d sentences shorter than %d tokens", skipped, min_tokens)
+        log.info("dropped %d sentences shorter than %d tokens", skipped, crs.MIN_REAL_TOKENS)
     return seqs
 
 

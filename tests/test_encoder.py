@@ -233,11 +233,15 @@ def test_a_pass_given_no_rows_encodes_nothing(stack):
 
 @pytest.mark.parametrize("stack", STACKS)
 def test_an_empty_batch_encodes_to_no_rows(stack):
+    # a pass given no rows reads every row, so an empty batch is a pass that reads none
     model, ids, mask = ragged_pass(dropout=0.1)
+    rng = np.random.default_rng(4)
     with ad.Tape() as tape:
-        h = getattr(model, f"encode_{stack}")(ids[:0], mask[:0], np.random.default_rng(4))
+        h = getattr(model, f"encode_{stack}")(ids[:0], mask[:0], rng)
+        assert tape.ops == []
         tape.backward(ad.tensor_sum(h))
     assert h.data.shape == (0, 16)
+    assert rng.random() == np.random.default_rng(4).random()  # no dropout mask was drawn
 
 
 @pytest.mark.parametrize("rows", [[3, 5, 3], [0, 101], [-1, 2]],
@@ -263,8 +267,8 @@ def test_a_pass_given_rows_is_deterministic_under_fixed_seed(stack):
 
 @pytest.mark.parametrize("stack", STACKS)
 def test_a_pass_given_every_row_in_order_is_the_pass_given_none(stack):
-    # with every row read, nothing is dropped and the last layer's gathers copy
-    # its rows in order, so values, dropout draws and gradients are bit-equal
+    # a pass given no rows reads every row in order, so values, dropout draws
+    # and gradients are bit-equal
     model, ids, mask = ragged_pass(dropout=0.1)
     encode = getattr(model, f"encode_{stack}")
     (h, grads), (h_every, grads_every) = (
@@ -496,6 +500,25 @@ def test_heads_keep_any_leading_shape(model):
     assert lm.shape == (2, 4, 32)
     np.testing.assert_allclose(lm[1, 2], model.lm_logits(ad.gather_rows(h, [6])).data[0],
                                rtol=1e-6, atol=1e-7)
+
+
+def test_detached_heads_are_the_taped_heads(model):
+    ids, mask = batch([[4, 5, 6, 7], [8, 9, 10, 11]])
+    h = model.encode_discriminator(ids, mask)
+    for head in ("rtd", "std", "itd"):
+        logits = model.detection_logits(h, head).data
+        np.testing.assert_array_equal(model.detection_probs_detached(h.data, head),
+                                      1.0 / (1.0 + np.exp(-logits)))
+    np.testing.assert_array_equal(model.lm_probs_detached(h.data),
+                                  ad.softmax(model.lm_logits(h)).data)
+
+
+def test_an_unknown_head_raises_config_error(model):
+    h = model.encode_discriminator(*batch([[4, 5, 6]]))
+    with pytest.raises(ConfigError):
+        model.detection_logits(h, "mlm")
+    with pytest.raises(ConfigError):
+        model.detection_probs_detached(h.data, "mlm")
 
 
 def test_rtd_only_gradient_leaves_other_heads_untouched(model):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,11 +214,20 @@ def test_default_manifest_has_all_subsets(tmp_path):
 
 
 def test_manifest_rejects_duplicates(tmp_path):
-    manifest = default_manifest("cfg.json", tmp_path)
-    manifest.runs[1] = SweepRun(name="dup", losses=manifest.runs[0].losses, seed=0,
-                                checkpoint="x.bin")
-    with pytest.raises(ConfigError):
-        manifest.validate()
+    first = default_manifest("cfg.json", tmp_path).runs[0]
+    # a second run with the first's correction subset, name or checkpoint file
+    for dup in (dict(name="dup", checkpoint="x.bin"),
+                dict(losses=("re_rtd",), checkpoint="x.bin"),
+                dict(name="dup", losses=("re_rtd",),
+                     checkpoint=f"{tmp_path}/./{first.name}/checkpoint_final.bin")):
+        manifest = default_manifest("cfg.json", tmp_path)
+        manifest.runs[1] = SweepRun(**{"name": first.name, "losses": first.losses, "seed": 0, **dup})
+        with pytest.raises(ConfigError, match="duplicate"):
+            manifest.validate()
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest.to_dict()), encoding="utf-8")
+        with pytest.raises(ConfigError, match="duplicate"):
+            load_manifest(path)
 
 
 def test_manifest_rejects_unknown_loss(tmp_path):
