@@ -8,6 +8,10 @@ reverse. No tape active means forward-only: that is how detached passes
 A tape runs backward once. Backward takes each op's output gradient off its
 tensor as the op consumes it, so afterwards only leaves hold a `.grad`: the
 parameters, and any tensor that no recorded op produced.
+
+`ffn` and `add_layer_norm` run a chain of these ops on a tape of their own,
+which the enclosing tape records as one op, and drop the values of the
+chain's intermediates that no backward reads.
 """
 
 import numpy as np
@@ -99,7 +103,11 @@ class Tape:
         if self._spent:
             raise ContractError("this tape has already run backward")
         self._spent = True
-        loss.accumulate_grad(np.ones_like(loss.data))
+        self._propagate(loss, np.ones_like(loss.data))
+
+    def _propagate(self, out, g):
+        """Hand `out` the gradient g and propagate it through the tape in reverse."""
+        out.accumulate_grad(g)
         for op in reversed(self.ops):
             g, op.out.grad = op.out.grad, None
             if g is not None:
@@ -332,8 +340,11 @@ def _accumulate_rows(x, index, rows):
 def gather_rows(x, index):
     """Rows index[k] of x, along its first axis. The rows must be distinct
     (ContractError otherwise), so the backward adds their gradient into x's
-    with one indexed add."""
+    with one indexed add. Every row in order is x itself, and records no op."""
     index = _row_index(index, x.data.shape[0])
+    # distinct rows in range: all of them, increasing, is the identity
+    if index.size == x.data.shape[0] and (index[1:] > index[:-1]).all():
+        return x
     out = Tensor(x.data[index], x.requires_grad)
 
     def backward(g):
@@ -413,19 +424,30 @@ def _erf(x):
     return out
 
 
+def _gelu_slope(u, cdf):
+    """GELU's derivative Phi(u) + u * phi(u) from u and Phi(u), with the
+    exact normal density phi; a new array."""
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    return cdf + u * pdf
+
+
 def gelu(x):
     """Erf-based GELU, x * Phi(x). Its erf is a rational fit whose largest
     absolute error against the exact erf is below 5e-7 in float32 and 1e-7 in
     float64 (tests/test_autodiff.py pins both); the backward pass uses the
-    exact normal density."""
+    exact normal density. When a tape records the op, it computes the
+    derivative in forward and keeps it for its backward, which reads x only
+    to hand it its gradient; otherwise it computes no derivative."""
     cdf = _erf(x.data * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5
     out = Tensor(x.data * cdf, x.requires_grad)
+    if _active_tape() is None or not out.requires_grad:
+        return out  # nothing records the op, so nothing reads the derivative
+    slope = _gelu_slope(x.data, cdf)
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf))
+        x.accumulate_grad(g * slope)
 
     _record(out, backward)
     return out
@@ -458,6 +480,59 @@ def layer_norm(x, gain, bias):
 
     _record(out, backward)
     return out
+
+
+def _one_op(chain):
+    """Runs chain() -> (out, unread), a chain of ops, and returns out. On a
+    tape, the chain runs on a tape of its own that the enclosing one records
+    as one op, whose backward runs the chain's backwards in reverse; each
+    tensor in `unread` then drops its values, keeping its shape for the
+    gradient it is handed, so the caller must list only intermediates whose
+    values no backward of the chain reads."""
+    if _active_tape() is None:
+        return chain()[0]
+    with Tape() as inner:
+        out, unread = chain()
+    for t in unread:  # one zero seen through zero strides: no memory, same shape
+        t.data = np.ndarray(t.data.shape, t.data.dtype, np.zeros(1, t.data.dtype),
+                            strides=(0,) * t.data.ndim)
+    _record(out, lambda g: inner._propagate(out, g))
+    return out
+
+
+def ffn(x, w1, b1, w2, b2):
+    """The feed-forward block gelu(x @ w1 + b1) @ w2 + b2, as one tape op.
+
+    It runs `matmul`, `gelu` and `matmul`, so its arithmetic is theirs, and
+    drops the GELU input's values: `gelu` keeps its derivative instead. So
+    its backward keeps two (rows, ffn) arrays, the GELU output and its
+    derivative, and off the tape it computes no derivative.
+    """
+    def chain():
+        u = matmul(x, w1, b1)
+        return matmul(gelu(u), w2, b2), [u]
+
+    return _one_op(chain)
+
+
+def add_layer_norm(x, y, gain, bias, rate, rng):
+    """layer_norm(x + dropout(y, rate, rng), gain, bias) for same-shape x and
+    y, as one tape op: a sublayer's residual add and layer norm.
+
+    It runs `dropout`, `add` and `layer_norm`, so its arithmetic and its
+    dropout draw are theirs, and drops the values of the dropped y and of
+    the sum, which no backward reads. So its backward keeps the normalized
+    rows, 1/sigma and the bool keep mask.
+    """
+    if x.data.shape != y.data.shape:
+        raise DimensionError(f"add_layer_norm shapes differ: {x.data.shape} and {y.data.shape}")
+
+    def chain():
+        dropped = dropout(y, rate, rng)
+        total = add(x, dropped)
+        return layer_norm(total, gain, bias), [total] + ([dropped] if dropped is not y else [])
+
+    return _one_op(chain)
 
 
 def dropout(x, rate, rng):

@@ -14,18 +14,24 @@ queries by 1/sqrt(d_head) and adds the relative-position bias
 (`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
 grid's padded keys) to the scores, so a padded key gets exactly zero
 probability and gradient. It keeps only the softmax and the dropout mask
-for its backward. A pass returns the packed rows it is given, every row
-(the sequences' tokens in batch order) by default, through one path: it
-drops the sequences that hold none of them before embedding, and its last
-layer attends from those rows alone: a group read in part
-takes its queries from its read rows, each sequence's in one row of a
-(B_g, r) query grid, r the most reads any of its sequences has, against keys
-and values over all its rows; a group read in full keeps its full grid. The
-output projection, the residual adds, both layer norms and the FFN of that
-layer run on the read rows alone, so a row nothing reads is not computed.
-The LM head is tied to the embedding
-table (plus a learnable per-vocab bias); three independent binary detection
-heads (rtd, std, itd) read the discriminator output.
+for its backward. Past the output projection, a layer is three more ops
+on the packed rows: `ad.add_layer_norm` (the projection's dropout, the
+residual add and the norm), `ad.ffn` (both FFN matmuls and the GELU) and
+`ad.add_layer_norm` again. For their backward they keep the normalized
+rows, 1/sigma, the dropout masks, and the GELU output and its derivative;
+no sum, dropped array or GELU input stays on the tape.
+
+A pass returns the packed rows it is given, every row (the sequences'
+tokens in batch order) by default, through one path: it drops the
+sequences that hold none of them before embedding, and its last layer
+attends from those rows alone: a group read in part takes its queries from
+its read rows, each sequence's in one row of a (B_g, r) query grid, r the
+most reads any of its sequences has, against keys and values over all its
+rows; a group read in full keeps its full grid. The output projection, the
+residual adds, both layer norms and the FFN of that layer run on the read
+rows alone, so a row nothing reads is not computed. The LM head is tied to
+the embedding table (plus a learnable per-vocab bias); three independent
+binary detection heads (rtd, std, itd) read the discriminator output.
 """
 
 from dataclasses import dataclass, asdict
@@ -333,12 +339,11 @@ class Model:
                 # past attention every op is per row: run the last layer on the read rows
                 x = ad.gather_rows(x, rows)
             proj = ad.matmul(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
-            proj = ad.dropout(proj, c.dropout_rate, rng)
-            x = ad.layer_norm(ad.add(x, proj), p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"])
-            f = ad.gelu(ad.matmul(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
-            f = ad.matmul(f, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
-            f = ad.dropout(f, c.dropout_rate, rng)
-            x = ad.layer_norm(ad.add(x, f), p[f"{pre}.norm_ffn.gain"], p[f"{pre}.norm_ffn.bias"])
+            x = ad.add_layer_norm(x, proj, p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"],
+                                  c.dropout_rate, rng)
+            f = ad.ffn(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"], p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
+            x = ad.add_layer_norm(x, f, p[f"{pre}.norm_ffn.gain"], p[f"{pre}.norm_ffn.bias"],
+                                  c.dropout_rate, rng)
         return x
 
     # -- heads ---------------------------------------------------------------

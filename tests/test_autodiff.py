@@ -347,6 +347,40 @@ def _closure_value(fn, name):
     return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
 
+def _owned_closure_arrays(op, inputs):
+    """(dtype, shape) of each array a recorded op's backward reaches through
+    its closure, and through the tensors, functions and tapes it holds, one
+    per block of memory, sorted. Views of an input tensor's data or of the
+    op's output are left out, and so is the single value a dropped tensor
+    keeps."""
+    arrays, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, ad.Tensor):
+            walk(obj.data)
+        elif isinstance(obj, ad.Tape):
+            for recorded in obj.ops:
+                walk(recorded.out)
+                walk(recorded.backward)
+        elif getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                walk(cell.cell_contents)
+
+    walk(op.backward)
+    owned = []
+    for a in arrays:
+        dropped = a.size > 1 and 0 in a.strides
+        held = [x.data for x in inputs] + [op.out.data] + owned
+        if not dropped and not any(np.shares_memory(a, b) for b in held):
+            owned.append(a)
+    return sorted((a.dtype.name, a.shape) for a in owned)
+
+
 @pytest.mark.parametrize("rate, shape, seed", [
     (0.1, (7, 13), 0), (0.25, (4, 3, 16), 1), (0.5, (1000,), 2), (0.9, (64, 8), 3),
 ])
@@ -480,6 +514,19 @@ def test_gather_rows_selects_and_scatters():
     assert (x.grad[~picked] == 0.0).all()
 
 
+def test_gather_rows_of_every_row_in_order_is_its_input_and_records_no_op():
+    x = t(np.arange(24, dtype=np.float32).reshape(8, 3))
+    with ad.Tape() as tape:
+        assert ad.gather_rows(x, np.arange(8)) is x
+        assert tape.ops == []
+        order = [7, 0, 1, 2, 3, 4, 5, 6]  # every row, permuted
+        rows = ad.gather_rows(x, order)
+        assert len(tape.ops) == 1
+        tape.backward(ad.tensor_sum(ad.mul(rows, ad.constant(np.arange(24).reshape(8, 3)))))
+    np.testing.assert_array_equal(rows.data, x.data[order])
+    np.testing.assert_array_equal(x.grad[order], np.arange(24).reshape(8, 3))
+
+
 @pytest.mark.parametrize("op", ["gather_rows", "scatter_rows"])
 def test_row_ops_add_into_a_copy_of_a_held_gradient(op):
     a, b = t(np.ones((5, 2))), t(np.ones((5, 2)))
@@ -603,12 +650,8 @@ def test_attention_keeps_only_the_softmax_and_the_keep_mask_for_its_backward():
     q, k, v, bias, pad_bias, heads = _attention_inputs("padded_full_grid", np.float32)
     with ad.Tape() as tape:
         ad.attention(q, k, v, bias, pad_bias, heads, 0.1, np.random.default_rng(3))
-    backward = tape.ops[-1].backward
-    arrays = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-    inputs = [x.data for x in (q, k, v, bias)]
-    owned = [a for a in arrays if not any(np.shares_memory(a, x) for x in inputs)]
-    assert sorted((a.dtype.name, a.shape) for a in owned) == [("bool", (3, 3, 7, 7)),
-                                                              ("float32", (3, 3, 7, 7))]
+    assert _owned_closure_arrays(tape.ops[-1], (q, k, v, bias)) == [("bool", (3, 3, 7, 7)),
+                                                                   ("float32", (3, 3, 7, 7))]
 
 
 @pytest.mark.parametrize("shapes, heads", [
@@ -627,6 +670,120 @@ def test_attention_refuses_mismatched_shapes(shapes, heads):
     with pytest.raises(DimensionError):
         ad.attention(q, k, v, t(np.zeros((heads, 4, 4))), np.zeros((1, 1, 1, 4), np.float32),
                      heads, 0.0, None)
+
+
+# -- the fused layer tail ---------------------------------------------------------
+
+
+def _ffn_chain(x, w1, b1, w2, b2):
+    """The op chain `ad.ffn` fuses, one tape op per step."""
+    return ad.matmul(ad.gelu(ad.matmul(x, w1, b1)), w2, b2)
+
+
+def _add_layer_norm_chain(x, y, gain, bias, rate, rng):
+    """The op chain `ad.add_layer_norm` fuses, one tape op per step."""
+    return ad.layer_norm(ad.add(x, ad.dropout(y, rate, rng)), gain, bias)
+
+
+def _layer_tail_inputs(dtype, seed=0):
+    """Leaves for a layer tail on 9 rows of width 12 with an FFN of width 20:
+    rows x, a sublayer output y, both norms' gains and biases and the FFN's
+    weights and biases."""
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (9, 12), "y": (9, 12), "gain1": (12,), "bias1": (12,), "gain2": (12,),
+              "bias2": (12,), "w1": (12, 20), "b1": (20,), "w2": (20, 12), "b2": (12,)}
+    leaves = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    leaves["gain1"] += 1.0
+    leaves["gain2"] += 1.0
+    return {name: ad.Tensor(a.astype(dtype), requires_grad=True) for name, a in leaves.items()}
+
+
+def _layer_tail(ffn, add_layer_norm, part, ts, rate, rng):
+    """One of the tail's fused ops, or the whole tail as `Model._encode` runs
+    it, through the given implementations of the two."""
+    ffn_args = lambda x: (x, ts["w1"], ts["b1"], ts["w2"], ts["b2"])
+    if part == "ffn":
+        return ffn(*ffn_args(ts["x"]))
+    x = add_layer_norm(ts["x"], ts["y"], ts["gain1"], ts["bias1"], rate, rng)
+    if part == "add_layer_norm":
+        return x
+    return add_layer_norm(x, ffn(*ffn_args(x)), ts["gain2"], ts["bias2"], rate, rng)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.0])
+@pytest.mark.parametrize("part", ["ffn", "add_layer_norm", "layer_tail"])
+def test_the_fused_layer_tail_is_the_op_chain_it_fuses_bit_for_bit(part, rate, dtype):
+    results = []
+    for ops in ((ad.ffn, ad.add_layer_norm), (_ffn_chain, _add_layer_norm_chain)):
+        ts = _layer_tail_inputs(dtype)
+        weights = ad.Tensor(np.random.default_rng(1).normal(size=(9, 12)).astype(dtype))
+        rng = np.random.default_rng(2)
+        with ad.Tape() as tape:
+            out = _layer_tail(*ops, part, ts, rate, rng)
+            tape.backward(ad.tensor_sum(ad.mul(out, weights)))
+        results.append((out.data, {n: x.grad for n, x in ts.items() if x.grad is not None},
+                        rng.random()))
+    (fused, fused_grads, fused_next), (chain, chain_grads, chain_next) = results
+    assert fused.dtype == dtype and fused.shape == (9, 12)
+    np.testing.assert_array_equal(fused, chain)
+    used = {"ffn": 5, "add_layer_norm": 4, "layer_tail": 10}[part]
+    assert len(fused_grads) == used and set(fused_grads) == set(chain_grads)
+    for name, got in fused_grads.items():
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, chain_grads[name], err_msg=name)
+    assert fused_next == chain_next  # both drew the same dropout masks
+
+
+def test_ffn_keeps_only_the_gelu_output_and_its_derivative_for_its_backward():
+    ts = _layer_tail_inputs(np.float32)
+    inputs = [ts[n] for n in ("x", "w1", "b1", "w2", "b2")]
+    with ad.Tape() as tape:
+        ad.ffn(*inputs)
+    assert _owned_closure_arrays(tape.ops[-1], inputs) == [("float32", (9, 20))] * 2
+
+
+def test_add_layer_norm_keeps_only_the_normalized_rows_1_over_sigma_and_the_keep_mask():
+    ts = _layer_tail_inputs(np.float32)
+    inputs = [ts[n] for n in ("x", "y", "gain1", "bias1")]
+    with ad.Tape() as tape:
+        ad.add_layer_norm(*inputs, 0.1, np.random.default_rng(3))
+    assert _owned_closure_arrays(tape.ops[-1], inputs) == [
+        ("bool", (9, 12)), ("float32", (9, 1)), ("float32", (9, 12))]
+
+
+def test_the_fused_layer_tail_records_nothing_untaped_and_ffn_skips_the_derivative(monkeypatch):
+    def no_slope(u, cdf):
+        raise AssertionError("an unrecorded ffn computed the GELU derivative")
+
+    monkeypatch.setattr(ad, "_gelu_slope", no_slope)
+    ts = _layer_tail_inputs(np.float32)
+    frozen = {n: ad.Tensor(x.data) for n, x in ts.items()}
+    with ad.Tape() as tape:
+        with ad.no_tape():
+            untaped = _layer_tail(ad.ffn, ad.add_layer_norm, "layer_tail", ts, 0.1,
+                                  np.random.default_rng(2))
+        # on a tape, but no input needs a gradient
+        _layer_tail(ad.ffn, ad.add_layer_norm, "layer_tail", frozen, 0.1, np.random.default_rng(2))
+        assert tape.ops == []
+    monkeypatch.undo()
+    with ad.Tape() as tape:
+        taped = _layer_tail(ad.ffn, ad.add_layer_norm, "layer_tail", ts, 0.1,
+                            np.random.default_rng(2))
+    assert len(tape.ops) == 3
+    np.testing.assert_array_equal(untaped.data, taped.data)
+
+
+@pytest.mark.parametrize("op, args", [
+    ("ffn", ((9, 12), (11, 20), (20,), (20, 12), (12,))),
+    ("ffn", ((9, 12), (12, 20), (20,), (19, 12), (12,))),
+    ("add_layer_norm", ((9, 12), (8, 12), (12,), (12,))),
+], ids=["ffn_w1", "ffn_w2", "add_layer_norm"])
+def test_the_fused_layer_tail_refuses_mismatched_shapes(op, args):
+    tensors = [t(np.zeros(shape)) for shape in args]
+    extra = (0.0, None) if op == "add_layer_norm" else ()
+    with pytest.raises(DimensionError):
+        getattr(ad, op)(*tensors, *extra)
 
 
 # -- finite-difference checks on every differentiable op ------------------------
@@ -666,6 +823,23 @@ def _fd_case(name):
         bias[3] = -1e9  # a padded key
         make = lambda ts: ad.tensor_sum(ad.mul(ad.softmax(ts["a"], bias), ts["w"]))
         w = rng.normal(size=(3, 5))
+    elif name == "ffn":
+        tensors = {"a": t(rng.normal(size=(3, 4)) * 2), "w1": t(rng.normal(size=(4, 5))),
+                   "b1": t(rng.normal(size=(5,))), "w2": t(rng.normal(size=(5, 4))),
+                   "b2": t(rng.normal(size=(4,)))}
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.ffn(ts["a"], ts["w1"], ts["b1"], ts["w2"], ts["b2"]),
+                                               ts["w"]))
+        reference = lambda ts: ad.tensor_sum(ad.mul(ad.matmul(
+            _exact_gelu(ad.matmul(ts["a"], ts["w1"], ts["b1"])), ts["w2"], ts["b2"]), ts["w"]))
+        w = rng.normal(size=(3, 4))
+    elif name == "add_layer_norm":
+        # the residual add, dropout from a re-seeded rng, and the norm
+        tensors = {"a": t(rng.normal(size=(3, 8)) * 2), "y": t(rng.normal(size=(3, 8))),
+                   "gain": t(rng.normal(1, 0.2, size=(8,))),
+                   "bias": t(rng.normal(0, 0.2, size=(8,)))}
+        make = lambda ts: ad.tensor_sum(ad.mul(ad.add_layer_norm(
+            ts["a"], ts["y"], ts["gain"], ts["bias"], 0.3, np.random.default_rng(8)), ts["w"]))
+        w = rng.normal(size=(3, 8))
     elif name == "layer_norm":
         tensors = {"a": t(rng.normal(size=(3, 8)) * 2),
                    "gain": t(rng.normal(1, 0.2, size=(8,))),
@@ -726,7 +900,7 @@ def _fd_case(name):
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "gelu", "softmax", "softmax_bias", "layer_norm", "transpose_reshape",
     "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
-    "relative_bias", "attention",
+    "relative_bias", "attention", "ffn", "add_layer_norm",
 ])
 def test_gradients_match_finite_differences(op_name):
     tensors, make, reference = _fd_case(op_name)

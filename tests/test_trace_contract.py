@@ -2,8 +2,8 @@
 
 The tracer wraps the program's functions by name and reads some of their
 arguments and results by position. One sampled training step with every
-course on runs under it here: every course, correction and encoder span must
-record a call, and the counts the tracer takes must equal the step's own
+course on runs under it here: every course, correction, encoder and autodiff
+op span must record a call, and the counts the tracer takes must equal the step's own
 CourseBatch.
 """
 
@@ -84,3 +84,11 @@ def test_traced_counts_equal_the_steps_course_batch(traced, batch):
     assert counts["correction.retry_positions"] == sum(
         len(nb.pos2) + len(nb.pos3) for nb in (rtd, std))
     assert counts["correction.retry_positions"] > 0
+
+
+def test_every_autodiff_op_the_tracer_wraps_records_a_call(traced):
+    # ad.ffn and ad.add_layer_norm run the public ops, so a traced step still
+    # times each encoder layer's matmuls, GELU, dropouts and layer norms
+    tracing, tracer, _ = traced
+    spans = tracer.spans()
+    assert [op for op in tracing.AUTODIFF_OPS if spans.count(f"autodiff.{op}") == 0] == []
