@@ -21,6 +21,7 @@ from .errors import ContractError, DimensionError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance before layer norm's 1/sqrt
+_GELU_BLOCK = 1 << 16  # elements per slice of gelu's chain: its temporaries fit in L2
 # erf(x) ~ x * P(x^2) / Q(x^2) on [-4, 4], coefficients highest power first
 # (the float32 fit Eigen and XLA use); beyond +-4, erf rounds to +-1 in float32.
 _ERF_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
@@ -437,14 +438,27 @@ def gelu(x):
     float64 (tests/test_autodiff.py pins both); the backward pass uses the
     exact normal density. When a tape records the op, it computes the
     derivative in forward and keeps it for its backward, which reads x only
-    to hand it its gradient; otherwise it computes no derivative."""
-    cdf = _erf(x.data * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5
-    out = Tensor(x.data * cdf, x.requires_grad)
-    if _active_tape() is None or not out.requires_grad:
+    to hand it its gradient; otherwise it computes no derivative.
+
+    The chain runs over flat slices of _GELU_BLOCK elements, so its
+    temporaries stay in cache; being elementwise, it gives the whole-array
+    chain's values bit for bit."""
+    u = x.data.reshape(-1)
+    y = np.empty_like(u)
+    taped = _active_tape() is not None and x.requires_grad
+    slope = np.empty_like(u) if taped else None
+    for i in range(0, u.size, _GELU_BLOCK):
+        block = slice(i, i + _GELU_BLOCK)
+        cdf = _erf(u[block] * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
+        np.multiply(u[block], cdf, out=y[block])
+        if taped:
+            slope[block] = _gelu_slope(u[block], cdf)
+    out = Tensor(y.reshape(x.data.shape), x.requires_grad)
+    if not taped:
         return out  # nothing records the op, so nothing reads the derivative
-    slope = _gelu_slope(x.data, cdf)
+    slope = slope.reshape(x.data.shape)
 
     def backward(g):
         x.accumulate_grad(g * slope)

@@ -98,7 +98,8 @@ def cmd_sweep(args):
         target = Path(run.checkpoint)
         if target.resolve() != final.resolve():
             target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(final, target)
+            with open(final, "rb") as src, atomic_open(target, "wb") as dst:
+                shutil.copyfileobj(src, dst)
         if manifest.probe_data:
             run.score = _probe_checkpoint(run.checkpoint, manifest.probe_data, run.seed)
             log.info("run %s probe accuracy %.4f", run.name, run.score)

@@ -200,11 +200,11 @@ def itd_labels(n_rows, insert_rows):
     return labels
 
 
-def loss_itd(model, d_hidden, batch):
-    """BCE with the itd head over the insert views; labels are by
-    construction, independent of what the generator sampled."""
+def loss_itd(model, d_hidden, batch, first_row=0):
+    """BCE with the itd head over every row of the insert views; labels are
+    by construction, independent of what the generator sampled."""
     labels = itd_labels(len(batch.inserted), batch.insert_rows)
-    return binary_detection_loss(model, d_hidden, "itd", 0, labels)
+    return binary_detection_loss(model, d_hidden, "itd", first_row, labels)
 
 
 # -- batch assembly -----------------------------------------------------------

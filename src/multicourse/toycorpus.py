@@ -9,6 +9,8 @@ cloze task non-trivial. Everything regenerates bit-identically from a seed.
 
 import numpy as np
 
+from .fileio import atomic_open
+
 THEMES = {
     "farm": {
         "noun": ["farmer", "goat", "barn", "tractor", "meadow", "fence", "bucket", "orchard"],
@@ -76,7 +78,7 @@ def generate_corpus(n_sentences=1000, seed=7):
 
 def write_corpus(path, n_sentences=1000, seed=7):
     sentences = generate_corpus(n_sentences, seed)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(sentences) + "\n")
     return sentences
 
@@ -109,7 +111,7 @@ def token_presence_dataset(n_examples=500, seed=11, target="lantern"):
 
 def write_probe_dataset(path, n_examples=500, seed=11, target="lantern"):
     examples = token_presence_dataset(n_examples, seed, target)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for sent, label in examples:
             fh.write(f"{label}\t{sent}\n")
     return examples

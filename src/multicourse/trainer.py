@@ -1,7 +1,7 @@
 """Joint training of generator and discriminator over all enabled courses.
 
 A step corrupts one batch into every course's views and runs the courses
-(`run_courses`) in at most three generator and three discriminator passes.
+(`run_courses`) in at most three generator and two discriminator passes.
 Its CourseBatch is its one record: the views as packed id arrays, one
 notebook per discriminator stream and whether correction ran; each course
 function runs once per view set, not once per sequence. One clipped AdamW
@@ -153,19 +153,21 @@ def step_losses(model, seqs, cfg: TrainConfig, rates, rng, step=0):
 
 
 def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
-    """Every enabled loss of one step; view sets of one width share an encoder pass.
+    """Every enabled loss of one step; the view sets of a pass share its grid.
 
     The passes, in order: mlm+slm (generator), the off-tape insert pass,
-    rtd+std (discriminator), itd, then for a `corrected` batch re_mlm+re_slm
+    rtd+std+itd (discriminator), then for a `corrected` batch re_mlm+re_slm
     and re_rtd+re_std from the rtd/std notebooks. A shared pass holds its
-    view sets one after another, so the second one's rows start at t. A pass
-    computes only the rows its caller reads: the generator passes the masked
-    and swapped rows, the inserted slots and pos4, the rediscrimination pass
-    the retry rows, and the rtd+std and itd passes every row. Each loss and
-    splice reads its own contiguous block of the output. Given an rng the
-    step samples: generator samples fill the rtd/std/itd views and the
-    discriminator files its notebooks in the batch. Without one it replays
-    those from the batch, dropout-free.
+    view sets one after another, each laid out by its own lengths: with t
+    the rows of one view set, the second set's rows start at t, and the
+    insert views follow the rtd and std ones. A pass computes only the rows
+    its caller reads: the generator passes the masked and swapped rows, the
+    inserted slots and pos4, the rediscrimination pass the retry rows, and
+    the rtd+std+itd pass every row. Each loss and splice reads its own
+    contiguous block of the output. Given an rng the step samples: generator
+    samples fill the rtd/std/itd views and the discriminator files its
+    notebooks in the batch. Without one it replays those from the batch,
+    dropout-free.
     """
     on = cfg.enabled_losses()
     sample = rng is not None
@@ -174,8 +176,9 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     swap = "slm" in on
     losses = {}
 
-    def grid(views):
-        return crs.pad_batch(np.concatenate(views), np.tile(batch.lengths, len(views)))
+    def grid(views, lengths=None):
+        return crs.pad_batch(np.concatenate(views),
+                             np.concatenate(lengths or [batch.lengths] * len(views)))
 
     def read(row_sets):
         """View set k's rows, shifted to its place in a shared pass, and where
@@ -202,8 +205,13 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
         batch.itd_view = crs.splice_generator_samples(model, batch.inserted, h.data,
                                                       batch.insert_rows, rng)
 
-    h = model.encode_discriminator(
-        *grid([batch.rtd_view, batch.std_view] if swap else [batch.rtd_view]), rng)
+    views = [batch.rtd_view, batch.std_view] if swap else [batch.rtd_view]
+    lengths = [batch.lengths] * len(views)
+    itd = "itd" in on and batch.itd_kept
+    if itd:
+        views.append(batch.itd_view)
+        lengths.append(batch.inserted_lengths)
+    h = model.encode_discriminator(*grid(views, lengths), rng)
     losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_view, x)
     if sample:
         batch.notebooks["rtd"] = corr.classify_confusion(
@@ -212,10 +220,9 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
         losses["std"] = crs.loss_std(model, h, batch.std_view, x, t)
         if sample:
             batch.notebooks["std"] = corr.classify_confusion(
-                x, batch.std_view, model.detection_probs_detached(h.data[t:], "std"))
-    if "itd" in on and batch.itd_kept:
-        h = model.encode_discriminator(*crs.pad_batch(batch.itd_view, batch.inserted_lengths), rng)
-        losses["itd"] = crs.loss_itd(model, h, batch)
+                x, batch.std_view, model.detection_probs_detached(h.data[t:2 * t], "std"))
+    if itd:
+        losses["itd"] = crs.loss_itd(model, h, batch, (len(views) - 1) * t)
     if not batch.corrected:
         return losses
 

@@ -951,6 +951,29 @@ def test_rational_erf_max_error_against_scipy(dtype, bound):
     assert np.abs(got.astype(np.float64) - exact_erf(x.astype(np.float64))).max() <= bound
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2061, 96), (9, 20)], ids=["ragged_blocks", "one_block"])
+def test_blocked_gelu_equals_the_whole_array_chain_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(12)
+    x = ad.Tensor((rng.normal(size=shape) * 4).astype(dtype), requires_grad=True)
+    g = rng.normal(size=shape).astype(dtype)
+    cdf = ad._erf(x.data * ad._INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    slope = ad._gelu_slope(x.data, cdf)
+    with ad.Tape() as tape:
+        out = ad.gelu(x)
+        kept = [c.cell_contents for c in tape.ops[-1].backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        # d/d(out) of sum(out * g) is g exactly
+        tape.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(g))))
+    assert out.data.dtype == x.grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, x.data * cdf)
+    assert len(kept) == 1
+    np.testing.assert_array_equal(kept[0], slope)
+    np.testing.assert_array_equal(x.grad, g * slope)
+
+
 def test_all_forward_values_finite_on_finite_inputs():
     rng = np.random.default_rng(11)
     x = t(rng.normal(size=(4, 8)) * 50)

@@ -387,6 +387,29 @@ def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path):
     assert (sweep / "re_rtd" / "metrics.csv").read_text(encoding="utf-8") == "another run\n"
 
 
+def test_sweep_copy_that_fails_midway_keeps_the_old_checkpoint(workspace, tmp_path, monkeypatch):
+    cfg_path = tmp_path / "sweep_cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "unused", total_steps=3, warmup_steps=1,
+                               batch_size=4), cfg_path)
+    target = tmp_path / "kept" / "re_mlm.bin"
+    target.parent.mkdir()
+    target.write_bytes(b"an earlier checkpoint")
+    manifest = SweepManifest(
+        config_path=str(cfg_path), output_dir=str(tmp_path / "sweep"),
+        runs=[SweepRun(name="re_mlm", losses=("re_mlm",), seed=1, checkpoint=str(target))])
+    mpath = tmp_path / "manifest.json"
+    save_manifest(manifest, mpath)
+
+    def copy_half(src, dst):
+        dst.write(src.read(64))
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(multicourse.cli.shutil, "copyfileobj", copy_half)
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    assert target.read_bytes() == b"an earlier checkpoint"
+    assert [p.name for p in target.parent.iterdir()] == ["re_mlm.bin"]
+
+
 def test_cli_imports_without_scipy():
     code = ("import sys, multicourse.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -474,10 +474,10 @@ def test_evaluate_losses_matches_step_losses_without_dropout(corpus, correction_
 
 
 @pytest.mark.parametrize("overrides, replay, passes", [
-    ({}, False, (3, 3)),
+    ({}, False, (3, 2)),
     ({"itd_course": False}, False, (2, 2)),
-    ({"correction_start_step": 1}, False, (2, 2)),
-    ({}, True, (2, 3)),
+    ({"correction_start_step": 1}, False, (2, 1)),
+    ({}, True, (2, 2)),
 ], ids=["sampled", "no_itd", "before_correction", "replay"])
 def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
     model, seqs, _ = setup
@@ -499,8 +499,30 @@ def test_encoder_passes_per_step(setup, monkeypatch, overrides, replay, passes):
     assert bool(batch.itd_kept) == cfg.itd_course
     assert (calls["generator"], calls["discriminator"]) == passes
     # every generator pass and the rediscrimination pass compute only the rows
-    # they read; the rtd+std and itd passes read every row
+    # they read; the rtd+std+itd pass reads every row
     assert (pruned["generator"], pruned["discriminator"]) == (passes[0], int(batch.corrected))
+
+
+def test_one_discriminator_pass_scores_rtd_std_and_itd_as_their_own_passes(corpus):
+    vocab, seqs = corpus
+    model = Model(small_encoder(len(vocab), dropout=0.0), seed=5)
+    cfg = small_train()
+    with ad.Tape():
+        losses, batch = step_losses(model, seqs[:6], cfg, RATES, np.random.default_rng(17))
+    assert batch.itd_kept and len(batch.inserted) > len(batch.ids)
+    for course, view, lengths in (("rtd", batch.rtd_view, batch.lengths),
+                                  ("std", batch.std_view, batch.lengths),
+                                  ("itd", batch.itd_view, batch.inserted_lengths)):
+        h = model.encode_discriminator(*pad_batch(view, lengths))
+        if course == "itd":
+            alone = crs.loss_itd(model, h, batch)
+        else:
+            alone = getattr(crs, f"loss_{course}")(model, h, view, batch.ids)
+            notebook = corr.classify_confusion(
+                batch.ids, view, model.detection_probs_detached(h.data, course))
+            for got, want in zip(batch.notebooks[course].cells(), notebook.cells()):
+                np.testing.assert_array_equal(got, want, err_msg=course)
+        assert float(losses[course].data) == pytest.approx(float(alone.data), rel=1e-6), course
 
 
 def _one_pass_per_course(model, batch, cfg):
