@@ -9,9 +9,9 @@ A tape runs backward once. Backward takes each op's output gradient off its
 tensor as the op consumes it, so afterwards only leaves hold a `.grad`: the
 parameters, and any tensor that no recorded op produced.
 
-`ffn` and `add_layer_norm` run a chain of these ops on a tape of their own,
-which the enclosing tape records as one op, and drop the values of the
-chain's intermediates that no backward reads.
+`ffn` and `add_layer_norm` record their chain of these ops on the active
+tape, op by op, and drop the values of the chain's intermediates that no
+backward reads.
 """
 
 import numpy as np
@@ -104,11 +104,7 @@ class Tape:
         if self._spent:
             raise ContractError("this tape has already run backward")
         self._spent = True
-        self._propagate(loss, np.ones_like(loss.data))
-
-    def _propagate(self, out, g):
-        """Hand `out` the gradient g and propagate it through the tape in reverse."""
-        out.accumulate_grad(g)
+        loss.accumulate_grad(np.ones_like(loss.data))
         for op in reversed(self.ops):
             g, op.out.grad = op.out.grad, None
             if g is not None:
@@ -496,57 +492,47 @@ def layer_norm(x, gain, bias):
     return out
 
 
-def _one_op(chain):
-    """Runs chain() -> (out, unread), a chain of ops, and returns out. On a
-    tape, the chain runs on a tape of its own that the enclosing one records
-    as one op, whose backward runs the chain's backwards in reverse; each
-    tensor in `unread` then drops its values, keeping its shape for the
+def _drop_values(tensors):
+    """On a tape, each tensor drops its values, keeping its shape for the
     gradient it is handed, so the caller must list only intermediates whose
-    values no backward of the chain reads."""
+    values no recorded backward reads. Off the tape, nothing changes."""
     if _active_tape() is None:
-        return chain()[0]
-    with Tape() as inner:
-        out, unread = chain()
-    for t in unread:  # one zero seen through zero strides: no memory, same shape
+        return
+    for t in tensors:  # one zero seen through zero strides: no memory, same shape
         t.data = np.ndarray(t.data.shape, t.data.dtype, np.zeros(1, t.data.dtype),
                             strides=(0,) * t.data.ndim)
-    _record(out, lambda g: inner._propagate(out, g))
-    return out
 
 
 def ffn(x, w1, b1, w2, b2):
-    """The feed-forward block gelu(x @ w1 + b1) @ w2 + b2, as one tape op.
+    """The feed-forward block gelu(x @ w1 + b1) @ w2 + b2.
 
-    It runs `matmul`, `gelu` and `matmul`, so its arithmetic is theirs, and
-    drops the GELU input's values: `gelu` keeps its derivative instead. So
-    its backward keeps two (rows, ffn) arrays, the GELU output and its
-    derivative, and off the tape it computes no derivative.
+    It records `matmul`, `gelu` and `matmul` on the tape, so its arithmetic
+    is theirs, and drops the GELU input's values: `gelu` keeps its derivative
+    instead. So its backward keeps two (rows, ffn) arrays, the GELU output
+    and its derivative, and off the tape it computes no derivative.
     """
-    def chain():
-        u = matmul(x, w1, b1)
-        return matmul(gelu(u), w2, b2), [u]
-
-    return _one_op(chain)
+    u = matmul(x, w1, b1)
+    out = matmul(gelu(u), w2, b2)
+    _drop_values([u])
+    return out
 
 
 def add_layer_norm(x, y, gain, bias, rate, rng):
     """layer_norm(x + dropout(y, rate, rng), gain, bias) for same-shape x and
-    y, as one tape op: a sublayer's residual add and layer norm.
+    y: a sublayer's residual add and layer norm.
 
-    It runs `dropout`, `add` and `layer_norm`, so its arithmetic and its
-    dropout draw are theirs, and drops the values of the dropped y and of
-    the sum, which no backward reads. So its backward keeps the normalized
-    rows, 1/sigma and the bool keep mask.
+    It records `dropout`, `add` and `layer_norm` on the tape, so its
+    arithmetic and its dropout draw are theirs, and drops the values of the
+    dropped y and of the sum, which no backward reads. So its backward keeps
+    the normalized rows, 1/sigma and the bool keep mask.
     """
     if x.data.shape != y.data.shape:
         raise DimensionError(f"add_layer_norm shapes differ: {x.data.shape} and {y.data.shape}")
-
-    def chain():
-        dropped = dropout(y, rate, rng)
-        total = add(x, dropped)
-        return layer_norm(total, gain, bias), [total] + ([dropped] if dropped is not y else [])
-
-    return _one_op(chain)
+    dropped = dropout(y, rate, rng)
+    total = add(x, dropped)
+    out = layer_norm(total, gain, bias)
+    _drop_values([total] if dropped is y else [total, dropped])
+    return out
 
 
 def dropout(x, rate, rng):

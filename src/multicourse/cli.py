@@ -119,10 +119,12 @@ def _load_weight_file(path, manifest):
     elif not isinstance(raw, list) or len(raw) != len(manifest.runs):
         raise ConfigError(f"{path}: expected {len(manifest.runs)} weights, a list or "
                           f"an object keyed by run name")
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw):
+        raise ConfigError(f"{path}: weights must be numbers, got {raw}")
     try:
         values = [float(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: weights must be numbers, got {raw}") from None
+    except OverflowError:  # an int beyond float range
+        raise ConfigError(f"{path}: weights must be finite with a positive sum") from None
     total = sum(values)
     if not 0 < total < float("inf"):
         raise ConfigError(f"{path}: weights must be finite with a positive sum")

@@ -14,12 +14,13 @@ queries by 1/sqrt(d_head) and adds the relative-position bias
 (`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
 grid's padded keys) to the scores, so a padded key gets exactly zero
 probability and gradient. It keeps only the softmax and the dropout mask
-for its backward. Past the output projection, a layer is three more ops
-on the packed rows: `ad.add_layer_norm` (the projection's dropout, the
-residual add and the norm), `ad.ffn` (both FFN matmuls and the GELU) and
-`ad.add_layer_norm` again. For their backward they keep the normalized
-rows, 1/sigma, the dropout masks, and the GELU output and its derivative;
-no sum, dropped array or GELU input stays on the tape.
+for its backward. Past the output projection, a layer makes three more
+calls on the packed rows, nine tape ops with dropout on:
+`ad.add_layer_norm` (the projection's dropout, the residual add and the
+norm), `ad.ffn` (both FFN matmuls and the GELU) and `ad.add_layer_norm`
+again. For their backward they keep the normalized rows, 1/sigma, the
+dropout masks, and the GELU output and its derivative; no sum, dropped
+array or GELU input keeps its values on the tape.
 
 A pass returns the packed rows it is given, every row (the sequences'
 tokens in batch order) by default, through one path: it drops the
@@ -204,8 +205,9 @@ class Model:
 
     @classmethod
     def from_state(cls, config: EncoderConfig, state):
-        """A model holding copies of `state`'s arrays, checked as `load_state`
-        checks them, with no random initialisation."""
+        """A model holding float32 copies of `state`'s arrays, with no random
+        initialisation; an unknown, missing or misshaped parameter raises
+        InputError."""
         model = cls.__new__(cls)
         model._build(config, state)
         return model
@@ -225,10 +227,6 @@ class Model:
     def state(self):
         """Parameter arrays keyed by name, in canonical order."""
         return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_state(self, state):
-        for name, arr in _checked_state(self.config, state).items():
-            self.params[name].data = arr
 
     def zero_grad(self):
         for p in self.params.values():

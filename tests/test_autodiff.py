@@ -347,12 +347,12 @@ def _closure_value(fn, name):
     return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
 
-def _owned_closure_arrays(op, inputs):
-    """(dtype, shape) of each array a recorded op's backward reaches through
-    its closure, and through the tensors, functions and tapes it holds, one
-    per block of memory, sorted. Views of an input tensor's data or of the
-    op's output are left out, and so is the single value a dropped tensor
-    keeps."""
+def _owned_closure_arrays(ops, inputs):
+    """(dtype, shape) of each array that recorded ops hold, through their
+    outputs and through their backwards' closures and the tensors and
+    functions those hold, one per block of memory, sorted. Views of an input
+    tensor's data or of the last op's output are left out, and so is the
+    single value a dropped tensor keeps."""
     arrays, seen = [], set()
 
     def walk(obj):
@@ -363,19 +363,17 @@ def _owned_closure_arrays(op, inputs):
             arrays.append(obj)
         elif isinstance(obj, ad.Tensor):
             walk(obj.data)
-        elif isinstance(obj, ad.Tape):
-            for recorded in obj.ops:
-                walk(recorded.out)
-                walk(recorded.backward)
         elif getattr(obj, "__closure__", None):
             for cell in obj.__closure__:
                 walk(cell.cell_contents)
 
-    walk(op.backward)
+    for op in ops:
+        walk(op.out)
+        walk(op.backward)
     owned = []
     for a in arrays:
         dropped = a.size > 1 and 0 in a.strides
-        held = [x.data for x in inputs] + [op.out.data] + owned
+        held = [x.data for x in inputs] + [ops[-1].out.data] + owned
         if not dropped and not any(np.shares_memory(a, b) for b in held):
             owned.append(a)
     return sorted((a.dtype.name, a.shape) for a in owned)
@@ -650,8 +648,8 @@ def test_attention_keeps_only_the_softmax_and_the_keep_mask_for_its_backward():
     q, k, v, bias, pad_bias, heads = _attention_inputs("padded_full_grid", np.float32)
     with ad.Tape() as tape:
         ad.attention(q, k, v, bias, pad_bias, heads, 0.1, np.random.default_rng(3))
-    assert _owned_closure_arrays(tape.ops[-1], (q, k, v, bias)) == [("bool", (3, 3, 7, 7)),
-                                                                   ("float32", (3, 3, 7, 7))]
+    assert _owned_closure_arrays(tape.ops, (q, k, v, bias)) == [("bool", (3, 3, 7, 7)),
+                                                              ("float32", (3, 3, 7, 7))]
 
 
 @pytest.mark.parametrize("shapes, heads", [
@@ -740,7 +738,7 @@ def test_ffn_keeps_only_the_gelu_output_and_its_derivative_for_its_backward():
     inputs = [ts[n] for n in ("x", "w1", "b1", "w2", "b2")]
     with ad.Tape() as tape:
         ad.ffn(*inputs)
-    assert _owned_closure_arrays(tape.ops[-1], inputs) == [("float32", (9, 20))] * 2
+    assert _owned_closure_arrays(tape.ops, inputs) == [("float32", (9, 20))] * 2
 
 
 def test_add_layer_norm_keeps_only_the_normalized_rows_1_over_sigma_and_the_keep_mask():
@@ -748,7 +746,7 @@ def test_add_layer_norm_keeps_only_the_normalized_rows_1_over_sigma_and_the_keep
     inputs = [ts[n] for n in ("x", "y", "gain1", "bias1")]
     with ad.Tape() as tape:
         ad.add_layer_norm(*inputs, 0.1, np.random.default_rng(3))
-    assert _owned_closure_arrays(tape.ops[-1], inputs) == [
+    assert _owned_closure_arrays(tape.ops, inputs) == [
         ("bool", (9, 12)), ("float32", (9, 1)), ("float32", (9, 12))]
 
 
@@ -770,7 +768,7 @@ def test_the_fused_layer_tail_records_nothing_untaped_and_ffn_skips_the_derivati
     with ad.Tape() as tape:
         taped = _layer_tail(ad.ffn, ad.add_layer_norm, "layer_tail", ts, 0.1,
                             np.random.default_rng(2))
-    assert len(tape.ops) == 3
+    assert len(tape.ops) == 9  # add_layer_norm's 3 ops, ffn's 3 and add_layer_norm's 3
     np.testing.assert_array_equal(untaped.data, taped.data)
 
 

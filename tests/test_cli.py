@@ -294,8 +294,9 @@ def test_soup_refuses_runs_of_different_seeds(run1, tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("text", [
     '{"a": 1.0,', '{"a": NaN, "b": 1.0}', '[Infinity, 1.0]', '3', '["x", 1.0]', '{"a": 1.0}',
-    '{"a": 1.0, "b": 1.0, "c": 1.0}',
-], ids=["bad_json", "nan", "inf", "number", "string", "missing_run", "unknown_run"])
+    '{"a": 1.0, "b": 1.0, "c": 1.0}', '["0.5", "1.5"]', '[true, true]', f'[1{"0" * 400}, 1.0]',
+], ids=["bad_json", "nan", "inf", "number", "string", "missing_run", "unknown_run",
+        "numeric_string", "bool", "int_overflow"])
 def test_soup_with_a_malformed_weight_file_exits_1(run1, tmp_path, capsys, text):
     mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
