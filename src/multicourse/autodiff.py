@@ -11,7 +11,9 @@ parameters, and any tensor that no recorded op produced.
 
 `ffn` and `add_layer_norm` record their chain of these ops on the active
 tape, op by op, and drop the values of the chain's intermediates that no
-backward reads.
+backward reads. `attention` takes packed query, key and value rows and
+builds each group's padded grids inside itself, so no op moves rows into
+or out of a grid.
 """
 
 import numpy as np
@@ -308,65 +310,32 @@ def relative_bias(table, buckets):
 
 
 def _row_index(index, n_rows):
-    """An int64 index into `n_rows` rows; a row outside them or repeated raises."""
+    """An int64 index of strictly increasing rows in [0, n_rows); any other raises."""
     index = np.asarray(index, dtype=np.int64)
-    try:
-        counts = np.bincount(index, minlength=n_rows)  # one pass checks range and repeats
-    except ValueError:  # a negative row
-        counts = None
-    if counts is None or counts.size > n_rows:
-        raise ContractError(f"row index {index.min()}..{index.max()} outside [0, {n_rows})")
-    if counts.max(initial=0) > 1:
-        raise ContractError("row index must not repeat a row")
+    if index.ndim != 1 or (index[1:] <= index[:-1]).any():
+        raise ContractError("a row index must be strictly increasing")
+    if index.size and (index[0] < 0 or index[-1] >= n_rows):
+        raise ContractError(f"row index {index[0]}..{index[-1]} outside [0, {n_rows})")
     return index
 
 
-def _accumulate_rows(x, index, rows):
-    """Add `rows` into the distinct rows `index` of x's gradient: into a copy
-    of the gradient x already holds (which may alias another's), else into a
-    zero array with one assignment."""
-    if x.grad is None:
-        acc = np.zeros_like(x.data)
-        acc[index] = rows
-    else:
-        acc = x.grad.copy()
-        acc[index] += rows
-    x.grad = acc
-
-
 def gather_rows(x, index):
-    """Rows index[k] of x, along its first axis. The rows must be distinct
-    (ContractError otherwise), so the backward adds their gradient into x's
-    with one indexed add. Every row in order is x itself, and records no op."""
+    """Rows index[k] of x, along its first axis. The rows must be strictly
+    increasing (ContractError otherwise), so the backward adds their gradient
+    into x's with one indexed add. Every row is x itself, and records no op."""
     index = _row_index(index, x.data.shape[0])
-    # distinct rows in range: all of them, increasing, is the identity
-    if index.size == x.data.shape[0] and (index[1:] > index[:-1]).all():
+    if index.size == x.data.shape[0]:
         return x
     out = Tensor(x.data[index], x.requires_grad)
 
     def backward(g):
-        _accumulate_rows(x, index, g)
-
-    _record(out, backward)
-    return out
-
-
-def scatter_rows(x, src, dst, n_rows):
-    """Row src[k] of x placed at row dst[k] of a zero (n_rows, ...) array, a
-    gather and a scatter in one op; swapping src and dst moves the rows back.
-    Each index must name distinct rows in range, and both must have one
-    length (ContractError otherwise), so the backward adds the rows'
-    gradient into x's with one indexed add."""
-    src = _row_index(src, x.data.shape[0])
-    dst = _row_index(dst, n_rows)
-    if src.shape != dst.shape:
-        raise ContractError(f"{src.size} source rows for {dst.size} destination rows")
-    data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    data[dst] = x.data[src]
-    out = Tensor(data, x.requires_grad)
-
-    def backward(g):
-        _accumulate_rows(x, src, g[dst])
+        if x.grad is None:
+            acc = np.zeros_like(x.data)
+            acc[index] = g
+        else:  # into a copy: the gradient x holds may alias another's
+            acc = x.grad.copy()
+            acc[index] += g
+        x.grad = acc
 
     _record(out, backward)
     return out
@@ -572,79 +541,106 @@ def _dropped(x, keep, s, out=None):
     return y
 
 
-def attention(q, k, v, bias, pad_bias, heads, rate, rng):
-    """Multi-head scaled dot-product attention with additive biases and
-    attention dropout, as one tape op.
+def attention(q, k, v, layouts, heads, rate, rng):
+    """Multi-head scaled dot-product attention of packed query rows q against
+    packed key and value rows k and v, each (rows, h), with additive biases
+    and attention dropout, as one tape op.
 
-    k and v are (g, w, h) key and value grids. q holds g * r query rows of
-    width h, each group's r together: a (g, r, h) grid or (g * r, h) rows.
-    The heads are views of width h / heads, and q is scaled by
-    1 / sqrt(h / heads). The tensor `bias` is added in place to the
-    (g, heads, r, w) scores, and `softmax` adds the constant array `pad_bias`
-    (in q's dtype) into its own buffer, both broadcast: a large negative
-    `pad_bias` at a padded key gives it an exact-zero probability and
-    gradient. Dropout draws `dropout`'s 16-bit mask, and the (g * r, h)
-    context rows come back with the heads merged. No groups (g = 0) give
-    (0, h) rows.
+    Each layout (kv_rows, kv_cells, q_rows, q_cells, bias, pad_bias) is one
+    group: rows kv_rows of k and v fill cells kv_cells of zero (g, w) grids,
+    and rows q_rows of q cells q_cells of a zero (g, r) grid. Each index is
+    strictly increasing, and no row is in two layouts (ContractError
+    otherwise). The constant array `pad_bias`, (g, 1, 1, w) in q's dtype,
+    gives g and w; the tensor `bias`, (heads, r, w) or (g, heads, r, w),
+    gives r. The queries are scaled by 1 / sqrt(h / heads), `bias` is added
+    in place to the (g, heads, r, w) scores, and `softmax` adds `pad_bias`
+    into its own buffer: a large negative `pad_bias` at a padded key gives
+    it an exact-zero probability and gradient. Dropout draws `dropout`'s
+    16-bit mask, group by group. Context row i is query row i's; a row that
+    no layout names gets zeros.
 
-    The op keeps only the softmax and the bool keep mask for its backward,
-    which rebuilds the dropped attention from them. Its arithmetic is that of
-    `scale`, `reshape`, `transpose`, batched `matmul`, `add`, `softmax` and
-    `dropout` chained, in the same order, so both give the same bits.
+    The op keeps each group's grids, softmax and bool keep mask for its
+    backward. Its arithmetic is that of placing the rows by 0/1 matmuls and
+    chaining `scale`, `reshape`, `transpose`, batched `matmul`, `add`,
+    `softmax` and `dropout`, in the same order, so both give the same bits.
     """
-    if k.data.ndim != 3:
-        raise DimensionError(f"attention keys must be a (g, w, h) grid, got {k.data.shape}")
-    g, w, h = k.data.shape
-    if (v.data.shape != k.data.shape or q.data.ndim not in (2, 3)
-            or q.data.shape[-1] != h or heads < 1 or h % heads
-            or (q.data.shape[0] % g if g else q.data.shape[0])
-            or (q.data.ndim == 3 and q.data.shape[0] != g)):
+    if (q.data.ndim != 2 or k.data.ndim != 2 or v.data.shape != k.data.shape
+            or q.data.shape[1] != k.data.shape[1] or heads < 1 or k.data.shape[1] % heads):
         raise DimensionError(f"attention shapes incompatible: q {q.data.shape}, k {k.data.shape}, "
                              f"v {v.data.shape}, {heads} heads")
-    r, dh = q.data.size // (g * h) if g * h else 0, h // heads
+    h = q.data.shape[1]
+    dh = h // heads
     s = q.data.dtype.type(1.0 / np.sqrt(dh))
+    d = q.data.dtype.type(1.0 / (1.0 - rate)) if rng is not None and rate != 0.0 else None
 
-    def split(x, n):  # (g, n, h) data as (g, heads, n, dh) views
+    def grid(x, rows, cells, n):  # rows of x in cells of an (n, h) zero grid
+        out = np.zeros((n, h), dtype=x.dtype)
+        out[cells] = x if rows.size == len(x) else x[rows]  # every row: x itself
+        return out
+
+    def split(x, g, n):  # (g * n, h) data as (g, heads, n, dh) views
         return x.reshape(g, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, shape):  # the inverse of split, into a new array of `shape`
-        return x.transpose(0, 2, 1, 3).reshape(shape)
+    def merge(x):  # the inverse of split, into a new array
+        return x.transpose(0, 2, 1, 3).reshape(-1, h)
 
-    kh, vh = split(k.data, w), split(v.data, w)
-    p = split(q.data * s, r) @ kh.swapaxes(-1, -2)
-    p += bias.data
-    # the public op on an untaped tensor, so a trace that wraps autodiff's ops
-    # still times every attention softmax; its new buffer replaces the scores
-    p = softmax(Tensor(p), pad_bias).data
-    keep = None
-    if rng is not None and rate != 0.0:
-        keep = _keep_mask(p.shape, rate, rng)
-        d = p.dtype.type(1.0 / (1.0 - rate))
-    attn = p if keep is None else _dropped(p, keep, d)
-    out = Tensor(merge(attn @ vh, (g * r, h)),
-                 q.requires_grad or k.requires_grad or v.requires_grad or bias.requires_grad)
+    out = np.zeros_like(q.data)
+    q_taken, kv_taken = np.zeros(len(q.data), dtype=bool), np.zeros(len(k.data), dtype=bool)
+    groups = []
+    for kv_rows, kv_cells, q_rows, q_cells, bias, pad_bias in layouts:
+        g, w = pad_bias.shape[0], pad_bias.shape[-1]
+        r = bias.data.shape[-2] if bias.data.ndim > 1 else -1
+        if pad_bias.shape != (g, 1, 1, w) or bias.data.shape not in ((heads, r, w), (g, heads, r, w)):
+            raise DimensionError(f"attention bias {bias.data.shape} and key padding "
+                                 f"{pad_bias.shape} do not fit {heads} heads")
+        kv_rows, q_rows = _row_index(kv_rows, len(k.data)), _row_index(q_rows, len(q.data))
+        kv_cells, q_cells = _row_index(kv_cells, g * w), _row_index(q_cells, g * r)
+        if kv_rows.size != kv_cells.size or q_rows.size != q_cells.size:
+            raise ContractError(f"{kv_rows.size} key rows for {kv_cells.size} cells, "
+                                f"{q_rows.size} query rows for {q_cells.size} cells")
+        if q_taken[q_rows].any() or kv_taken[kv_rows].any():
+            raise ContractError("two attention layouts name one row")
+        q_taken[q_rows] = kv_taken[kv_rows] = True
+        qg = grid(q.data, q_rows, q_cells, g * r)
+        qg *= s
+        qh = split(qg, g, r)
+        kh = split(grid(k.data, kv_rows, kv_cells, g * w), g, w)
+        vh = split(grid(v.data, kv_rows, kv_cells, g * w), g, w)
+        p = qh @ kh.swapaxes(-1, -2)
+        p += bias.data
+        # the public op on an untaped tensor, so a trace that wraps autodiff's ops
+        # still times every attention softmax; its new buffer replaces the scores
+        p = softmax(Tensor(p), pad_bias).data
+        keep = None if d is None else _keep_mask(p.shape, rate, rng)
+        attn = p if keep is None else _dropped(p, keep, d)
+        out[q_rows] = merge(attn @ vh)[q_cells]
+        groups.append((kv_rows, kv_cells, q_rows, q_cells, bias, g, r, qh, kh, vh, p, keep))
+    out = Tensor(out, q.requires_grad or k.requires_grad or v.requires_grad
+                 or any(group[4].requires_grad for group in groups))
 
     def backward(grad):
-        gc = split(grad, r)
-        if v.requires_grad:
-            attn = p if keep is None else _dropped(p, keep, d)
-            v.accumulate_grad(merge(attn.swapaxes(-1, -2) @ gc, v.data.shape))
-            del attn  # one grid-sized array at a time beside the softmax
-        if not (q.requires_grad or k.requires_grad or bias.requires_grad):
-            return
-        gs = gc @ vh.swapaxes(-1, -2)
-        if keep is not None:
-            _dropped(gs, keep, d, out=gs)
-        _softmax_grad(gs, p, out=gs)
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(gs, bias.data.shape))
-        if q.requires_grad:
-            gq = merge(gs @ kh, q.data.shape)
-            gq *= s
-            q.accumulate_grad(gq)
-        if k.requires_grad:
-            qt = split(q.data * s, r).swapaxes(-1, -2)
-            k.accumulate_grad((qt @ gs).transpose(0, 3, 1, 2).reshape(k.data.shape))
+        gq, gk, gv = (np.zeros_like(x.data) if x.requires_grad else None for x in (q, k, v))
+        for kv_rows, kv_cells, q_rows, q_cells, bias, g, r, qh, kh, vh, p, keep in groups:
+            gc = split(grid(grad, q_rows, q_cells, g * r), g, r)
+            if gv is not None:
+                attn = p if keep is None else _dropped(p, keep, d)
+                gv[kv_rows] = merge(attn.swapaxes(-1, -2) @ gc)[kv_cells]
+                del attn  # one grid-sized array at a time beside the softmax
+            if gq is None and gk is None and not bias.requires_grad:
+                continue
+            gs = gc @ vh.swapaxes(-1, -2)
+            if keep is not None:
+                _dropped(gs, keep, d, out=gs)
+            _softmax_grad(gs, p, out=gs)
+            if bias.requires_grad:
+                bias.accumulate_grad(_unbroadcast(gs, bias.data.shape))
+            if gq is not None:
+                gq[q_rows] = merge(gs @ kh)[q_cells] * s
+            if gk is not None:
+                gk[kv_rows] = (qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h)[kv_cells]
+        for x, gx in ((q, gq), (k, gk), (v, gv)):
+            if gx is not None:
+                x.accumulate_grad(gx)
 
     _record(out, backward)
     return out

@@ -90,6 +90,8 @@ def _probe_checkpoint(path, data, seed):
 def cmd_sweep(args):
     manifest = soups.load_manifest(args.manifest)
     base = read_json(manifest.config_path)
+    if not isinstance(base, dict):
+        raise ConfigError(f"{manifest.config_path}: config must be a flat JSON object")
     for run in manifest.runs:
         run_dir = Path(manifest.output_dir) / run.name
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))

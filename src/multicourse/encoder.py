@@ -2,37 +2,34 @@
 
 Both stacks are post-norm transformer encoders with bucketed relative
 position bias added to attention scores. A pass packs the real tokens of
-its right-padded batch once: the embedding, the output projection, the
-residual adds, both layer norms, the FFN and the dropouts run on those
-(T, h) rows, and only attention reads a padded grid. A ragged pass is cut
-once by length where that saves the most query-key cells, if it saves at
-least MIN_SPLIT_CELLS per head (`attention_groups`); each group attends on
-its own (B_g, n_g) grid, n_g its longest member, with the top-left block of
-the model's relative-position buckets. A group's attention, from splitting
-the heads to merging the context, is one `ad.attention` op: it scales the
-queries by 1/sqrt(d_head) and adds the relative-position bias
-(`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
+its right-padded batch once, and every op of a layer runs on those (T, h)
+rows. A ragged pass is cut once by length where that saves the most
+query-key cells, if it saves at least MIN_SPLIT_CELLS per head
+(`attention_groups`); each group attends on its own (B_g, n_g) grid, n_g
+its longest member, with the top-left block of the model's
+relative-position buckets. A layer's attention is one `ad.attention` op: it
+places the packed q, k and v rows in each group's grids by the group's
+layout, scales the queries by 1/sqrt(d_head) and adds the relative-position
+bias (`ad.relative_bias`) and then the constant key-padding bias (-1e9 at a
 grid's padded keys) to the scores, so a padded key gets exactly zero
-probability and gradient. It keeps only the softmax and the dropout mask
-for its backward. Past the output projection, a layer makes three more
-calls on the packed rows, nine tape ops with dropout on:
+probability and gradient. Past the output projection, a layer makes three
+more calls on the packed rows, nine tape ops with dropout on:
 `ad.add_layer_norm` (the projection's dropout, the residual add and the
 norm), `ad.ffn` (both FFN matmuls and the GELU) and `ad.add_layer_norm`
 again. For their backward they keep the normalized rows, 1/sigma, the
 dropout masks, and the GELU output and its derivative; no sum, dropped
 array or GELU input keeps its values on the tape.
 
-A pass returns the packed rows it is given, every row (the sequences'
-tokens in batch order) by default, through one path: it drops the
-sequences that hold none of them before embedding, and its last layer
-attends from those rows alone: a group read in part takes its queries from
-its read rows, each sequence's in one row of a (B_g, r) query grid, r the
-most reads any of its sequences has, against keys and values over all its
-rows; a group read in full keeps its full grid. The output projection, the
-residual adds, both layer norms and the FFN of that layer run on the read
-rows alone, so a row nothing reads is not computed. The LM head is tied to
-the embedding table (plus a learnable per-vocab bias); three independent
-binary detection heads (rtd, std, itd) read the discriminator output.
+A pass returns the packed rows it is given, strictly increasing, every row
+(the sequences' tokens in batch order) by default, through one path: it
+drops the sequences that hold none of them before embedding, and its last
+layer takes queries from those rows alone: a group read in part places its
+reads in a (B_g, r) query grid, each sequence's in one row, r the most
+reads any of its sequences has; a group read in full keeps its full grid.
+Past its keys and values, that layer runs on the read rows alone, so a row
+nothing reads is not computed. The LM head is tied to the embedding table
+(plus a learnable per-vocab bias); three independent binary detection heads
+(rtd, std, itd) read the discriminator output.
 """
 
 from dataclasses import dataclass, asdict
@@ -241,11 +238,10 @@ class Model:
         return self._encode("discriminator", self.config.discriminator_layers, ids, mask, rng, rows)
 
     def _encode(self, stack, layers, ids, mask, rng, rows):
-        """Packed real-token rows `rows` (distinct, any order; every row in
-        batch order when None) of a right-padded (ids, mask) grid, as a
-        (len(rows), h) tensor in that order, by one path: the last layer scores
-        only the read rows' queries of a length group read in part, and writes
-        every context straight to its output row. Reading no row records no op."""
+        """Packed real-token rows `rows` (strictly increasing; every row when
+        None) of a right-padded (ids, mask) grid, as a (len(rows), h) tensor,
+        by one path: the last layer takes queries from the read rows alone.
+        Reading no row records no op."""
         ids = np.asarray(ids, dtype=np.int64)
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape:
@@ -264,14 +260,14 @@ class Model:
         c = self.config
         p = self.params
         dtype = p["embedding.word"].data.dtype
-        # the per-token layers run on the T real rows, in batch order; only
-        # attention sees a padded grid, one per length group
+        # every layer runs on the T real rows, in batch order; attention places
+        # them in a padded grid per length group
         lengths = mask.sum(axis=1)
         n_real = int(lengths.sum())
         rows = ad._row_index(np.arange(n_real) if rows is None else rows, n_real)
         if not rows.size:
             return ad.Tensor(np.zeros((0, c.hidden_size), dtype=dtype))
-        # each read row's sequence and position in it
+        # each read row's sequence (nondecreasing) and position in it
         seq = np.repeat(np.arange(len(lengths)), lengths)[rows]
         pos = rows - (np.cumsum(lengths) - lengths)[seq]
         # drop the sequences holding no read row, and renumber the rows
@@ -279,15 +275,13 @@ class Model:
         ids, mask, lengths = ids[kept], mask[kept], lengths[kept]
         seq = (np.cumsum(kept) - 1)[seq]
         rows = (np.cumsum(lengths) - lengths)[seq] + pos
-        by_seq = np.argsort(seq, kind="stable")  # the reads, each sequence's together
-        out_row = np.zeros(int(lengths.sum()), dtype=np.int64)  # a read row's output row
-        out_row[rows] = np.arange(rows.size)
 
         x = ad.embedding(p["embedding.word"], ids[mask.astype(bool)])
         x = ad.layer_norm(x, p[f"{stack}.embed_norm.gain"], p[f"{stack}.embed_norm.bias"])
         x = ad.dropout(x, c.dropout_rate, rng)
 
-        grids = []
+        # each group's attention layout: in every layer but the last, and in the last
+        inner, last = [], []
         for members, width in attention_groups(lengths):
             sub = mask[members, :width]
             g = len(sub)
@@ -295,47 +289,37 @@ class Model:
             slots = np.flatnonzero(sub)  # and their cells in its grid
             # constant key-padding bias for the softmax, large negative at padded keys
             pad_bias = ((sub.astype(dtype) - 1.0) * 1e9)[:, None, None, :]
-            pruned = None
-            reads = by_seq[members[seq[by_seq]]]  # output rows of the group's reads
-            if reads.size < group_rows.size:
-                # the last layer's queries are the reads alone: each sequence's
-                # in its own row of a (g, r) grid, r the most any sequence has
-                local = (np.cumsum(members) - 1)[seq[reads]]
-                counts = np.bincount(local, minlength=g)
-                r = int(counts.max())
-                cells = local * r + np.arange(reads.size) - (np.cumsum(counts) - counts)[local]
+            # the last layer's queries are the group's reads: each sequence's in
+            # its own row of a (g, r) grid, r the most any sequence has
+            reads = np.flatnonzero(members[seq])
+            local = (np.cumsum(members) - 1)[seq[reads]]
+            counts = np.bincount(local, minlength=g)
+            r = int(counts.max())
+            cells = local * r + np.arange(reads.size) - (np.cumsum(counts) - counts)[local]
+            partial = reads.size < group_rows.size
+            # the full grid's (H, w, w) bias, unless only a pruned last layer would read it
+            full = None if partial and layers == 1 else ad.relative_bias(
+                p[f"{stack}.rel_bias"], self._buckets[:width, :width])
+            rel = full  # a group read in full: its cells are its slots
+            if partial:
                 qpos = np.zeros(g * r, dtype=np.int64)
                 qpos[cells] = pos[reads]
                 rel = ad.relative_bias(p[f"{stack}.rel_bias"],
                                        self._buckets[qpos, :width].reshape(g, r, width))
-                pruned = (rows[reads], cells, reads, r, rel)  # rel is (g, H, r, w)
-            # the full grid's (H, w, w) bias, unless only a pruned last layer would read it
-            full = None if pruned is not None and layers == 1 else ad.relative_bias(
-                p[f"{stack}.rel_bias"], self._buckets[:width, :width])
-            # the last layer's (query rows, their cells, their output rows, queries
-            # per sequence, bias); a group whose every row is read keeps its full grid
-            last = pruned or (None, slots, out_row[group_rows], width, full)
-            grids.append((group_rows, slots, g, width, full, pad_bias, last))
+            inner.append((group_rows, slots, group_rows, slots, full, pad_bias))
+            last.append((group_rows, slots, reads, cells, rel, pad_bias))
 
         for i in range(layers):
             pre = f"{stack}.layer{i}"
-            final = i == layers - 1
-            ctx_rows = []
-            for group_rows, slots, g, w, full, pad_bias, last in grids:
-                # queries from rows `src` (every row when None) into `cells` of a
-                # (g, r) grid, whose contexts go to rows `dst`
-                src, cells, dst, r, rel = last if final else (None, slots, group_rows, w, full)
-                grid = ad.reshape(ad.scatter_rows(x, group_rows, slots, g * w), (g, w, c.hidden_size))
-                queries = grid if src is None else ad.scatter_rows(x, src, cells, g * r)
-                q = ad.matmul(queries, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
-                k = ad.matmul(grid, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
-                v = ad.matmul(grid, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
-                ctx = ad.attention(q, k, v, rel, pad_bias, c.attention_heads, c.dropout_rate, rng)
-                ctx_rows.append(ad.scatter_rows(ctx, cells, dst, rows.size if final else len(x.data)))
-            ctx = ad.add_n(ctx_rows)
-            if final:
-                # past attention every op is per row: run the last layer on the read rows
-                x = ad.gather_rows(x, rows)
+            kv, layouts = x, inner
+            if i == layers - 1:
+                # past its keys and values every op is per row: the last layer
+                # runs on the read rows
+                x, layouts = ad.gather_rows(x, rows), last
+            q = ad.matmul(x, p[f"{pre}.attn.wq"], p[f"{pre}.attn.bq"])
+            k = ad.matmul(kv, p[f"{pre}.attn.wk"], p[f"{pre}.attn.bk"])
+            v = ad.matmul(kv, p[f"{pre}.attn.wv"], p[f"{pre}.attn.bv"])
+            ctx = ad.attention(q, k, v, layouts, c.attention_heads, c.dropout_rate, rng)
             proj = ad.matmul(ctx, p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"])
             x = ad.add_layer_norm(x, proj, p[f"{pre}.norm_attn.gain"], p[f"{pre}.norm_attn.bias"],
                                   c.dropout_rate, rng)

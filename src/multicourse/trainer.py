@@ -81,6 +81,9 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.correction_start_step < 0:
+            raise ConfigError(f"correction_start_step must be nonnegative, "
+                              f"got {self.correction_start_step}")
         if self.checkpoint_every < 0:
             raise ConfigError(f"checkpoint_every must be nonnegative (0 = final only), "
                               f"got {self.checkpoint_every}")

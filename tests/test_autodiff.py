@@ -349,10 +349,10 @@ def _closure_value(fn, name):
 
 def _owned_closure_arrays(ops, inputs):
     """(dtype, shape) of each array that recorded ops hold, through their
-    outputs and through their backwards' closures and the tensors and
-    functions those hold, one per block of memory, sorted. Views of an input
-    tensor's data or of the last op's output are left out, and so is the
-    single value a dropped tensor keeps."""
+    outputs and through their backwards' closures and the tensors, functions,
+    lists and tuples those hold, one per block of memory, sorted. Views of an
+    input (a tensor's data or an array) or of the last op's output are left
+    out, and so is the single value a dropped tensor keeps."""
     arrays, seen = [], set()
 
     def walk(obj):
@@ -363,6 +363,9 @@ def _owned_closure_arrays(ops, inputs):
             arrays.append(obj)
         elif isinstance(obj, ad.Tensor):
             walk(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
         elif getattr(obj, "__closure__", None):
             for cell in obj.__closure__:
                 walk(cell.cell_contents)
@@ -373,7 +376,7 @@ def _owned_closure_arrays(ops, inputs):
     owned = []
     for a in arrays:
         dropped = a.size > 1 and 0 in a.strides
-        held = [x.data for x in inputs] + [ops[-1].out.data] + owned
+        held = [getattr(x, "data", x) for x in inputs] + [ops[-1].out.data] + owned
         if not dropped and not any(np.shares_memory(a, b) for b in held):
             owned.append(a)
     return sorted((a.dtype.name, a.shape) for a in owned)
@@ -517,36 +520,39 @@ def test_gather_rows_of_every_row_in_order_is_its_input_and_records_no_op():
     with ad.Tape() as tape:
         assert ad.gather_rows(x, np.arange(8)) is x
         assert tape.ops == []
-        order = [7, 0, 1, 2, 3, 4, 5, 6]  # every row, permuted
+        order = [0, 1, 2, 3, 4, 5, 7]  # every row but one
         rows = ad.gather_rows(x, order)
         assert len(tape.ops) == 1
-        tape.backward(ad.tensor_sum(ad.mul(rows, ad.constant(np.arange(24).reshape(8, 3)))))
+        tape.backward(ad.tensor_sum(ad.mul(rows, ad.constant(np.arange(21).reshape(7, 3)))))
     np.testing.assert_array_equal(rows.data, x.data[order])
-    np.testing.assert_array_equal(x.grad[order], np.arange(24).reshape(8, 3))
+    np.testing.assert_array_equal(x.grad[order], np.arange(21).reshape(7, 3))
+    np.testing.assert_array_equal(x.grad[6], 0.0)
 
 
-@pytest.mark.parametrize("op", ["gather_rows", "scatter_rows"])
+@pytest.mark.parametrize("index", [[4, 3], [[1, 2]]], ids=["unordered", "2d"])
+def test_gather_rows_refuses_an_index_that_is_not_strictly_increasing(index):
+    # a repeated row is test_row_ops_reject_a_repeated_pair's case
+    with pytest.raises(ContractError):
+        ad.gather_rows(t(np.zeros((8, 3))), index)
+
+
+@pytest.mark.parametrize("op", ["gather_rows"])
 def test_row_ops_add_into_a_copy_of_a_held_gradient(op):
     a, b = t(np.ones((5, 2))), t(np.ones((5, 2)))
     with ad.Tape() as tape:
-        if op == "gather_rows":
-            rows = ad.gather_rows(a, [3, 0])
-        else:
-            rows = ad.scatter_rows(a, [3, 0], [1, 2], 4)
+        rows = getattr(ad, op)(a, [0, 3])
         # add's backward hands a and b one gradient array, before the row op runs
         loss = ad.add(ad.tensor_sum(ad.scale(rows, 2.0)), ad.tensor_sum(ad.add(a, b)))
         tape.backward(loss)
     expected = np.ones((5, 2), dtype=np.float32)
-    expected[[3, 0]] += 2.0
+    expected[[0, 3]] += 2.0
     np.testing.assert_array_equal(a.grad, expected)
     np.testing.assert_array_equal(b.grad, np.ones((5, 2)))
 
 
 @pytest.mark.parametrize("op", [
     lambda: ad.gather_rows(t(np.zeros((8, 3))), [3, 4, 3]),
-    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [0, 1, 2], [3, 4, 3], 8),
-    lambda: ad.scatter_rows(t(np.zeros((3, 3))), [2, 0, 2], [3, 4, 5], 8),
-], ids=["gather_rows", "scatter_rows", "scatter_rows_source"])
+], ids=["gather_rows"])
 def test_row_ops_reject_a_repeated_pair(op):
     with pytest.raises(ContractError):
         op()
@@ -554,30 +560,10 @@ def test_row_ops_reject_a_repeated_pair(op):
 
 @pytest.mark.parametrize("op", [
     lambda: ad.gather_rows(t(np.zeros((8, 3))), [3, 8]),
-    lambda: ad.scatter_rows(t(np.zeros((2, 3))), [0, 1], [-1, 4], 8),
-    lambda: ad.scatter_rows(t(np.zeros((2, 3))), [0, 2], [1, 4], 8),
-], ids=["gather_rows", "scatter_rows", "scatter_rows_source"])
+], ids=["gather_rows"])
 def test_row_ops_reject_a_row_outside_the_array(op):
     with pytest.raises(ContractError):
         op()
-
-
-def test_scatter_rows_inverts_gather_rows():
-    rows = t(np.arange(9, dtype=np.float32).reshape(3, 3) + 1.0)
-    grid = ad.scatter_rows(rows, [0, 1, 2], [6, 0, 4], 8)
-    assert grid.data.shape == (8, 3)
-    np.testing.assert_array_equal(ad.gather_rows(grid, [6, 0, 4]).data, rows.data)
-    assert np.count_nonzero(np.abs(grid.data).sum(axis=-1)) == 3
-    # a subset of the source rows, moved back by the inverse index pair
-    some = ad.scatter_rows(rows, [2, 0], [1, 5], 8)
-    np.testing.assert_array_equal(some.data[[1, 5]], rows.data[[2, 0]])
-    back = ad.scatter_rows(some, [1, 5], [2, 0], 3)
-    np.testing.assert_array_equal(back.data[[2, 0]], rows.data[[2, 0]])
-    np.testing.assert_array_equal(back.data[1], np.zeros(3))
-    empty = ad.scatter_rows(t(np.zeros((0, 3))), [], [], 8)
-    np.testing.assert_array_equal(empty.data, np.zeros((8, 3)))
-    with pytest.raises(ContractError):
-        ad.scatter_rows(rows, [0, 1], [6], 8)
 
 
 def test_matmul_bias_on_a_batched_right_operand_is_refused():
@@ -588,35 +574,72 @@ def test_matmul_bias_on_a_batched_right_operand_is_refused():
 # -- attention ------------------------------------------------------------------
 
 
-def _attention_chain(q, k, v, bias, pad_bias, heads, rate, rng):
-    """The op chain `ad.attention` fuses, one tape op per step."""
-    g, w, h = k.data.shape
-    r, dh = q.data.size // (g * h), h // heads
+def _placement(rows, cells, n_rows, n_cells, dtype):
+    """The constant 0/1 matrix that puts row rows[j] in cell cells[j]."""
+    m = np.zeros((n_cells, n_rows), dtype=dtype)
+    m[cells, rows] = 1.0
+    return ad.Tensor(m)
 
-    def split(x, n):
-        return ad.transpose(ad.reshape(x, (g, n, heads, dh)), (0, 2, 1, 3))
 
-    qh, kh, vh = split(ad.scale(q, 1.0 / np.sqrt(dh)), r), split(k, w), split(v, w)
-    scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), bias)
-    attn = ad.dropout(ad.softmax(scores, pad_bias), rate, rng)
-    return ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * r, h))
+def _attention_chain(q, k, v, layouts, heads, rate, rng):
+    """The op chain `ad.attention` fuses, one tape op per step. Each group's
+    grids are placed from the packed rows, and its contexts back, by 0/1
+    matmuls, which are exact: each cell and each row sums one product."""
+    (n_q, h), dtype = q.data.shape, q.data.dtype
+    dh = h // heads
+    qs = ad.scale(q, 1.0 / np.sqrt(dh))
+    contexts = []
+    for kv_rows, kv_cells, q_rows, q_cells, bias, pad_bias in layouts:
+        g, w, r = pad_bias.shape[0], pad_bias.shape[-1], bias.data.shape[-2]
+        at_kv = _placement(kv_rows, kv_cells, len(k.data), g * w, dtype)
+        at_q = _placement(q_rows, q_cells, n_q, g * r, dtype)
+
+        def split(x, n):
+            return ad.transpose(ad.reshape(x, (g, n, heads, dh)), (0, 2, 1, 3))
+
+        qh, kh, vh = (split(ad.matmul(at_q, qs), r), split(ad.matmul(at_kv, k), w),
+                      split(ad.matmul(at_kv, v), w))
+        scores = ad.add(ad.matmul(qh, ad.transpose(kh, (0, 1, 3, 2))), bias)
+        attn = ad.dropout(ad.softmax(scores, pad_bias), rate, rng)
+        ctx = ad.reshape(ad.transpose(ad.matmul(attn, vh), (0, 2, 1, 3)), (g * r, h))
+        contexts.append(ad.matmul(ad.transpose(at_q, (1, 0)), ctx))
+    return ad.add_n(contexts)
 
 
 def _attention_inputs(case, dtype, seed=0):
-    """(q, k, v, bias, pad_bias) leaves for 3 groups of width 7, 12 wide in 3 heads:
-    a padded full grid with one (H, w, w) bias shared by the groups, or 4
-    queries a group, as a (g, r, h) grid or as (g * r, h) rows, with a
-    (g, H, r, w) bias."""
+    """(q, k, v, layouts, heads), 12 wide in 3 heads: 15 packed key rows of
+    three sequences, 3, 7 and 5 long in batch order, whose first and last form
+    a (2, 5) grid, so the short one pads 2 keys, and whose middle one is a
+    (1, 7) grid. Queries from every row, with a (H, w, w) bias per group
+    ("padded_full_grid"); from 11 read rows, the first group read in part into
+    a (2, 3) grid with a (g, H, r, w) bias and the second in full
+    ("query_grid"); or from both groups read in part, with one more query row
+    that no layout names ("query_rows")."""
     rng = np.random.default_rng(seed)
-    g, w, h, heads = 3, 7, 12, 3
-    r = w if case == "padded_full_grid" else 4
-    q_shape = {"query_rows": (g * r, h)}.get(case, (g, r, h))
-    bias_shape = (heads, w, w) if case == "padded_full_grid" else (g, heads, r, w)
+    h, heads = 12, 3
     leaf = lambda shape: ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-    q, k, v, bias = leaf(q_shape), leaf((g, w, h)), leaf((g, w, h)), leaf(bias_shape)
-    lengths = np.array([7, 3, 5])
-    pad_bias = ((np.arange(w) < lengths[:, None]).astype(dtype) - 1.0) * 1e9
-    return q, k, v, bias, pad_bias[:, None, None, :], heads
+    a_rows, a_slots = np.r_[0:3, 10:15], np.r_[0:3, 5:10]
+    b_rows, b_slots = np.arange(3, 10), np.arange(7)
+    a_pad = np.zeros((2, 1, 1, 5), dtype=dtype)
+    a_pad[0, ..., 3:] = -1e9
+    b_pad = np.zeros((1, 1, 1, 7), dtype=dtype)
+    if case == "padded_full_grid":
+        n_q = 15
+        a_q, b_q = (a_rows, a_slots, leaf((heads, 5, 5))), (b_rows, b_slots, leaf((heads, 7, 7)))
+    elif case == "query_grid":
+        # read rows 1, 3-9, 11, 13 and 14: query rows 0 and 8-10 are the first group's
+        n_q = 11
+        a_q = ([0, 8, 9, 10], [0, 3, 4, 5], leaf((2, heads, 3, 5)))
+        b_q = (np.arange(1, 8), b_slots, leaf((heads, 7, 7)))
+    else:
+        # query row 2 is in no layout
+        n_q = 6
+        a_q = ([0, 4, 5], [0, 2, 3], leaf((2, heads, 2, 5)))
+        b_q = ([1, 3], [0, 1], leaf((1, heads, 2, 7)))
+    q, k, v = leaf((n_q, h)), leaf((15, h)), leaf((15, h))
+    layouts = [(a_rows, a_slots, np.asarray(a_q[0]), np.asarray(a_q[1]), a_q[2], a_pad),
+               (b_rows, b_slots, np.asarray(b_q[0]), np.asarray(b_q[1]), b_q[2], b_pad)]
+    return q, k, v, layouts, heads
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -625,49 +648,81 @@ def _attention_inputs(case, dtype, seed=0):
 def test_attention_is_the_op_chain_it_fuses_bit_for_bit(case, rate, dtype):
     results = []
     for attend in (ad.attention, _attention_chain):
-        q, k, v, bias, pad_bias, heads = _attention_inputs(case, dtype)
-        weights = ad.Tensor(np.random.default_rng(1).normal(size=(q.data.size // 12, 12)).astype(dtype))
+        q, k, v, layouts, heads = _attention_inputs(case, dtype)
+        biases = [layout[4] for layout in layouts]
+        weights = ad.Tensor(np.random.default_rng(1).normal(size=q.data.shape).astype(dtype))
         rng = np.random.default_rng(2)
         with ad.Tape() as tape:
-            out = attend(q, k, v, bias, pad_bias, heads, rate, rng)
+            out = attend(q, k, v, layouts, heads, rate, rng)
             tape.backward(ad.tensor_sum(ad.mul(out, weights)))
-        results.append((out.data, q.grad, k.grad, v.grad, bias.grad, rng.random()))
-    (fused, *fused_grads, fused_next), (chain, *chain_grads, chain_next) = results
-    assert fused.dtype == dtype and fused.shape == (fused.size // 12, 12)
+        results.append((out.data, [x.grad for x in (q, k, v, *biases)], rng.random()))
+    (fused, fused_grads, fused_next), (chain, chain_grads, chain_next) = results
+    assert fused.dtype == dtype and fused.shape == q.data.shape
     np.testing.assert_array_equal(fused, chain)
-    for name, got, want in zip("q k v bias".split(), fused_grads, chain_grads):
+    for name, got, want in zip("q k v bias0 bias1".split(), fused_grads, chain_grads):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want, err_msg=name)
-    assert fused_next == chain_next  # both drew the same dropout mask
-    # a padded key gets no gradient; with 3 of 7 keys real, group 1 pads 4
-    np.testing.assert_array_equal(fused_grads[1][1, 3:], 0.0)
-    np.testing.assert_array_equal(fused_grads[2][1, 3:], 0.0)
+    assert fused_next == chain_next  # both drew the same dropout masks
+    if case == "query_rows":  # a query row no layout names has no context and no gradient
+        np.testing.assert_array_equal(fused[2], 0.0)
+        np.testing.assert_array_equal(fused_grads[0][2], 0.0)
 
 
-def test_attention_keeps_only_the_softmax_and_the_keep_mask_for_its_backward():
-    q, k, v, bias, pad_bias, heads = _attention_inputs("padded_full_grid", np.float32)
+def test_attention_keeps_only_its_grids_softmax_and_keep_mask_for_backward():
+    q, k, v, layouts, heads = _attention_inputs("padded_full_grid", np.float32)
     with ad.Tape() as tape:
-        ad.attention(q, k, v, bias, pad_bias, heads, 0.1, np.random.default_rng(3))
-    assert _owned_closure_arrays(tape.ops, (q, k, v, bias)) == [("bool", (3, 3, 7, 7)),
-                                                              ("float32", (3, 3, 7, 7))]
+        ad.attention(q, k, v, layouts, heads, 0.1, np.random.default_rng(3))
+    # per group: the query, key and value grids as (g, H, n, d_head) views,
+    # the softmax and the keep mask
+    assert _owned_closure_arrays(tape.ops, [q, k, v, *(a for lay in layouts for a in lay)]) == [
+        ("bool", (1, 3, 7, 7)), ("bool", (2, 3, 5, 5)),
+        *[("float32", (1, 3, 7, 4))] * 3, ("float32", (1, 3, 7, 7)),
+        *[("float32", (2, 3, 5, 4))] * 3, ("float32", (2, 3, 5, 5))]
 
 
-@pytest.mark.parametrize("shapes, heads", [
-    (((3, 4, 6), (3, 4), (3, 4, 6)), 2),
-    (((3, 4, 6), (3, 4, 6), (3, 5, 6)), 2),
-    (((3, 4, 8), (3, 4, 6), (3, 4, 6)), 2),
-    (((3, 4, 6), (3, 4, 6), (3, 4, 6)), 4),
-    (((2, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
-    (((10, 6), (3, 4, 6), (3, 4, 6)), 2),
-    (((1, 3, 4, 6), (3, 4, 6), (3, 4, 6)), 2),
-    (((2, 6), (0, 4, 6), (0, 4, 6)), 2),
-], ids=["k_2d", "v_width", "q_width", "heads_split_h", "q_groups", "q_rows", "q_4d",
-        "rows_without_groups"])
-def test_attention_refuses_mismatched_shapes(shapes, heads):
-    q, k, v = (t(np.zeros(s)) for s in shapes)
+def _attention_shape_case(name):
+    """Arguments to `ad.attention` for 4 rows of width 6 in a (2, 4) grid, one
+    of them misshaped as `name` says."""
+    shapes = {"q": (4, 6), "k": (4, 6), "v": (4, 6), "bias": (2, 4, 4), "pad_bias": (2, 1, 1, 4)}
+    heads = 4 if name == "heads_split_h" else 2
+    shapes.update({"k_2d": {"k": (1, 4, 6)}, "v_width": {"v": (4, 4)}, "q_width": {"q": (4, 8)},
+                   "q_groups": {"bias": (3, 2, 4, 4)}, "q_rows": {"q": (1, 4, 6)},
+                   "q_4d": {"q": (1, 1, 4, 6)}, "rows_without_groups": {"pad_bias": (2, 4)}
+                   }.get(name, {}))
+    q, k, v, bias = (t(np.zeros(shapes[n])) for n in ("q", "k", "v", "bias"))
+    cells = [0, 1, 4, 5]
+    layout = (np.arange(4), cells, np.arange(4), cells, bias, np.zeros(shapes["pad_bias"], np.float32))
+    return q, k, v, [layout], heads
+
+
+@pytest.mark.parametrize("name", ["k_2d", "v_width", "q_width", "heads_split_h", "q_groups",
+                                  "q_rows", "q_4d", "rows_without_groups"])
+def test_attention_refuses_mismatched_shapes(name):
+    # q, k and v must be rows of one width that the heads split, pad_bias a
+    # (g, 1, 1, w) array and the bias (H, r, w) or (g, H, r, w)
+    q, k, v, layouts, heads = _attention_shape_case(name)
     with pytest.raises(DimensionError):
-        ad.attention(q, k, v, t(np.zeros((heads, 4, 4))), np.zeros((1, 1, 1, 4), np.float32),
-                     heads, 0.0, None)
+        ad.attention(q, k, v, layouts, heads, 0.0, None)
+
+
+def _with_index(layout, field, index):
+    return layout[:field] + (np.asarray(index),) + layout[field + 1:]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda lay: [_with_index(lay, 1, [1, 0, 4, 5])],
+    lambda lay: [_with_index(lay, 0, [0, 1, 1, 2])],
+    lambda lay: [_with_index(lay, 2, [0, 1, 2])],
+    lambda lay: [_with_index(lay, 3, [0, 1, 4, 8])],
+    lambda lay: [_with_index(_with_index(lay, 2, [0, 1]), 3, [0, 1]),
+                 _with_index(_with_index(lay, 2, [1, 2]), 3, [4, 5])],
+], ids=["unordered_cells", "repeated_rows", "rows_without_cells", "cell_outside_the_grid",
+        "row_in_two_layouts"])
+def test_attention_refuses_a_layout_whose_indices_do_not_pair(bad):
+    q, k, v, (layout,), heads = _attention_shape_case("valid")
+    ad.attention(q, k, v, [layout], heads, 0.0, None)  # the layout as built is accepted
+    with pytest.raises(ContractError):
+        ad.attention(q, k, v, bad(layout), heads, 0.0, None)
 
 
 # -- the fused layer tail ---------------------------------------------------------
@@ -857,11 +912,6 @@ def _fd_case(name):
         tensors = {"a": t(rng.normal(size=(6,)))}
         make = lambda ts: ad.sigmoid_bce(ts["a"], [1, 0, 1, 1, 0, 0])
         w = None
-    elif name == "scatter_rows":
-        tensors = {"a": t(rng.normal(size=(4, 3)))}
-        make = lambda ts: ad.tensor_sum(
-            ad.mul(ad.scatter_rows(ts["a"], [3, 0, 2], [6, 0, 4], 8), ts["w"]))
-        w = rng.normal(size=(8, 3))
     elif name in ("matmul_bias_2d", "matmul_bias_3d"):
         a_shape = (3, 4) if name == "matmul_bias_2d" else (2, 3, 4)
         tensors = {"a": t(rng.normal(size=a_shape)), "b": t(rng.normal(size=(4, 5))),
@@ -874,15 +924,18 @@ def _fd_case(name):
         make = lambda ts: ad.tensor_sum(ad.mul(ad.embedding(ts["a"], ids), ts["w"]))
         w = rng.normal(size=(2, 3, 4))
     elif name == "attention":
-        # a (g, r, h) query grid against 2 groups of 5 keys, 3 and 5 of them real,
-        # one (H, r, w) bias shared by the groups, dropout from a re-seeded rng
-        tensors = {"a": t(rng.normal(size=(2, 3, 4))), "k": t(rng.normal(size=(2, 5, 4))),
-                   "v": t(rng.normal(size=(2, 5, 4))), "bias": t(rng.normal(size=(2, 3, 5)))}
+        # 3 query rows against 8 key rows of 2 sequences, 3 and 5 long, in a
+        # (2, 5) grid, the queries in a (2, 2) grid with a (g, H, r, w) bias, and
+        # dropout from a re-seeded rng
+        tensors = {"a": t(rng.normal(size=(3, 4))), "k": t(rng.normal(size=(8, 4))),
+                   "v": t(rng.normal(size=(8, 4))), "bias": t(rng.normal(size=(2, 2, 2, 5)))}
         pad_bias = np.zeros((2, 1, 1, 5), dtype=np.float32)
         pad_bias[0, ..., 3:] = -1e9
+        layout = lambda ts: [(np.arange(8), [0, 1, 2, 5, 6, 7, 8, 9], [0, 1, 2], [0, 2, 3],
+                              ts["bias"], pad_bias)]
         make = lambda ts: ad.tensor_sum(ad.mul(ad.attention(
-            ts["a"], ts["k"], ts["v"], ts["bias"], pad_bias, 2, 0.3, np.random.default_rng(8)), ts["w"]))
-        w = rng.normal(size=(6, 4))
+            ts["a"], ts["k"], ts["v"], layout(ts), 2, 0.3, np.random.default_rng(8)), ts["w"]))
+        w = rng.normal(size=(3, 4))
     elif name == "relative_bias":
         tensors = {"a": t(rng.normal(size=(6, 3)))}
         buckets = rng.integers(0, 6, size=(2, 3, 4))
@@ -897,7 +950,7 @@ def _fd_case(name):
 
 @pytest.mark.parametrize("op_name", [
     "add", "mul", "gelu", "softmax", "softmax_bias", "layer_norm", "transpose_reshape",
-    "cross_entropy", "bce", "embedding", "scatter_rows", "matmul_bias_2d", "matmul_bias_3d",
+    "cross_entropy", "bce", "embedding", "matmul_bias_2d", "matmul_bias_3d",
     "relative_bias", "attention", "ffn", "add_layer_norm",
 ])
 def test_gradients_match_finite_differences(op_name):

@@ -411,6 +411,21 @@ def test_sweep_copy_that_fails_midway_keeps_the_old_checkpoint(workspace, tmp_pa
     assert [p.name for p in target.parent.iterdir()] == ["re_mlm.bin"]
 
 
+def test_sweep_with_a_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep_cfg.json"
+    cfg_path.write_text("[1, 2]", encoding="utf-8")
+    sweep = tmp_path / "sweep"
+    manifest = SweepManifest(
+        config_path=str(cfg_path), output_dir=str(sweep),
+        runs=[SweepRun(name="re_mlm", losses=("re_mlm",), seed=1,
+                       checkpoint=str(sweep / "re_mlm" / "checkpoint_final.bin"))])
+    mpath = tmp_path / "manifest.json"
+    save_manifest(manifest, mpath)
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    assert f"error: {cfg_path}: config must be a flat JSON object" in capsys.readouterr().err
+    assert not sweep.exists()
+
+
 def test_cli_imports_without_scipy():
     code = ("import sys, multicourse.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

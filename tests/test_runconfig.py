@@ -92,7 +92,7 @@ def test_wrongly_typed_values_rejected(field):
     ("grad_clip_norm", -1.0),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
     ("adam_epsilon", 0.0),
-    ("checkpoint_every", -1),
+    ("checkpoint_every", -1), ("correction_start_step", -1),
     ("seed", -1), ("weight_decay", -1.0),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
