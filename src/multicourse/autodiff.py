@@ -5,13 +5,19 @@ order (which is already topological); backward walks the list once in
 reverse. No tape active means forward-only: that is how detached passes
 (sampling, metrics) are run.
 
+A tensor's gradient lives apart from its values, in a small slot
+(`_GradSlot`). An op's backward captures the arrays it reads and the slot of
+each input it sends a gradient to, never a tensor, and the tape keeps each
+output's slot, never the output. So a value lives while a backward reads it:
+once the forward code lets go of a tensor, its values are freed unless some
+recorded backward reads them, as matmul reads its operands.
+
 A tape runs backward once. Backward takes each op's output gradient off its
-tensor as the op consumes it, so afterwards only leaves hold a `.grad`: the
+slot as the op consumes it, so afterwards only leaves hold a `.grad`: the
 parameters, and any tensor that no recorded op produced.
 
 `ffn` and `add_layer_norm` record their chain of these ops on the active
-tape, op by op, and drop the values of the chain's intermediates that no
-backward reads. `attention` takes packed query, key and value rows and
+tape, op by op. `attention` takes packed query, key and value rows and
 builds each group's padded grids inside itself, so no op moves rows into
 or out of a grid.
 """
@@ -20,6 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 _LAYER_NORM_EPS = 1e-5  # added to each row's variance before layer norm's 1/sqrt
@@ -33,37 +40,67 @@ _ERF_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
           -7.37332916720468e-03, -1.42647390514189e-02)
 
 
-class Tensor:
-    """A dense array plus an optional gradient of the same shape."""
+class _GradSlot:
+    """Where a tensor's gradient collects, apart from its values: the
+    gradient (None until one arrives) and the shape it must have, fixed when
+    the tensor is made."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "shape")
 
-    def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
+    def __init__(self, shape):
         self.grad = None
-        self.requires_grad = requires_grad
+        self.shape = shape
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def accumulate_grad(self, g):
-        if g.shape != self.data.shape:
-            raise DimensionError(f"grad shape {g.shape} != tensor shape {self.data.shape}")
+    def accumulate(self, g):
+        if g.shape != self.shape:
+            raise DimensionError(f"grad shape {g.shape} != tensor shape {self.shape}")
         if self.grad is None:
             # safe to alias: gradients are never mutated in place
             self.grad = g
         else:
             self.grad = self.grad + g
 
+
+class Tensor:
+    """A dense array plus the slot its gradient collects in."""
+
+    __slots__ = ("data", "grad_slot", "requires_grad")
+
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
+        if arr.dtype not in _FLOAT_DTYPES:
+            arr = arr.astype(np.float32)
+        self.data = arr
+        self.grad_slot = _GradSlot(arr.shape)
+        self.requires_grad = requires_grad
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def grad(self):
+        return self.grad_slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.grad_slot.grad = g
+
+    def accumulate_grad(self, g):
+        self.grad_slot.accumulate(g)
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _slot(t):
+    """The slot a backward sends t's gradient to; None when t needs none."""
+    return t.grad_slot if t.requires_grad else None
+
+
 class _TapeOp:
+    """One recorded op: its output's gradient slot and its backward."""
+
     __slots__ = ("out", "backward")
 
     def __init__(self, out, backward):
@@ -96,7 +133,7 @@ class Tape:
 
         Each recorded op is visited exactly once; ops that did not
         contribute to `loss` carry no gradient and are skipped. An op's
-        output gradient is taken off its tensor before the op uses it, so a
+        output gradient is taken off its slot before the op uses it, so a
         gradient lives from its first consumer's backward until its
         producer's, and only leaves keep theirs. A second backward on the
         same tape raises ContractError: it would add every gradient again.
@@ -136,7 +173,7 @@ def _active_tape():
 def _record(out, backward):
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape.ops.append(_TapeOp(out, backward))
+        tape.ops.append(_TapeOp(out.grad_slot, backward))
 
 
 def _unbroadcast(grad, shape):
@@ -158,12 +195,13 @@ def constant(value, dtype=np.float32):
 
 def add(a, b):
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
+    ga, gb = _slot(a), _slot(b)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
+        if ga is not None:
+            ga.accumulate(_unbroadcast(g, ga.shape))
+        if gb is not None:
+            gb.accumulate(_unbroadcast(g, gb.shape))
 
     _record(out, backward)
     return out
@@ -171,12 +209,15 @@ def add(a, b):
 
 def mul(a, b):
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
+    ga, gb = _slot(a), _slot(b)
+    # each side's gradient reads the other side's values
+    x, y = (a.data if gb is not None else None), (b.data if ga is not None else None)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
+        if ga is not None:
+            ga.accumulate(_unbroadcast(g * y, ga.shape))
+        if gb is not None:
+            gb.accumulate(_unbroadcast(g * x, gb.shape))
 
     _record(out, backward)
     return out
@@ -185,9 +226,10 @@ def mul(a, b):
 def scale(a, s):
     s = a.data.dtype.type(s)
     out = Tensor(a.data * s, a.requires_grad)
+    ga = a.grad_slot
 
     def backward(g):
-        a.accumulate_grad(g * s)
+        ga.accumulate(g * s)
 
     _record(out, backward)
     return out
@@ -209,18 +251,20 @@ def matmul(a, b, bias=None):
     y = a2 @ b.data
     if bias is not None:
         y += bias.data
-    bias_grad = bias is not None and bias.requires_grad
+    ga, gb, g_bias = _slot(a), _slot(b), None if bias is None else _slot(bias)
     out = Tensor(y.reshape(a.data.shape[:-1] + b.data.shape[-1:]),
-                 a.requires_grad or b.requires_grad or bias_grad)
+                 ga is not None or gb is not None or g_bias is not None)
+    # each operand's gradient reads the other operand's values
+    a2, b2 = (a2 if gb is not None else None), (b.data if ga is not None else None)
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            a.accumulate_grad((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(a2.T @ g2)
-        if bias_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+        if ga is not None:
+            ga.accumulate((g2 @ b2.T).reshape(ga.shape))
+        if gb is not None:
+            gb.accumulate(a2.T @ g2)
+        if g_bias is not None:
+            g_bias.accumulate(_unbroadcast(g, g_bias.shape))
 
     _record(out, backward)
     return out
@@ -228,12 +272,15 @@ def matmul(a, b, bias=None):
 
 def _batched_matmul(a, b):
     out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+    ga, gb = _slot(a), _slot(b)
+    a_t = a.data.swapaxes(-1, -2) if gb is not None else None
+    b_t = b.data.swapaxes(-1, -2) if ga is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if ga is not None:
+            ga.accumulate(_unbroadcast(g @ b_t, ga.shape))
+        if gb is not None:
+            gb.accumulate(_unbroadcast(a_t @ g, gb.shape))
 
     _record(out, backward)
     return out
@@ -243,9 +290,10 @@ def transpose(a, axes):
     axes = tuple(axes)
     out = Tensor(a.data.transpose(axes), a.requires_grad)
     inverse = tuple(np.argsort(axes))
+    ga = a.grad_slot
 
     def backward(g):
-        a.accumulate_grad(g.transpose(inverse))
+        ga.accumulate(g.transpose(inverse))
 
     _record(out, backward)
     return out
@@ -253,9 +301,10 @@ def transpose(a, axes):
 
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape), a.requires_grad)
+    ga = a.grad_slot
 
     def backward(g):
-        a.accumulate_grad(g.reshape(a.data.shape))
+        ga.accumulate(g.reshape(ga.shape))
 
     _record(out, backward)
     return out
@@ -270,17 +319,18 @@ def embedding(table, ids):
     """
     ids = np.asarray(ids)
     out = Tensor(table.data[ids], table.requires_grad)
+    gt, dtype = table.grad_slot, table.data.dtype
 
     def backward(g):
-        acc = np.zeros_like(table.data)
+        acc = np.zeros(gt.shape, dtype)
         flat = ids.reshape(-1)
         if flat.size:
             order = np.argsort(flat, kind="stable")
             srt = flat[order]
             starts = np.flatnonzero(np.concatenate(([True], srt[1:] != srt[:-1])))
-            rows = g.reshape((-1,) + table.data.shape[1:])[order]
+            rows = g.reshape((-1,) + gt.shape[1:])[order]
             acc[srt[starts]] = np.add.reduceat(rows, starts, axis=0)
-        table.accumulate_grad(acc)
+        gt.accumulate(acc)
 
     _record(out, backward)
     return out
@@ -297,13 +347,14 @@ def relative_bias(table, buckets):
     # np.take copies whole (H,) rows, far faster here than fancy indexing
     out = Tensor(np.ascontiguousarray(np.moveaxis(np.take(table.data, buckets, axis=0), -1, -3)),
                  table.requires_grad)
+    gt, dtype = table.grad_slot, table.data.dtype
 
     def backward(g):
         flat = buckets.reshape(-1)
-        acc = np.empty_like(table.data)
+        acc = np.empty(gt.shape, dtype)
         for h in range(acc.shape[1]):
             acc[:, h] = np.bincount(flat, weights=g[..., h, :, :].reshape(-1), minlength=acc.shape[0])
-        table.accumulate_grad(acc)
+        gt.accumulate(acc)
 
     _record(out, backward)
     return out
@@ -327,15 +378,16 @@ def gather_rows(x, index):
     if index.size == x.data.shape[0]:
         return x
     out = Tensor(x.data[index], x.requires_grad)
+    gx, dtype = x.grad_slot, x.data.dtype
 
     def backward(g):
-        if x.grad is None:
-            acc = np.zeros_like(x.data)
+        if gx.grad is None:
+            acc = np.zeros(gx.shape, dtype)
             acc[index] = g
         else:  # into a copy: the gradient x holds may alias another's
-            acc = x.grad.copy()
+            acc = gx.grad.copy()
             acc[index] += g
-        x.grad = acc
+        gx.grad = acc
 
     _record(out, backward)
     return out
@@ -363,9 +415,10 @@ def softmax(x, bias=None):
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s, x.requires_grad)
+    gx = x.grad_slot
 
     def backward(g):
-        x.accumulate_grad(_softmax_grad(g, s))
+        gx.accumulate(_softmax_grad(g, s))
 
     _record(out, backward)
     return out
@@ -424,9 +477,10 @@ def gelu(x):
     if not taped:
         return out  # nothing records the op, so nothing reads the derivative
     slope = slope.reshape(x.data.shape)
+    gx = x.grad_slot
 
     def backward(g):
-        x.accumulate_grad(g * slope)
+        gx.accumulate(g * slope)
 
     _record(out, backward)
     return out
@@ -443,47 +497,35 @@ def layer_norm(x, gain, bias):
     y = xhat * gain.data
     y += bias.data
     out = Tensor(y, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    g_x, g_gain, g_bias, gain_data = _slot(x), _slot(gain), _slot(bias), gain.data
 
     def backward(g):
-        if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            gx = g * gain.data
+        if g_gain is not None:
+            g_gain.accumulate(_unbroadcast(g * xhat, g_gain.shape))
+        if g_bias is not None:
+            g_bias.accumulate(_unbroadcast(g, g_bias.shape))
+        if g_x is not None:
+            gx = g * gain_data
             mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= xhat * mean_gx_xhat
             gx *= inv
-            x.accumulate_grad(gx)
+            g_x.accumulate(gx)
 
     _record(out, backward)
     return out
-
-
-def _drop_values(tensors):
-    """On a tape, each tensor drops its values, keeping its shape for the
-    gradient it is handed, so the caller must list only intermediates whose
-    values no recorded backward reads. Off the tape, nothing changes."""
-    if _active_tape() is None:
-        return
-    for t in tensors:  # one zero seen through zero strides: no memory, same shape
-        t.data = np.ndarray(t.data.shape, t.data.dtype, np.zeros(1, t.data.dtype),
-                            strides=(0,) * t.data.ndim)
 
 
 def ffn(x, w1, b1, w2, b2):
     """The feed-forward block gelu(x @ w1 + b1) @ w2 + b2.
 
     It records `matmul`, `gelu` and `matmul` on the tape, so its arithmetic
-    is theirs, and drops the GELU input's values: `gelu` keeps its derivative
-    instead. So its backward keeps two (rows, ffn) arrays, the GELU output
-    and its derivative, and off the tape it computes no derivative.
+    is theirs. A value lives while a backward reads it: `gelu` keeps its
+    derivative instead of its input, so the GELU input is freed, and the
+    backward keeps two (rows, ffn) arrays, the GELU output and its
+    derivative. Off the tape it computes no derivative.
     """
-    u = matmul(x, w1, b1)
-    out = matmul(gelu(u), w2, b2)
-    _drop_values([u])
-    return out
+    return matmul(gelu(matmul(x, w1, b1)), w2, b2)
 
 
 def add_layer_norm(x, y, gain, bias, rate, rng):
@@ -491,17 +533,14 @@ def add_layer_norm(x, y, gain, bias, rate, rng):
     y: a sublayer's residual add and layer norm.
 
     It records `dropout`, `add` and `layer_norm` on the tape, so its
-    arithmetic and its dropout draw are theirs, and drops the values of the
-    dropped y and of the sum, which no backward reads. So its backward keeps
-    the normalized rows, 1/sigma and the bool keep mask.
+    arithmetic and its dropout draw are theirs. A value lives while a
+    backward reads it, and no backward reads the dropped y or the sum, so
+    both are freed and the backward keeps the normalized rows, 1/sigma and
+    the bool keep mask.
     """
     if x.data.shape != y.data.shape:
         raise DimensionError(f"add_layer_norm shapes differ: {x.data.shape} and {y.data.shape}")
-    dropped = dropout(y, rate, rng)
-    total = add(x, dropped)
-    out = layer_norm(total, gain, bias)
-    _drop_values([total] if dropped is y else [total, dropped])
-    return out
+    return layer_norm(add(x, dropout(y, rate, rng)), gain, bias)
 
 
 def dropout(x, rate, rng):
@@ -518,9 +557,10 @@ def dropout(x, rate, rng):
     keep = _keep_mask(x.data.shape, rate, rng)
     s = x.data.dtype.type(1.0 / (1.0 - rate))
     out = Tensor(_dropped(x.data, keep, s), x.requires_grad)
+    gx = x.grad_slot
 
     def backward(g):
-        x.accumulate_grad(_dropped(g, keep, s))
+        gx.accumulate(_dropped(g, keep, s))
 
     _record(out, backward)
     return out
@@ -614,33 +654,35 @@ def attention(q, k, v, layouts, heads, rate, rng):
         keep = None if d is None else _keep_mask(p.shape, rate, rng)
         attn = p if keep is None else _dropped(p, keep, d)
         out[q_rows] = merge(attn @ vh)[q_cells]
-        groups.append((kv_rows, kv_cells, q_rows, q_cells, bias, g, r, qh, kh, vh, p, keep))
-    out = Tensor(out, q.requires_grad or k.requires_grad or v.requires_grad
-                 or any(group[4].requires_grad for group in groups))
+        groups.append((kv_rows, kv_cells, q_rows, q_cells, _slot(bias), g, r, qh, kh, vh, p, keep))
+    slots = [_slot(x) for x in (q, k, v)]
+    out = Tensor(out, any(slot is not None for slot in slots)
+                 or any(group[4] is not None for group in groups))
+    dtype = q.data.dtype
 
     def backward(grad):
-        gq, gk, gv = (np.zeros_like(x.data) if x.requires_grad else None for x in (q, k, v))
-        for kv_rows, kv_cells, q_rows, q_cells, bias, g, r, qh, kh, vh, p, keep in groups:
+        gq, gk, gv = (None if slot is None else np.zeros(slot.shape, dtype) for slot in slots)
+        for kv_rows, kv_cells, q_rows, q_cells, g_bias, g, r, qh, kh, vh, p, keep in groups:
             gc = split(grid(grad, q_rows, q_cells, g * r), g, r)
             if gv is not None:
                 attn = p if keep is None else _dropped(p, keep, d)
                 gv[kv_rows] = merge(attn.swapaxes(-1, -2) @ gc)[kv_cells]
                 del attn  # one grid-sized array at a time beside the softmax
-            if gq is None and gk is None and not bias.requires_grad:
+            if gq is None and gk is None and g_bias is None:
                 continue
             gs = gc @ vh.swapaxes(-1, -2)
             if keep is not None:
                 _dropped(gs, keep, d, out=gs)
             _softmax_grad(gs, p, out=gs)
-            if bias.requires_grad:
-                bias.accumulate_grad(_unbroadcast(gs, bias.data.shape))
+            if g_bias is not None:
+                g_bias.accumulate(_unbroadcast(gs, g_bias.shape))
             if gq is not None:
                 gq[q_rows] = merge(gs @ kh)[q_cells] * s
             if gk is not None:
                 gk[kv_rows] = (qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h)[kv_cells]
-        for x, gx in ((q, gq), (k, gk), (v, gv)):
+        for slot, gx in zip(slots, (gq, gk, gv)):
             if gx is not None:
-                x.accumulate_grad(gx)
+                slot.accumulate(gx)
 
     _record(out, backward)
     return out
@@ -648,9 +690,10 @@ def attention(q, k, v, layouts, heads, rate, rng):
 
 def tensor_sum(x):
     out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype), x.requires_grad)
+    gx, dtype = x.grad_slot, x.data.dtype
 
     def backward(g):
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape).astype(x.data.dtype))
+        gx.accumulate(np.broadcast_to(g, gx.shape).astype(dtype))
 
     _record(out, backward)
     return out
@@ -674,12 +717,13 @@ def softmax_cross_entropy(logits, targets):
     rows = np.arange(n)
     losses = lse - z[rows, targets]
     out = Tensor(np.asarray(losses.mean(), dtype=z.dtype), logits.requires_grad)
+    gz = logits.grad_slot
 
     def backward(g):
         soft = np.exp(z - m)
         soft /= soft.sum(axis=-1, keepdims=True)
         soft[rows, targets] -= 1.0
-        logits.accumulate_grad(g * soft / z.dtype.type(n))
+        gz.accumulate(g * soft / z.dtype.type(n))
 
     _record(out, backward)
     return out
@@ -700,10 +744,11 @@ def sigmoid_bce(logits, labels):
     z = logits.data
     losses = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     out = Tensor(np.asarray(losses.mean(), dtype=z.dtype), logits.requires_grad)
+    gz = logits.grad_slot
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-z))
-        logits.accumulate_grad(g * (sig - y) / z.dtype.type(z.size))
+        gz.accumulate(g * (sig - y) / z.dtype.type(z.size))
 
     _record(out, backward)
     return out

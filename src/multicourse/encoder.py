@@ -17,8 +17,11 @@ more calls on the packed rows, nine tape ops with dropout on:
 `ad.add_layer_norm` (the projection's dropout, the residual add and the
 norm), `ad.ffn` (both FFN matmuls and the GELU) and `ad.add_layer_norm`
 again. For their backward they keep the normalized rows, 1/sigma, the
-dropout masks, and the GELU output and its derivative; no sum, dropped
-array or GELU input keeps its values on the tape.
+dropout masks, and the GELU output and its derivative. A value lives while a
+backward reads it (see `autodiff`): no sum, dropped array or GELU input
+keeps its values on the tape, and neither do the embedding and its norm's
+output, the q/k/v and output projections, the FFN output or the
+relative-bias grids, since no backward reads them.
 
 A pass returns the packed rows it is given, strictly increasing, every row
 (the sequences' tokens in batch order) by default, through one path: it

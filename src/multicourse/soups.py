@@ -102,6 +102,8 @@ def load_manifest(path) -> SweepManifest:
     def text(value, what):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: {what} is {value!r}, not a string")
+        if "\0" in value:  # each string names a file or directory, and no path holds a NUL
+            raise ConfigError(f"{path}: {what} holds a NUL byte")
         return value
 
     entries = raw.get("runs", [])

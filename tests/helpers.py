@@ -109,6 +109,45 @@ def promote_model_to_float64(model):
     return model
 
 
+# -- what a tape holds -----------------------------------------------------------------
+
+
+def owned_closure_arrays(ops, inputs):
+    """(dtype, shape) of each array that recorded ops hold, through their
+    output gradient slots and through their backwards' closures and the
+    tensors, slots, functions, lists and tuples those hold, one per block of
+    memory, sorted. Views of an input (a tensor's data or an array) are left
+    out."""
+    arrays, seen = [], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, ad.Tensor):
+            walk(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                walk(cell.cell_contents)
+        elif hasattr(obj, "grad"):  # a gradient slot
+            walk(obj.grad)
+
+    for op in ops:
+        walk(op.out)
+        walk(op.backward)
+    owned = []
+    for a in arrays:
+        held = [getattr(x, "data", x) for x in inputs] + owned
+        if not any(np.shares_memory(a, b) for b in held):
+            owned.append(a)
+    return sorted((a.dtype.name, a.shape) for a in owned)
+
+
 # -- malformed checkpoints ------------------------------------------------------------
 
 

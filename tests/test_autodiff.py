@@ -15,6 +15,7 @@ from helpers import (
     check_gradients,
     fd_gradient,
     float64_twin,
+    owned_closure_arrays,
     scalar_bce,
     scalar_softmax_ce,
     triple_loop_matmul,
@@ -304,6 +305,30 @@ def test_backward_memory_stays_within_a_few_layer_arrays():
     assert peak - start - param_bytes < 6 * one_array
 
 
+def test_a_taped_chain_holds_only_what_its_backwards_read():
+    # 24 x (matmul -> dropout -> add) on (512, 128): once forward ends, the
+    # tape holds each matmul's input rows and each dropout's bool mask; no
+    # backward reads a matmul's or a dropout's output, so neither is held
+    rng = np.random.default_rng(7)
+    x = t(rng.normal(size=(512, 128)))
+    weights = [t(rng.normal(scale=0.05, size=(128, 128))) for _ in range(24)]
+    one_array, one_mask = x.data.nbytes, x.data.size
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with ad.Tape():
+            h = x
+            for w in weights:
+                h = ad.add(h, ad.dropout(ad.matmul(h, w), 0.1, rng))
+            held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # the 23 sums the matmuls past the first read, the last sum, which the
+    # caller holds, and 24 masks; the rest is the tape's bookkeeping
+    rows_and_masks = 24 * one_array + 24 * one_mask
+    assert rows_and_masks <= held < rows_and_masks + one_array // 2
+
+
 # -- structural ops -----------------------------------------------------------
 
 
@@ -345,41 +370,6 @@ def test_dropout_inverted_scaling_and_determinism():
 def _closure_value(fn, name):
     """The value a closure `fn` captured under `name`."""
     return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
-
-
-def _owned_closure_arrays(ops, inputs):
-    """(dtype, shape) of each array that recorded ops hold, through their
-    outputs and through their backwards' closures and the tensors, functions,
-    lists and tuples those hold, one per block of memory, sorted. Views of an
-    input (a tensor's data or an array) or of the last op's output are left
-    out, and so is the single value a dropped tensor keeps."""
-    arrays, seen = [], set()
-
-    def walk(obj):
-        if id(obj) in seen:
-            return
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
-        elif isinstance(obj, ad.Tensor):
-            walk(obj.data)
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                walk(item)
-        elif getattr(obj, "__closure__", None):
-            for cell in obj.__closure__:
-                walk(cell.cell_contents)
-
-    for op in ops:
-        walk(op.out)
-        walk(op.backward)
-    owned = []
-    for a in arrays:
-        dropped = a.size > 1 and 0 in a.strides
-        held = [getattr(x, "data", x) for x in inputs] + [ops[-1].out.data] + owned
-        if not dropped and not any(np.shares_memory(a, b) for b in held):
-            owned.append(a)
-    return sorted((a.dtype.name, a.shape) for a in owned)
 
 
 @pytest.mark.parametrize("rate, shape, seed", [
@@ -674,7 +664,7 @@ def test_attention_keeps_only_its_grids_softmax_and_keep_mask_for_backward():
         ad.attention(q, k, v, layouts, heads, 0.1, np.random.default_rng(3))
     # per group: the query, key and value grids as (g, H, n, d_head) views,
     # the softmax and the keep mask
-    assert _owned_closure_arrays(tape.ops, [q, k, v, *(a for lay in layouts for a in lay)]) == [
+    assert owned_closure_arrays(tape.ops, [q, k, v, *(a for lay in layouts for a in lay)]) == [
         ("bool", (1, 3, 7, 7)), ("bool", (2, 3, 5, 5)),
         *[("float32", (1, 3, 7, 4))] * 3, ("float32", (1, 3, 7, 7)),
         *[("float32", (2, 3, 5, 4))] * 3, ("float32", (2, 3, 5, 5))]
@@ -793,7 +783,7 @@ def test_ffn_keeps_only_the_gelu_output_and_its_derivative_for_its_backward():
     inputs = [ts[n] for n in ("x", "w1", "b1", "w2", "b2")]
     with ad.Tape() as tape:
         ad.ffn(*inputs)
-    assert _owned_closure_arrays(tape.ops, inputs) == [("float32", (9, 20))] * 2
+    assert owned_closure_arrays(tape.ops, inputs) == [("float32", (9, 20))] * 2
 
 
 def test_add_layer_norm_keeps_only_the_normalized_rows_1_over_sigma_and_the_keep_mask():
@@ -801,7 +791,7 @@ def test_add_layer_norm_keeps_only_the_normalized_rows_1_over_sigma_and_the_keep
     inputs = [ts[n] for n in ("x", "y", "gain1", "bias1")]
     with ad.Tape() as tape:
         ad.add_layer_norm(*inputs, 0.1, np.random.default_rng(3))
-    assert _owned_closure_arrays(tape.ops, inputs) == [
+    assert owned_closure_arrays(tape.ops, inputs) == [
         ("bool", (9, 12)), ("float32", (9, 1)), ("float32", (9, 12))]
 
 

@@ -426,6 +426,18 @@ def test_sweep_with_a_config_that_is_not_an_object_exits_1(tmp_path, capsys):
     assert not sweep.exists()
 
 
+@pytest.mark.parametrize("command", [["soup", "--mode", "uniform"], ["sweep"]], ids=["soup", "sweep"])
+def test_a_manifest_checkpoint_holding_a_nul_byte_exits_1(tmp_path, capsys, command):
+    sweep = tmp_path / "sweep"
+    raw = {"config": str(tmp_path / "sweep_cfg.json"), "output_dir": str(sweep),
+           "runs": [{"name": "re_mlm", "losses": ["re_mlm"], "checkpoint": str(sweep / "re\0mlm.bin")}]}
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli([command[0], "--manifest", str(mpath), *command[1:]]) == 1
+    assert f"error: {mpath}: run 're_mlm''s checkpoint holds a NUL byte" in capsys.readouterr().err
+    assert not sweep.exists()
+
+
 def test_cli_imports_without_scipy():
     code = ("import sys, multicourse.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

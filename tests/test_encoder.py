@@ -13,7 +13,8 @@ from multicourse.encoder import (
 )
 from multicourse.errors import ConfigError, ContractError, InputError
 
-from helpers import check_gradients, relative_error, fd_gradient, scalar_dot, promote_model_to_float64
+from helpers import (check_gradients, fd_gradient, owned_closure_arrays, promote_model_to_float64,
+                     relative_error, scalar_dot)
 
 
 def tiny_config(**kw):
@@ -292,6 +293,28 @@ def test_a_one_layer_every_row_pass_records_eighteen_tape_ops():
     with ad.Tape() as tape:
         model.encode_discriminator(ids, mask, np.random.default_rng(0))
     assert len(tape.ops) == 18
+
+
+def test_a_one_layer_pass_keeps_only_what_its_backwards_read():
+    # 12 rows of width 16 in one (3, 5) grid, 2 heads of 8, ffn 24. Held: the
+    # embedded ids; the embedding norm's and both tail norms' normalized rows
+    # and 1/sigma; the three dropout masks; the dropped embedding rows that
+    # q/k/v read; attention's (3, 2, 5, 8) q/k/v grids, softmax and mask and
+    # its four row and cell indices; the contexts the output projection reads;
+    # the norm output and GELU output the FFN matmuls read and the GELU
+    # derivative. No embedding, norm, q/k/v, projection, FFN or sum output and
+    # no relative-bias grid is held.
+    model = Model(tiny_config(discriminator_layers=1), seed=0)
+    ids, mask = padded(token_rows((5, 3, 4)), 5)
+    with ad.Tape() as tape:
+        model.encode_discriminator(ids, mask, np.random.default_rng(0))
+    # the parameters, and the model's bucket matrix a relative bias reads
+    constants = [*model.params.values(), model._buckets]
+    assert owned_closure_arrays(tape.ops, constants) == [
+        ("bool", (3, 2, 5, 5)), *[("bool", (12, 16))] * 3,
+        ("float32", (3, 2, 5, 5)), *[("float32", (3, 2, 5, 8))] * 3,
+        *[("float32", (12, 1))] * 3, *[("float32", (12, 16))] * 6,
+        *[("float32", (12, 24))] * 2, *[("int64", (12,))] * 5]
 
 
 def part_and_full_rows(seed=0):

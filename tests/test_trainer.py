@@ -9,7 +9,7 @@ from multicourse import correction as corr
 from multicourse import courses as crs
 from multicourse import trainer as tr
 from multicourse.courses import CorruptionRates, TokenSequence, pad_batch
-from multicourse.encoder import EncoderConfig, Model
+from multicourse.encoder import EncoderConfig, Model, attention_groups
 from multicourse.errors import ConfigError, InputError, NonFiniteLossError
 from multicourse.trainer import (
     Adam,
@@ -29,6 +29,8 @@ from multicourse.trainer import (
 from multicourse.toycorpus import generate_corpus
 from multicourse.vocab import build_vocab
 from multicourse.trainer import load_corpus_sequences
+
+from helpers import check_gradients, promote_model_to_float64
 
 
 def small_encoder(vocab_size, dropout=0.1):
@@ -601,6 +603,63 @@ def test_shared_passes_match_one_pass_per_course(corpus, overrides):
         scale = float(np.abs(g).max())
         np.testing.assert_allclose(shared_grads[name], g, rtol=1e-6, atol=1e-6 * scale,
                                    err_msg=name)
+
+
+# -- the whole step's gradient ------------------------------------------------------
+
+
+def _replay_case(tmp_path, case):
+    """A hidden-16, 1+2-layer model after 5 training steps, the batch it then
+    samples with every course on and correction from step 0, and the config.
+    "toy" trains on single toy sentences; "ragged" on lines of 1-12 joined
+    ones, so its passes split attention into two length groups."""
+    rng = np.random.default_rng(3)
+    if case == "toy":
+        lines, max_len = generate_corpus(120, seed=5), 24
+    else:
+        counts = rng.integers(1, 13, size=60)
+        sentences = generate_corpus(int(counts.sum()), seed=6)
+        ends = np.cumsum(counts)
+        lines, max_len = [" ".join(sentences[e - c:e]) for c, e in zip(counts, ends)], 128
+    path = tmp_path / "lines.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = build_vocab(path, 4096)
+    seqs = load_corpus_sequences(path, vocab, max_len)
+    model = Model(EncoderConfig(vocab_size=len(vocab), hidden_size=16, generator_layers=1,
+                                discriminator_layers=2, attention_heads=2, ffn_inner_size=24,
+                                max_seq_len=max_len), seed=2)
+    cfg = small_train(learning_rate=3e-3)
+    opt = Adam(model, cfg)
+    for step in range(5):
+        train_step(model, [seqs[i] for i in rng.choice(len(seqs), 6, replace=False)], opt, cfg,
+                   RATES, rng, step)
+    with ad.no_tape():
+        _, batch = step_losses(model, [seqs[i] for i in rng.choice(len(seqs), 6, replace=False)],
+                               cfg, RATES, rng, step=5)
+    return model, batch, cfg
+
+
+@pytest.mark.parametrize("case", ["toy", "ragged"])
+def test_the_whole_step_gradient_matches_float64_differences(tmp_path, case):
+    # the objective a training step differentiates: nine losses over shared
+    # passes, replayed dropout-free from the sampled batch and its notebooks
+    model, batch, cfg = _replay_case(tmp_path, case)
+    if case == "ragged":
+        assert len(attention_groups(batch.lengths)) == 2
+    twin = promote_model_to_float64(Model.from_state(model.config, model.state()))
+
+    def objective(params):  # of the model or of its float64 twin
+        losses = run_courses(model if params is model.params else twin, batch, cfg)
+        assert len(losses) == 9
+        return total_loss(losses, cfg)
+
+    rng = np.random.default_rng(0)
+    coords = [(name, np.unravel_index(flat, p.data.shape)) for name, p in model.params.items()
+              for flat in rng.choice(p.data.size, min(2, p.data.size), replace=False)]
+    assert not check_gradients(objective, model.params, twin.params, coords)
+    # every parameter had a gradient: both relative biases, the last layers'
+    # queries and every head among them
+    assert all(p.grad is not None for p in model.params.values())
 
 
 # -- the loop ---------------------------------------------------------------------
