@@ -7,10 +7,19 @@ blobs in table order. File size is always header length + 4 * total
 parameter count, and each offset is the header length plus 4 * the counts
 of the parameters before it; a reader refuses any other offset, because
 the digest covers the metadata only.
+
+A load reads the header in one pass and parses it from memory, checking
+every length field against the header before it reads what the field
+describes, then reads the whole blob region with one `readinto` into a
+single float32 buffer: the loaded parameters are non-overlapping views of
+that buffer, in table order. A save writes the header in one write and then
+each parameter's own buffer, without copying it.
 """
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +31,11 @@ from .errors import CheckpointFormatError, ConfigError, DigestMismatchError
 from .fileio import atomic_open
 
 MAGIC = b"MCL1"
+# magic, header length, metadata digest, metadata length
+_PREFIX = struct.Struct("<4sQ32sI")
+_COUNT = struct.Struct("<I")  # parameter count, after the metadata
+_NAME_LEN = struct.Struct("<H")
+_OFFSET = struct.Struct("<Q")
 
 
 @dataclass(eq=False)
@@ -32,7 +46,7 @@ class Checkpoint:
     digest: str   # hex sha256 of the metadata JSON
 
     def total_parameters(self):
-        return sum(int(np.prod(a.shape)) for a in self.params.values())
+        return sum(a.size for a in self.params.values())
 
 
 def _meta_bytes(config: EncoderConfig, vocab_tokens):
@@ -56,114 +70,134 @@ def save_checkpoint(path, model_or_checkpoint, vocab=None):
         model = model_or_checkpoint
         config = model.config
         tokens = vocab.id_to_token if vocab is not None else []
-        params = model.state()
+        params = {name: p.data for name, p in model.params.items()}
 
     meta = _meta_bytes(config, tokens)
-    digest = hashlib.sha256(meta).digest()
-
-    table = []
-    for name, arr in params.items():
-        entry = struct.pack("<H", len(name.encode())) + name.encode()
-        entry += struct.pack("<B", arr.ndim)
-        entry += b"".join(struct.pack("<I", d) for d in arr.shape)
-        table.append((entry, arr))
-    fixed = len(MAGIC) + 8 + 32 + 4 + len(meta) + 4
-    table_len = sum(len(e) + 8 for e, _ in table)
-    header_len = fixed + table_len
+    names = [name.encode() for name in params]
+    arrays = list(params.values())
+    header_len = (_PREFIX.size + len(meta) + _COUNT.size
+                  + sum(_NAME_LEN.size + len(name) + 1 + 4 * arr.ndim + _OFFSET.size
+                        for name, arr in zip(names, arrays)))
+    header = [_PREFIX.pack(MAGIC, header_len, hashlib.sha256(meta).digest(), len(meta)),
+              meta, _COUNT.pack(len(arrays))]
+    offset = header_len
+    for name, arr in zip(names, arrays):
+        header.append(struct.pack(f"<H{len(name)}sB{arr.ndim}IQ",
+                                  len(name), name, arr.ndim, *arr.shape, offset))
+        offset += 4 * math.prod(arr.shape)
 
     with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", header_len))
-        fh.write(digest)
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<I", len(table)))
-        offset = header_len
-        for entry, arr in table:
-            fh.write(entry)
-            fh.write(struct.pack("<Q", offset))
-            offset += 4 * int(np.prod(arr.shape))
-        for _, arr in table:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(b"".join(header))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
     return Path(path)
 
 
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
-    return data
+def _read_header(fh, path):
+    """read_header on an open file, left positioned at the first blob."""
+    prefix = fh.read(_PREFIX.size)
+    if prefix[:len(MAGIC)] != MAGIC:
+        raise CheckpointFormatError(f"{path} is not a checkpoint (bad magic)")
+    if len(prefix) != _PREFIX.size:
+        raise CheckpointFormatError(f"{path}: truncated checkpoint while reading the header")
+    _, header_len, digest, meta_len = _PREFIX.unpack(prefix)
+    size = os.fstat(fh.fileno()).st_size
+    if not _PREFIX.size + _COUNT.size <= header_len <= size:
+        raise CheckpointFormatError(
+            f"{path}: header length {header_len} is outside [{_PREFIX.size + _COUNT.size}, "
+            f"{size}], the fixed prefix to the file size")
+    header = prefix + fh.read(header_len - _PREFIX.size)
+    if len(header) != header_len:
+        raise CheckpointFormatError(f"{path}: truncated checkpoint while reading the header")
+
+    def past_header(end, what):
+        if end > header_len:
+            raise CheckpointFormatError(f"{path}: {what} runs past the {header_len}-byte header")
+
+    pos = _PREFIX.size + meta_len
+    past_header(pos + _COUNT.size, f"metadata length {meta_len}")
+    meta_raw = header[_PREFIX.size:pos]
+    if hashlib.sha256(meta_raw).digest() != digest:
+        raise CheckpointFormatError(f"{path}: metadata does not match stored digest")
+    try:
+        meta = json.loads(meta_raw.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: metadata is not JSON ({exc})") from None
+    (n_params,) = _COUNT.unpack_from(header, pos)
+    pos += _COUNT.size
+    table = {}
+    expected = header_len
+    for i in range(n_params):
+        past_header(pos + _NAME_LEN.size, f"table entry {i}")
+        (name_len,) = _NAME_LEN.unpack_from(header, pos)
+        pos += _NAME_LEN.size + name_len
+        past_header(pos + 1, f"table entry {i}'s name length {name_len}")
+        try:
+            name = header[pos - name_len:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{path}: table entry {i}'s name is not UTF-8") from None
+        ndim = header[pos]
+        pos += 1
+        past_header(pos + 4 * ndim + _OFFSET.size, f"parameter {name}'s {ndim} dimensions")
+        shape = struct.unpack_from(f"<{ndim}I", header, pos)
+        (offset,) = _OFFSET.unpack_from(header, pos + 4 * ndim)
+        pos += 4 * ndim + _OFFSET.size
+        if offset != expected:
+            raise CheckpointFormatError(
+                f"{path}: parameter {name} at offset {offset}, expected {expected}")
+        expected += 4 * math.prod(shape)
+        table[name] = (shape, offset)
+    if pos != header_len:
+        raise CheckpointFormatError(f"{path}: header length field disagrees with table")
+    return header_len, digest.hex(), meta, table
 
 
 def read_header(path):
     """Parse everything before the blobs: (header_len, digest_hex, meta, table).
 
     The table maps name -> (shape, offset) in file order; every offset must
-    be where the blobs before it end.
+    be where the blobs before it end. A length field that runs past the
+    header, or a header length outside the file, raises CheckpointFormatError.
     """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointFormatError(f"{path} is not a checkpoint (bad magic)")
-        header_len = struct.unpack("<Q", _read_exact(fh, 8, "header length"))[0]
-        digest = _read_exact(fh, 32, "digest")
-        meta_len = struct.unpack("<I", _read_exact(fh, 4, "meta length"))[0]
-        meta_raw = _read_exact(fh, meta_len, "metadata")
-        if hashlib.sha256(meta_raw).digest() != digest:
-            raise CheckpointFormatError(f"{path}: metadata does not match stored digest")
-        try:
-            meta = json.loads(meta_raw.decode("utf-8"))
-        except ValueError as exc:
-            raise CheckpointFormatError(f"{path}: metadata is not JSON ({exc})") from None
-        n_params = struct.unpack("<I", _read_exact(fh, 4, "parameter count"))[0]
-        table = {}
-        expected = header_len
-        for _ in range(n_params):
-            name_len = struct.unpack("<H", _read_exact(fh, 2, "name length"))[0]
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            ndim = struct.unpack("<B", _read_exact(fh, 1, "ndim"))[0]
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4, "dim"))[0] for _ in range(ndim))
-            offset = struct.unpack("<Q", _read_exact(fh, 8, "offset"))[0]
-            if offset != expected:
-                raise CheckpointFormatError(
-                    f"{path}: parameter {name} at offset {offset}, expected {expected}")
-            expected += 4 * int(np.prod(shape))
-            table[name] = (shape, offset)
-        if fh.tell() != header_len:
-            raise CheckpointFormatError(f"{path}: header length field disagrees with table")
-    return header_len, digest.hex(), meta, table
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path, expected_config: EncoderConfig = None, expected_vocab=None) -> Checkpoint:
     """Read and validate a checkpoint; refuses mismatched configs."""
-    header_len, digest_hex, meta, table = read_header(path)
-    try:
-        config = EncoderConfig(**meta["encoder"])
-        tokens = meta["vocab"]
-    except (TypeError, KeyError, ConfigError) as exc:
-        raise CheckpointFormatError(f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-        raise CheckpointFormatError(f"{path}: bad metadata (vocab must be a list of strings)")
-    if expected_config is not None:
-        want = config_digest(expected_config,
-                             tokens if expected_vocab is None else expected_vocab.id_to_token)
-        if want != digest_hex:
-            raise DigestMismatchError(
-                f"{path}: checkpoint digest {digest_hex[:12]}... does not match "
-                f"the expected config digest {want[:12]}..."
-            )
-    total = sum(int(np.prod(shape)) for shape, _ in table.values())
-    size = Path(path).stat().st_size
-    if size != header_len + 4 * total:
-        raise CheckpointFormatError(
-            f"{path}: expected {header_len + 4 * total} bytes, found {size}"
-        )
-    params = {}
     with open(path, "rb") as fh:
-        for name, (shape, offset) in table.items():
-            fh.seek(offset)
-            count = int(np.prod(shape))
-            raw = _read_exact(fh, 4 * count, f"blob {name}")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        header_len, digest_hex, meta, table = _read_header(fh, path)
+        try:
+            config = EncoderConfig(**meta["encoder"])
+            tokens = meta["vocab"]
+        except (TypeError, KeyError, ConfigError) as exc:
+            raise CheckpointFormatError(
+                f"{path}: bad metadata ({type(exc).__name__}: {exc})") from None
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise CheckpointFormatError(f"{path}: bad metadata (vocab must be a list of strings)")
+        if expected_config is not None:
+            want = config_digest(expected_config,
+                                 tokens if expected_vocab is None else expected_vocab.id_to_token)
+            if want != digest_hex:
+                raise DigestMismatchError(
+                    f"{path}: checkpoint digest {digest_hex[:12]}... does not match "
+                    f"the expected config digest {want[:12]}..."
+                )
+        counts = [math.prod(shape) for shape, _ in table.values()]
+        total = sum(counts)
+        size = os.fstat(fh.fileno()).st_size
+        if size != header_len + 4 * total:
+            raise CheckpointFormatError(
+                f"{path}: expected {header_len + 4 * total} bytes, found {size}"
+            )
+        flat = np.empty(total, dtype="<f4")
+        if fh.readinto(flat) != 4 * total:
+            raise CheckpointFormatError(f"{path}: truncated checkpoint while reading the blobs")
+    params = {}
+    start = 0
+    for (name, (shape, _)), count in zip(table.items(), counts):
+        params[name] = flat[start:start + count].reshape(shape)
+        start += count
     return Checkpoint(config=config, vocab_tokens=tokens, params=params, digest=digest_hex)
 
 

@@ -22,6 +22,8 @@ from .fileio import atomic_open, read_json
 log = logging.getLogger(__name__)
 
 CORRECTION_LOSSES = ("re_mlm", "re_rtd", "re_slm", "re_std")
+# float64 elements per merge scratch array: the two arrays (256 KiB) stay in cache
+_MERGE_BLOCK = 1 << 14
 
 
 def enumerate_subsets():
@@ -182,7 +184,10 @@ def merge_checkpoints(checkpoints, weights: SoupWeights) -> Checkpoint:
 
     Accumulation is a float64 left fold in manifest order over parameters
     in canonical checkpoint order, cast to float32 at the end; merging K
-    identical checkpoints therefore reproduces them bit-exactly.
+    identical checkpoints therefore reproduces them bit-exactly. Each
+    parameter is folded one block of `_MERGE_BLOCK` elements at a time in two
+    preallocated float64 arrays, which keeps every element's fold, and so
+    the result, bit-identical to folding whole float64 copies.
     """
     if not checkpoints:
         raise MergeError("nothing to merge")
@@ -201,11 +206,21 @@ def merge_checkpoints(checkpoints, weights: SoupWeights) -> Checkpoint:
                     f"parameter {name}: shape {other.params[name].shape} "
                     f"!= {base.params[name].shape}"
                 )
+    w0, *ws = weights.values
+    acc, term = np.empty(_MERGE_BLOCK), np.empty(_MERGE_BLOCK)
     merged = {}
     for name in names:
-        acc = weights.values[0] * base.params[name].astype(np.float64)
-        for w, ckpt in zip(weights.values[1:], checkpoints[1:]):
-            acc = acc + w * ckpt.params[name].astype(np.float64)
-        merged[name] = acc.astype(np.float32)
+        x0, *xs = (ck.params[name].reshape(-1) for ck in checkpoints)
+        out = np.empty(base.params[name].shape, dtype=np.float32)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _MERGE_BLOCK):
+            stop = min(start + _MERGE_BLOCK, flat.size)
+            a, t = acc[:stop - start], term[:stop - start]
+            np.multiply(x0[start:stop], w0, out=a, dtype=np.float64)
+            for w, x in zip(ws, xs):
+                np.multiply(x[start:stop], w, out=t, dtype=np.float64)
+                np.add(a, t, out=a)
+            flat[start:stop] = a
+        merged[name] = out
     return Checkpoint(config=base.config, vocab_tokens=base.vocab_tokens,
                       params=merged, digest=base.digest)

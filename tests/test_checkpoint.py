@@ -1,9 +1,12 @@
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multicourse.checkpoint import (
+    Checkpoint,
     build_model,
     config_digest,
     load_checkpoint,
@@ -73,6 +76,97 @@ def test_truncated_file_rejected(saved):
     path.write_bytes(raw[:-10])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", ["prefix", "table"])
+def test_a_file_cut_inside_the_header_is_refused(saved, keep):
+    path, _, _ = saved
+    raw = path.read_bytes()
+    header_len = read_header(path)[0]
+    path.write_bytes(raw[:30 if keep == "prefix" else header_len - 5])
+    with pytest.raises(CheckpointFormatError, match="model.bin"):
+        load_checkpoint(path)
+
+
+def test_saving_a_model_or_a_checkpoint_of_its_state_writes_the_same_bytes(saved, tmp_path):
+    path, model, vocab = saved
+    other = tmp_path / "state.bin"
+    save_checkpoint(other, Checkpoint(config=model.config, vocab_tokens=vocab.id_to_token,
+                                      params=model.state(), digest=""))
+    assert other.read_bytes() == path.read_bytes()
+
+
+def test_loaded_parameters_are_writable_float32_arrays_that_share_no_element(saved):
+    path, _, _ = saved
+    params = load_checkpoint(path).params
+    before = {name: arr.copy() for name, arr in params.items()}
+    for name, arr in params.items():
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous and arr.flags.writeable, name
+        arr[...] = 7.0
+        for other, values in before.items():
+            if other != name:
+                np.testing.assert_array_equal(params[other], values, err_msg=f"{name} -> {other}")
+        arr[...] = before[name]
+
+
+def refused_without_allocating(path):
+    """Loading `path` raises CheckpointFormatError naming it, and allocates no more
+    than a few times the file's size on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match=path.name):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak < 4 * path.stat().st_size + (1 << 20)
+
+
+def table_entry(raw, name):
+    """Byte positions of a table entry's name length and ndim."""
+    at = raw.index(name.encode())
+    return at - 2, at + len(name)
+
+
+CORRUPT_LENGTHS = {
+    "header_length_below_the_prefix": lambda raw: struct.pack_into("<Q", raw, 4, 20),
+    "header_length_past_the_file": lambda raw: struct.pack_into("<Q", raw, 4, len(raw) + 1),
+    "header_length_2_to_the_62": lambda raw: struct.pack_into("<Q", raw, 4, 1 << 62),
+    "meta_length": lambda raw: struct.pack_into("<I", raw, 44, 0xFFFFFFF0),
+    "name_length": lambda raw: struct.pack_into("<H", raw, table_entry(raw, "head.itd.b")[0],
+                                                0xFFFF),
+    "ndim": lambda raw: struct.pack_into("<B", raw, table_entry(raw, "head.itd.b")[1], 255),
+}
+
+
+@pytest.mark.parametrize("field", list(CORRUPT_LENGTHS))
+def test_a_corrupt_length_field_is_refused_without_allocating_its_claim(saved, field):
+    path, _, _ = saved
+    raw = bytearray(path.read_bytes())
+    CORRUPT_LENGTHS[field](raw)
+    path.write_bytes(bytes(raw))
+    assert refused_without_allocating(path)
+
+
+def test_a_shape_whose_count_overflows_int64_is_refused(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64, so an empty blob would pass a wrapped count
+    path = tmp_path / "overflow.bin"
+    empty = np.zeros((0, 0, 0, 0), dtype=np.float32)
+    save_checkpoint(path, Checkpoint(config=small_config(), vocab_tokens=TOKENS, digest="",
+                                     params={"wrapped": empty}))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<4I", raw, table_entry(raw, "wrapped")[1] + 1, *[65536] * 4)
+    path.write_bytes(bytes(raw))
+    assert refused_without_allocating(path)
+
+
+def test_a_parameter_name_that_is_not_utf8_is_refused(saved):
+    path, _, _ = saved
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"lm_head.bias")] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="model.bin.*not UTF-8"):
+        read_header(path)
 
 
 def test_corrupt_metadata_rejected(saved):

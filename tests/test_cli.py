@@ -191,6 +191,21 @@ def test_probe_of_a_checkpoint_with_bad_metadata_exits_1(run1, tmp_path, capsys,
         assert f"error: {ckpt}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["probe", "soup"])
+def test_a_checkpoint_whose_parameter_name_is_not_utf8_exits_1(run1, tmp_path, capsys, command):
+    mpath = _two_copies_manifest(run1, tmp_path)
+    ckpt = tmp_path / "a.bin"
+    raw = bytearray(ckpt.read_bytes())
+    raw[raw.index(b"lm_head.bias")] = 0xFF
+    ckpt.write_bytes(bytes(raw))
+    data = tmp_path / "probe.tsv"
+    write_probe_dataset(data, 60, seed=3)
+    argv = {"probe": ["probe", "--checkpoint", str(ckpt), "--data", str(data)],
+            "soup": ["soup", "--manifest", str(mpath), "--mode", "uniform"]}[command]
+    assert cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {ckpt}: table entry")
+
+
 def _two_copies_manifest(run1, tmp_path, seeds=(0, 0)):
     """A manifest of runs "a" and "b", each a copy of run1's final checkpoint."""
     src = run1[0] / "checkpoint_final.bin"

@@ -9,6 +9,7 @@ from multicourse.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from multicourse.encoder import EncoderConfig, Model
 from multicourse.errors import ConfigError, InputError, MergeError
 from multicourse.soups import (
+    _MERGE_BLOCK,
     CORRECTION_LOSSES,
     SoupWeights,
     SweepManifest,
@@ -157,6 +158,28 @@ def test_weighted_merge_matches_scalar_oracle():
         for i in range(fa.size):
             flat_o[i] = 0.25 * float(fa[i]) + 0.75 * float(fb[i])
         assert np.abs(merged.params[name].astype(np.float64) - oracle).max() < 1e-7
+
+
+def test_merge_is_the_float64_left_fold_bit_for_bit():
+    k, block = 14, _MERGE_BLOCK
+    shapes = {"below": (block - 1,), "block": (block,), "ragged": (3, block - 5), "one": (1,)}
+    rng = np.random.default_rng(27)
+    weights = SoupWeights(rng.dirichlet(np.ones(k)))
+    params = [{n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+              for _ in range(k - 1)]
+    # the last ingredient nearly cancels the others, so the float32 result keeps the low
+    # bits of the float64 sum and a different summation order changes it
+    params.append({n: (-sum(w * p[n].astype(np.float64) for w, p in zip(weights.values, params))
+                       / weights.values[-1]).astype(np.float32) for n in shapes})
+    ckpts = [Checkpoint(config=small_config(), vocab_tokens=[], params=p, digest="d" * 64)
+             for p in params]
+    merged = merge_checkpoints(ckpts, weights)
+    for name, shape in shapes.items():
+        acc = np.zeros(shape)
+        for w, p in zip(weights.values, params):
+            acc = acc + w * p[name].astype(np.float64)
+        got = merged.params[name]
+        assert got.dtype == np.float32 and np.array_equal(got, acc.astype(np.float32)), name
 
 
 def test_merge_is_permutation_invariant():
