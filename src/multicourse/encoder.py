@@ -177,8 +177,9 @@ def _parameter_layout(config):
 
 
 def _checked_state(config, state):
-    """Float32 copies of `state`'s arrays in canonical order; an unknown, missing
-    or misshaped parameter raises InputError."""
+    """`state`'s arrays as float32 in canonical order, a float32 array kept as
+    it is rather than copied; an unknown, missing or misshaped parameter
+    raises InputError."""
     layout = _parameter_layout(config)
     unknown = sorted(set(state) - set(layout))
     if unknown:
@@ -187,7 +188,7 @@ def _checked_state(config, state):
     for name, (shape, _) in layout.items():
         if name not in state:
             raise InputError(f"missing parameter {name}")
-        arr = np.array(state[name], dtype=np.float32)
+        arr = np.asarray(state[name], dtype=np.float32)
         if arr.shape != shape:
             raise InputError(f"shape mismatch for {name}: {arr.shape} vs {shape}")
         checked[name] = arr
@@ -205,9 +206,9 @@ class Model:
 
     @classmethod
     def from_state(cls, config: EncoderConfig, state):
-        """A model holding float32 copies of `state`'s arrays, with no random
-        initialisation; an unknown, missing or misshaped parameter raises
-        InputError."""
+        """A model holding `state`'s arrays, as they are when float32 and as
+        float32 copies otherwise, with no random initialisation; an unknown,
+        missing or misshaped parameter raises InputError."""
         model = cls.__new__(cls)
         model._build(config, state)
         return model

@@ -6,8 +6,13 @@ Its CourseBatch is its one record: the views as packed id arrays, one
 notebook per discriminator stream and whether correction ran; each course
 function runs once per view set, not once per sequence. One clipped AdamW
 update follows on the generator losses plus lambda-scaled discriminator
-losses. Metrics: replace rate/accuracy and confusion-cell counts, read off
-the notebooks.
+losses, over one flat layout: the active parameters' elements one parameter
+after another. `clip_gradients` gathers the gradients into one new flat
+array and scales it; `Adam` keeps its moments as two flat arrays and writes
+the new parameter values over that array in cache-sized blocks, and it then
+backs every active parameter as views, so no parameter array is written in
+place. Metrics: replace rate/accuracy and confusion-cell
+counts, read off the notebooks.
 """
 
 import csv
@@ -24,6 +29,9 @@ from .errors import ConfigError, InputError, NonFiniteLossError
 from .fileio import text_lines
 
 log = logging.getLogger(__name__)
+
+# float32 elements per optimizer block: its block of six arrays (384 KiB) stays in cache
+_ADAM_BLOCK = 1 << 14
 
 G_LOSSES = ("mlm", "slm", "re_mlm", "re_slm")
 D_LOSSES = ("rtd", "std", "itd", "re_rtd", "re_std")
@@ -282,49 +290,97 @@ def active_parameter_names(model, cfg: TrainConfig):
 
 
 def clip_gradients(tensors, max_norm):
-    """Scale gradients in place so the global norm is at most max_norm; a
-    non-finite norm raises NonFiniteLossError and leaves every gradient as it was."""
-    total = np.sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum())
-                        for t in tensors if t.grad is not None))
+    """The tensors' gradients as one new flat float32 array, in tensor order
+    (zeros where a gradient is None), scaled so their global norm is at most
+    max_norm, and that norm before scaling. The norm adds one float64 sum of
+    squares per tensor, in tensor order. A non-finite norm raises
+    NonFiniteLossError; no gradient is ever changed."""
+    parts = []
+    for t in tensors:
+        g = t.grad
+        parts.append(np.zeros(t.data.size, np.float32) if g is None else g.reshape(-1))
+    total = np.sqrt(sum(float(np.square(part, dtype=np.float64).sum()) for part in parts))
     if not np.isfinite(total):
         raise NonFiniteLossError(f"global gradient norm is {total} — aborting step")
+    flat = np.concatenate(parts, dtype=np.float32)
     if max_norm > 0 and total > max_norm:
-        factor = np.float32(max_norm / total)
-        for t in tensors:
-            if t.grad is not None:
-                t.grad = t.grad * factor
-    return total
+        flat *= np.float32(max_norm / total)
+    return flat, total
 
 
 class Adam:
-    """AdamW with bias correction and the linear warmup/decay schedule."""
+    """AdamW with bias correction and the linear warmup/decay schedule.
+
+    The moments `m` and `v` are flat float32 arrays over the active
+    parameters, each parameter's elements at `offsets[i]:offsets[i + 1]` in
+    `names` order, the layout `clip_gradients` gives their gradients.
+    """
 
     def __init__(self, model, cfg: TrainConfig):
         self.cfg = cfg
         self.names = active_parameter_names(model, cfg)
         params = model.named_parameters()
-        self.m = {n: np.zeros_like(params[n].data) for n in self.names}
-        self.v = {n: np.zeros_like(params[n].data) for n in self.names}
+        self.offsets = np.cumsum([0] + [params[n].data.size for n in self.names]).tolist()
+        size = self.offsets[-1]
+        self.m = np.zeros(size, np.float32)
+        self.v = np.zeros(size, np.float32)
         self.t = 0
+        # each block's pieces of parameters: (index in names, start, stop) within the parameter
+        self._pieces = [[(i, max(lo, a) - a, min(lo + _ADAM_BLOCK, b) - a)
+                         for i, (a, b) in enumerate(zip(self.offsets, self.offsets[1:]))
+                         if a < lo + _ADAM_BLOCK and b > lo]
+                        for lo in range(0, size, _ADAM_BLOCK)]
 
-    def step(self, model):
-        """One decoupled-weight-decay Adam update over the active parameters."""
+    def step(self, model, grad):
+        """One decoupled-weight-decay Adam update of the active parameters by
+        `grad`, their flat gradient from `clip_gradients`, which the update
+        takes over as the parameters' new storage.
+
+        One block of `_ADAM_BLOCK` elements at a time, the block's current
+        parameter values are copied into scratch, and once `m` and `v` have
+        read the block's gradient the new values are written over it. Then
+        each parameter's `data` becomes its view of `grad`: no parameter
+        array is written in place.
+        """
         self.t += 1
         cfg = self.cfg
         lr = np.float32(learning_rate_at(self.t, cfg))
         b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
+        one_b1, one_b2 = np.float32(1) - b1, np.float32(1) - b2
         eps = np.float32(cfg.adam_epsilon)
         wd = np.float32(cfg.weight_decay)
         c1 = np.float32(1.0 - cfg.adam_beta1 ** self.t)
         c2 = np.float32(1.0 - cfg.adam_beta2 ** self.t)
         params = model.named_parameters()
-        for n in self.names:
-            p = params[n]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[n] = b1 * self.m[n] + (np.float32(1) - b1) * g
-            v = self.v[n] = b2 * self.v[n] + (np.float32(1) - b2) * (g * g)
-            update = (m / c1) / (np.sqrt(v / c2) + eps)
-            p.data = p.data - lr * (update + wd * p.data)
+        current = [params[n].data.reshape(-1) for n in self.names]
+        scratch = np.empty((3, _ADAM_BLOCK), np.float32)
+        for start, pieces in zip(range(0, grad.size, _ADAM_BLOCK), self._pieces):
+            stop = min(start + _ADAM_BLOCK, grad.size)
+            g, m, v = grad[start:stop], self.m[start:stop], self.v[start:stop]
+            p, s1, s2 = scratch[:, :stop - start]
+            np.concatenate([current[i][a:b] for i, a, b in pieces], out=p)
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(m, b1, out=m)
+            np.multiply(g, one_b1, out=s1)
+            np.add(m, s1, out=m)
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=s1)
+            np.multiply(s1, one_b2, out=s1)
+            np.multiply(v, b2, out=v)
+            np.add(v, s1, out=v)
+            # update = (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(v, c2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, eps, out=s1)
+            np.divide(m, c1, out=s2)
+            np.divide(s2, s1, out=s2)
+            # p = p - lr * (update + wd * p), over the block's gradient
+            np.multiply(p, wd, out=s1)
+            np.add(s2, s1, out=s2)
+            np.multiply(s2, lr, out=s2)
+            np.subtract(p, s2, out=g)
+        for n, start, stop in zip(self.names, self.offsets, self.offsets[1:]):
+            params[n].data = grad[start:stop].reshape(params[n].data.shape)
         return float(lr)
 
 
@@ -383,9 +439,10 @@ def train_step(model, seqs, opt: Adam, cfg: TrainConfig, rates, rng, step=0):
         losses, batch = step_losses(model, seqs, cfg, rates, rng, step)
         total = total_loss(losses, cfg)
         tape.backward(total)
+    del tape  # its ops hold the step's activations: free them before the optimizer's flat arrays
     params = model.named_parameters()
-    clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
-    lr = opt.step(model)
+    grad, _ = clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
+    lr = opt.step(model, grad)
     return compute_metrics(step, losses, float(total.data), batch, lr, cfg)
 
 

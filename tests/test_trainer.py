@@ -102,26 +102,27 @@ def test_lr_peaks_at_warmup():
 # -- adam ----------------------------------------------------------------------
 
 
+class ParameterHolder:
+    """A model with only named parameters, for optimizer tests."""
+
+    config = None
+
+    def __init__(self, arrays):
+        self.params = {n: ad.Tensor(a, requires_grad=True) for n, a in arrays.items()}
+
+    def named_parameters(self):
+        return self.params
+
+
 def test_adam_matches_scalar_recurrence():
     cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, total_steps=10,
                       adam_beta1=0.9, adam_beta2=0.98, adam_epsilon=1e-6,
                       weight_decay=0.004, grad_clip_norm=0.0)
-
-    class OneParam:
-        def __init__(self):
-            self.params = {"p": ad.Tensor(np.array([0.02], dtype=np.float32), requires_grad=True)}
-
-        def named_parameters(self):
-            return self.params
-
-        config = None
-
-    holder = OneParam()
+    holder = ParameterHolder({"p": np.array([0.02], dtype=np.float32)})
     opt = Adam(holder, cfg)
     grads = [0.3, -0.14]
     for g in grads:
-        holder.params["p"].grad = np.array([g], dtype=np.float32)
-        opt.step(holder)
+        opt.step(holder, np.array([g], dtype=np.float32))
 
     # float64 hand recurrence, decoupled weight decay, linear warmup
     p, m, v = 0.02, 0.0, 0.0
@@ -141,7 +142,9 @@ def test_adam_zero_grads_no_decay_is_identity(setup):
     opt = Adam(model, cfg)
     before = model.state()
     model.zero_grad()
-    opt.step(model)  # all grads None -> zeros
+    params = model.named_parameters()
+    grad, _ = clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
+    opt.step(model, grad)  # all grads None -> zeros
     after = model.state()
     for name in before:
         if name in opt.names:
@@ -166,17 +169,29 @@ def test_clip_scales_to_cap():
     t2 = ad.Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
     t1.grad = np.array([2.4, 0.0, 0.0], dtype=np.float32)
     t2.grad = np.array([0.0, 3.2, 0.0, 0.0], dtype=np.float32)  # norm 4.0 = 2 x cap
-    pre = clip_gradients([t1, t2], 2.0)
+    grad, pre = clip_gradients([t1, t2], 2.0)
     assert pre == pytest.approx(4.0)
-    post = np.sqrt(float((t1.grad ** 2).sum() + (t2.grad ** 2).sum()))
+    assert grad.dtype == np.float32 and grad.shape == (7,)
+    post = np.sqrt(float((grad.astype(np.float64) ** 2).sum()))
     assert abs(post - 2.0) < 1e-5
+    np.testing.assert_array_equal(grad, np.concatenate([t1.grad, t2.grad]) * np.float32(0.5))
+    # the tensors keep their unscaled gradients
+    np.testing.assert_array_equal(t1.grad, np.array([2.4, 0.0, 0.0], dtype=np.float32))
+    np.testing.assert_array_equal(t2.grad, np.array([0.0, 3.2, 0.0, 0.0], dtype=np.float32))
 
 
 def test_clip_leaves_small_gradients_alone():
     t1 = ad.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    t2 = ad.Tensor(np.zeros((2, 2), dtype=np.float32), requires_grad=True)
+    t3 = ad.Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
     t1.grad = np.array([0.3, 0.4], dtype=np.float32)
-    clip_gradients([t1], 2.0)
-    np.testing.assert_allclose(t1.grad, [0.3, 0.4])
+    t3.grad = np.array([0.1], dtype=np.float32)
+    grad, pre = clip_gradients([t1, t2, t3], 2.0)
+    assert pre == pytest.approx(np.sqrt(0.26))
+    # t2 has no gradient: its four elements are zeros in the flat layout
+    np.testing.assert_array_equal(grad, np.array([0.3, 0.4, 0, 0, 0, 0, 0.1], dtype=np.float32))
+    np.testing.assert_array_equal(t1.grad, np.array([0.3, 0.4], dtype=np.float32))
+    assert t2.grad is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -189,6 +204,121 @@ def test_clip_rejects_non_finite_norm(bad):
         clip_gradients([t1, t2], 2.0)
     np.testing.assert_array_equal(t1.grad, [30.0, 40.0])
     np.testing.assert_array_equal(t2.grad, [bad, 1.0])
+
+
+class PerParameterAdam:
+    """The per-parameter global-norm clip and AdamW update that the flat
+    optimizer replaced, on a dict of arrays: the reference it must match
+    bit for bit."""
+
+    def __init__(self, arrays, cfg):
+        self.cfg = cfg
+        self.params = {n: a.copy() for n, a in arrays.items()}
+        self.m = {n: np.zeros_like(a) for n, a in arrays.items()}
+        self.v = {n: np.zeros_like(a) for n, a in arrays.items()}
+        self.t = 0
+
+    def step(self, grads):
+        cfg = self.cfg
+        total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                            for g in grads.values() if g is not None))
+        if cfg.grad_clip_norm > 0 and total > cfg.grad_clip_norm:
+            factor = np.float32(cfg.grad_clip_norm / total)
+            grads = {n: None if g is None else g * factor for n, g in grads.items()}
+        self.t += 1
+        lr = np.float32(learning_rate_at(self.t, cfg))
+        b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
+        eps = np.float32(cfg.adam_epsilon)
+        wd = np.float32(cfg.weight_decay)
+        c1 = np.float32(1.0 - cfg.adam_beta1 ** self.t)
+        c2 = np.float32(1.0 - cfg.adam_beta2 ** self.t)
+        for n, p in self.params.items():
+            g = grads[n] if grads[n] is not None else np.zeros_like(p)
+            m = self.m[n] = b1 * self.m[n] + (np.float32(1) - b1) * g
+            v = self.v[n] = b2 * self.v[n] + (np.float32(1) - b2) * (g * g)
+            update = (m / c1) / (np.sqrt(v / c2) + eps)
+            self.params[n] = p - lr * (update + wd * p)
+        return total
+
+
+def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
+    cfg = TrainConfig(learning_rate=1e-2, warmup_steps=2, total_steps=10, weight_decay=0.05,
+                      grad_clip_norm=2.0)
+    rng = np.random.default_rng(21)
+    shapes = {"a": (3, 5), "b": (7,), "c": (2, 3, 4), "wide": (2, tr._ADAM_BLOCK // 2 + 19),
+              "none": (4, 6), "d": (1,)}
+    arrays = {n: rng.normal(0, 0.5, s).astype(np.float32) for n, s in shapes.items()}
+    total = sum(a.size for a in arrays.values())
+    assert total > tr._ADAM_BLOCK and total % tr._ADAM_BLOCK  # a ragged last block
+    holder = ParameterHolder(arrays)
+    opt = Adam(holder, cfg)
+    oracle = PerParameterAdam(arrays, cfg)
+    for step in range(6):
+        grads = {n: rng.normal(0, 3.0, s).astype(np.float32) for n, s in shapes.items()}
+        if step % 2:
+            grads["none"] = None
+        for n, g in grads.items():
+            holder.params[n].grad = g
+        grad, norm = clip_gradients([holder.params[n] for n in opt.names], cfg.grad_clip_norm)
+        opt.step(holder, grad)
+        expected = oracle.step(grads)
+        assert norm == expected and norm > cfg.grad_clip_norm  # clipping is active
+        for i, n in enumerate(opt.names):
+            start, stop = opt.offsets[i], opt.offsets[i + 1]
+            np.testing.assert_array_equal(holder.params[n].data, oracle.params[n], err_msg=n)
+            np.testing.assert_array_equal(opt.m[start:stop].reshape(shapes[n]), oracle.m[n],
+                                          err_msg=n)
+            np.testing.assert_array_equal(opt.v[start:stop].reshape(shapes[n]), oracle.v[n],
+                                          err_msg=n)
+
+
+def test_a_step_writes_no_parameter_array_in_place(setup):
+    model, seqs, _ = setup
+    cfg = small_train()
+    opt = Adam(model, cfg)
+    rng = np.random.default_rng(8)
+    for step in range(2):  # the second step starts from the first one's flat copy
+        held = {n: p.data for n, p in model.params.items()}
+        copies = {n: a.copy() for n, a in held.items()}
+        train_step(model, seqs[4 * step:4 * step + 4], opt, cfg, RATES, rng, step)
+        for name, arr in held.items():
+            np.testing.assert_array_equal(arr, copies[name], err_msg=name)
+        assert all(not np.array_equal(model.params[n].data, copies[n]) for n in opt.names)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_gradient_norm_changes_nothing(setup, monkeypatch, bad):
+    model, seqs, _ = setup
+    cfg = small_train()
+    opt = Adam(model, cfg)
+    rng = np.random.default_rng(9)
+    train_step(model, seqs[:4], opt, cfg, RATES, rng, 0)
+    assert opt.t == 1 and np.any(opt.m) and np.any(opt.v)
+    backward = ad.Tape.backward
+    grads = {}
+
+    def poisoned_backward(tape, loss):
+        backward(tape, loss)
+        p = model.params["generator.layer0.ffn.w1"]
+        g = p.grad.copy()
+        g[0, 0] = bad
+        p.grad = g
+        grads.update({n: None if p.grad is None else p.grad.copy()
+                      for n, p in model.params.items()})
+
+    monkeypatch.setattr(ad.Tape, "backward", poisoned_backward)
+    before, m, v = model.state(), opt.m.copy(), opt.v.copy()
+    with pytest.raises(NonFiniteLossError, match="gradient norm"):
+        train_step(model, seqs[4:8], opt, cfg, RATES, rng, 1)
+    assert opt.t == 1
+    np.testing.assert_array_equal(opt.m, m)
+    np.testing.assert_array_equal(opt.v, v)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+        if grads[name] is None:
+            assert p.grad is None, name
+        else:
+            np.testing.assert_array_equal(p.grad, grads[name], err_msg=name)
 
 
 # -- total loss --------------------------------------------------------------------
