@@ -56,14 +56,16 @@ def _setup_parser():
 def _run_pretrain(config):
     """Train one run from a flat config mapping; returns its final checkpoint."""
     cfg = parse_config(config)
+    run_dir = Path(cfg.run_dir)
+    # either file means another run used the directory: refuse before writing anything
+    for name in ("config.json", "metrics.csv"):
+        if (run_dir / name).exists():
+            raise InputError(f"{run_dir / name} already exists; use a new run directory")
     vocab = build_vocab(cfg.corpus_path, cfg.max_vocab_size)
     enc_cfg = cfg.encoder_config(len(vocab))
     seqs = load_corpus_sequences(cfg.corpus_path, vocab, enc_cfg.max_seq_len)
     model = Model(enc_cfg, seed=cfg.train.seed)
-    run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    if (run_dir / "config.json").exists():
-        raise InputError(f"{run_dir / 'config.json'} already exists; use a new run directory")
     save_config(config, run_dir / "config.json")
     log.info("pretraining: %d sequences, |V|=%d, %d steps",
              len(seqs), len(vocab), cfg.train.total_steps)

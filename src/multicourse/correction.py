@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .courses import cross_entropy_at, binary_detection_loss
 from .errors import ContractError
 from .vocab import MASK_ID
@@ -81,15 +82,17 @@ def build_rediscrimination(ids, view, notebook: ConfusionNotebook):
     return redisc, rows, is_pos3[rows].astype(np.float32)
 
 
-def loss_regeneration(model, g_hidden, regen, first_row=0):
-    """CE at pos4 only; same functional form as the first-pass cloze loss.
-    `g_hidden` holds the pos4 rows' hidden states from `first_row` on."""
+def loss_regeneration(model, g_hidden, regen, course_rows, first_row=0):
+    """CE summed over pos4 and divided by `course_rows`, its first-pass course's rows (no pos4:
+    an exact 0). `g_hidden` holds the pos4 rows' hidden states from `first_row` on."""
     _, targets, _ = regen
-    return cross_entropy_at(model, g_hidden, first_row, targets)
+    loss = cross_entropy_at(model, g_hidden, first_row, targets)
+    return ad.scale(loss, len(targets) / course_rows) if len(targets) else loss
 
 
-def loss_rediscrimination(model, d_hidden, head, redisc, first_row=0):
-    """BCE at pos2|pos3 only, using the matching course head. `d_hidden`
-    holds the retry rows' hidden states from `first_row` on."""
+def loss_rediscrimination(model, d_hidden, head, redisc, course_rows, first_row=0):
+    """BCE with the course's head summed over pos2|pos3 and divided by `course_rows`, as for
+    regeneration. `d_hidden` holds the retry rows' hidden states from `first_row` on."""
     _, _, labels = redisc
-    return binary_detection_loss(model, d_hidden, head, first_row, labels)
+    loss = binary_detection_loss(model, d_hidden, head, first_row, labels)
+    return ad.scale(loss, len(labels) / course_rows) if len(labels) else loss

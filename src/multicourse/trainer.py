@@ -5,14 +5,14 @@ A step corrupts one batch into every course's views and runs the courses
 Its CourseBatch is its one record: the views as packed id arrays, one
 notebook per discriminator stream and whether correction ran; each course
 function runs once per view set, not once per sequence. One clipped AdamW
-update follows on the generator losses plus lambda-scaled discriminator
-losses, over one flat layout: the active parameters' elements one parameter
-after another. `clip_gradients` gathers the gradients into one new flat
-array and scales it; `Adam` keeps its moments as two flat arrays and writes
-the new parameter values over that array in cache-sized blocks, and it then
-backs every active parameter as views, so no parameter array is written in
-place. Metrics: replace rate/accuracy and confusion-cell
-counts, read off the notebooks.
+update, its recipe fixed as module constants, follows on the generator
+losses plus lambda-scaled discriminator losses, over one flat layout: the
+active parameters' elements one parameter after another. `clip_gradients`
+gathers the gradients into one new flat array and scales it; `Adam` keeps
+its moments as two flat arrays and writes the new parameter values over that
+array in cache-sized blocks, and it then backs every active parameter as
+views, so no parameter array is written in place. Metrics: replace
+rate/accuracy and confusion-cell counts, read off the notebooks.
 """
 
 import csv
@@ -33,6 +33,13 @@ log = logging.getLogger(__name__)
 # float32 elements per optimizer block: its block of six arrays (384 KiB) stays in cache
 _ADAM_BLOCK = 1 << 14
 
+# the optimizer recipe of every run: AdamW's betas, epsilon and weight decay, and the norm clip
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPSILON = 1e-6
+WEIGHT_DECAY = 0.01
+GRAD_CLIP_NORM = 2.0
+
 G_LOSSES = ("mlm", "slm", "re_mlm", "re_slm")
 D_LOSSES = ("rtd", "std", "itd", "re_rtd", "re_std")
 LOSS_NAMES = G_LOSSES + D_LOSSES
@@ -51,11 +58,6 @@ class TrainConfig:
     warmup_steps: int = 400
     total_steps: int = 5000
     batch_size: int = 32
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_epsilon: float = 1e-6
-    grad_clip_norm: float = 2.0
-    weight_decay: float = 0.01
     seed: int = 0
     std_course: bool = True
     itd_course: bool = True
@@ -67,26 +69,16 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lambda_disc <= 0:
-            raise ConfigError(f"lambda_disc must be positive, got {self.lambda_disc}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 < self.lambda_disc < np.inf:
+            raise ConfigError(f"lambda_disc must be positive and finite, got {self.lambda_disc}")
         if not 0 <= self.warmup_steps < self.total_steps:
             raise ConfigError(
                 f"warmup_steps {self.warmup_steps} must be below total_steps {self.total_steps}"
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ConfigError(f"adam_beta1 and adam_beta2 must lie in [0, 1), "
-                              f"got {self.adam_beta1} and {self.adam_beta2}")
-        if self.adam_epsilon <= 0:
-            raise ConfigError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-        if self.grad_clip_norm < 0:
-            raise ConfigError(f"grad_clip_norm must be nonnegative (0 = no clipping), "
-                              f"got {self.grad_clip_norm}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.correction_start_step < 0:
@@ -241,18 +233,19 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
     regen = {name: corr.build_regeneration(x, corrupted, books[book])
              for name, book, corrupted in (("re_mlm", "rtd", batch.mask_rows),
                                            ("re_slm", "std", batch.swap_rows)) if name in on}
+    course_rows = {"re_mlm": len(batch.mask_rows), "re_slm": len(batch.swap_rows)}
     if regen:
         rows, first = read([pos4 for _, _, pos4 in regen.values()])
         h = model.encode_generator(*grid([view for view, _, _ in regen.values()]), rng, rows)
         for k, (name, built) in enumerate(regen.items()):
-            losses[name] = corr.loss_regeneration(model, h, built, first[k])
+            losses[name] = corr.loss_regeneration(model, h, built, course_rows[name], first[k])
     redisc = {name: corr.build_rediscrimination(x, view, books[name[3:]])
               for name, view in (("re_rtd", batch.rtd_view), ("re_std", batch.std_view)) if name in on}
     if redisc:
         rows, first = read([retry for _, retry, _ in redisc.values()])
         h = model.encode_discriminator(*grid([view for view, _, _ in redisc.values()]), rng, rows)
         for k, (name, built) in enumerate(redisc.items()):
-            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, first[k])
+            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, t, first[k])
     return losses
 
 
@@ -303,7 +296,7 @@ def clip_gradients(tensors, max_norm):
     if not np.isfinite(total):
         raise NonFiniteLossError(f"global gradient norm is {total} — aborting step")
     flat = np.concatenate(parts, dtype=np.float32)
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         flat *= np.float32(max_norm / total)
     return flat, total
 
@@ -343,14 +336,13 @@ class Adam:
         array is written in place.
         """
         self.t += 1
-        cfg = self.cfg
-        lr = np.float32(learning_rate_at(self.t, cfg))
-        b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
+        lr = np.float32(learning_rate_at(self.t, self.cfg))
+        b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
         one_b1, one_b2 = np.float32(1) - b1, np.float32(1) - b2
-        eps = np.float32(cfg.adam_epsilon)
-        wd = np.float32(cfg.weight_decay)
-        c1 = np.float32(1.0 - cfg.adam_beta1 ** self.t)
-        c2 = np.float32(1.0 - cfg.adam_beta2 ** self.t)
+        eps = np.float32(ADAM_EPSILON)
+        wd = np.float32(WEIGHT_DECAY)
+        c1 = np.float32(1.0 - ADAM_BETA1 ** self.t)
+        c2 = np.float32(1.0 - ADAM_BETA2 ** self.t)
         params = model.named_parameters()
         current = [params[n].data.reshape(-1) for n in self.names]
         scratch = np.empty((3, _ADAM_BLOCK), np.float32)
@@ -441,7 +433,7 @@ def train_step(model, seqs, opt: Adam, cfg: TrainConfig, rates, rng, step=0):
         tape.backward(total)
     del tape  # its ops hold the step's activations: free them before the optimizer's flat arrays
     params = model.named_parameters()
-    grad, _ = clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
+    grad, _ = clip_gradients([params[n] for n in opt.names], GRAD_CLIP_NORM)
     lr = opt.step(model, grad)
     return compute_metrics(step, losses, float(total.data), batch, lr, cfg)
 

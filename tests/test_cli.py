@@ -12,7 +12,8 @@ import pytest
 
 import multicourse
 from multicourse.checkpoint import build_model, load_checkpoint, save_checkpoint
-from multicourse.cli import cli
+from multicourse.cli import _run_pretrain, cli
+from multicourse.errors import ConfigError
 from multicourse.runconfig import default_config_dict, save_config
 from multicourse.soups import SweepManifest, SweepRun, save_manifest
 from multicourse.toycorpus import write_corpus, write_probe_dataset
@@ -69,6 +70,38 @@ def test_pretrain_refuses_a_used_run_directory(workspace, run1):
     assert {name: (run_dir / name).read_bytes() for name in before} == before
 
 
+def test_pretrain_refuses_a_run_directory_holding_only_metrics_and_writes_nothing(
+        workspace, run1, tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "metrics.csv").write_bytes((run1[0] / "metrics.csv").read_bytes())
+
+    def snapshot():
+        return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+    before = snapshot()
+    cfg_path = tmp_path / "cfg.json"
+    save_config(tiny_overrides(workspace, run_dir), cfg_path)
+    assert cli(["pretrain", "--config", str(cfg_path)]) == 1
+    assert snapshot() == before
+
+
+# the optimizer recipe's five keys, at the defaults they had while configurable
+RECIPE_KEYS = {"adam_beta1": 0.9, "adam_beta2": 0.98, "adam_epsilon": 1e-6,
+               "grad_clip_norm": 2.0, "weight_decay": 0.01}
+
+
+@pytest.mark.parametrize("key", sorted(RECIPE_KEYS))
+def test_a_config_holding_an_optimizer_recipe_key_is_refused_before_the_vocabulary(
+        tmp_path, key):
+    # the corpus does not exist, so building the vocabulary first would fail otherwise
+    config = default_config_dict(tmp_path / "absent.txt", tmp_path / "run",
+                                 **{key: RECIPE_KEYS[key]})
+    with pytest.raises(ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+        _run_pretrain(config)
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_flag_exits_2():
     assert cli(["pretrain"]) == 2
 
@@ -110,7 +143,8 @@ def test_negative_seed_or_weight_decay_exits_1(workspace, tmp_path, capsys, key,
     cfg_path = tmp_path / "cfg.json"
     save_config(tiny_overrides(workspace, tmp_path / "run", **{key: value}), cfg_path)
     assert cli(["pretrain", "--config", str(cfg_path)]) == 1
-    assert f"error: {key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err  # weight_decay is now an unknown key
     assert not (tmp_path / "run").exists()
 
 

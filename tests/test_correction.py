@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from multicourse.courses import (
     CorruptionRates,
     TokenSequence,
     apply_mask,
+    loss_mlm,
     pad_batch,
     plan_corruption,
 )
@@ -241,7 +244,7 @@ def test_rediscrimination_empty_cells_zero_loss(tiny_model):
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
     redisc = build_rediscrimination(x, x.copy(), nb)
     h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [3]))
-    loss = loss_rediscrimination(tiny_model, h, "rtd", redisc)
+    loss = loss_rediscrimination(tiny_model, h, "rtd", redisc, course_rows=3)
     assert float(loss.data) == 0.0
 
 
@@ -257,14 +260,16 @@ def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
     regen = build_regeneration(x, [1, 3, 6], nb)
     np.testing.assert_array_equal(regen[2], [1, 3, 6])
     h = tiny_model.encode_generator(*pad_batch(np.concatenate([x, regen[0]]), [5, 3, 5, 3]))
-    loss = loss_regeneration(tiny_model, ad.gather_rows(h, np.r_[0, 2, 8 + regen[2]]), regen,
-                             first_row=2)
     table = tiny_model.params["embedding.word"].data
     bias = tiny_model.params["lm_head.bias"].data
     rows = [[float(np.dot(table[v], h.data[8 + p])) + float(bias[v]) for v in range(10)]
             for p in regen[2]]
-    oracle = scalar_softmax_ce(rows, [int(t) for t in regen[1]])
-    assert abs(float(loss.data) - oracle) < 1e-6
+    summed = scalar_softmax_ce(rows, [int(t) for t in regen[1]]) * len(rows)
+    # with its own rows as the course's rows the loss is the mean over pos4
+    for course_rows in (len(rows), 7):
+        loss = loss_regeneration(tiny_model, ad.gather_rows(h, np.r_[0, 2, 8 + regen[2]]), regen,
+                                 course_rows, first_row=2)
+        assert abs(float(loss.data) - summed / course_rows) < 1e-6
 
 
 def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
@@ -273,12 +278,15 @@ def test_loss_rediscrimination_matches_scalar_oracle(tiny_model):
     nb = classify_confusion(x, view, [0.9, 0.8, 0.2, 0.1, 0.9])
     redisc = build_rediscrimination(x, view, nb)
     h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [5]))
-    loss = loss_rediscrimination(tiny_model, ad.gather_rows(h, redisc[1]), "std", redisc=redisc)
     w = tiny_model.params["head.std.w"].data
     b = float(tiny_model.params["head.std.b"].data[0])
     logits = [float(np.dot(w, h.data[p])) + b for p in redisc[1]]
-    oracle = scalar_bce(logits, redisc[2].tolist())
-    assert abs(float(loss.data) - oracle) < 1e-7
+    summed = scalar_bce(logits, redisc[2].tolist()) * len(logits)
+    # with its own rows as the course's rows the loss is the mean over pos2|pos3
+    for course_rows in (len(logits), len(x)):
+        loss = loss_rediscrimination(tiny_model, ad.gather_rows(h, redisc[1]), "std",
+                                     redisc=redisc, course_rows=course_rows)
+        assert abs(float(loss.data) - summed / course_rows) < 1e-7
 
 
 def test_loss_regeneration_empty_is_zero(tiny_model):
@@ -286,4 +294,33 @@ def test_loss_regeneration_empty_is_zero(tiny_model):
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
     regen = build_regeneration(x, [], nb)
     h = tiny_model.encode_generator(*pad_batch(regen[0], [3]))
-    assert float(loss_regeneration(tiny_model, h, regen).data) == 0.0
+    # nothing was masked either: no rows over no course rows is 0, not 0/0
+    assert float(loss_regeneration(tiny_model, h, regen, course_rows=0).data) == 0.0
+
+
+def test_a_pos4_row_weighs_in_re_mlm_what_a_masked_row_weighs_in_loss_mlm(tiny_model):
+    x = seq([4, 5, 6, 7, 8, 6, 5, 4])
+    masked = seq([1, 3, 4, 6])
+    view = x.copy()
+    view[masked] = 9
+    # the discriminator caught rows 1 and 6 and missed rows 3 and 4
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.8, 0.7, 0.9, 0.2, 0.9])
+    regen = build_regeneration(x, masked, nb)
+    np.testing.assert_array_equal(regen[2], [1, 6])
+    hidden = np.random.default_rng(2).normal(size=(len(x), 8)).astype(np.float32)
+
+    def hidden_grad(rows, loss_of):
+        h = ad.Tensor(hidden[rows], requires_grad=True)
+        with ad.Tape() as tape:
+            tape.backward(loss_of(h))
+        return h.grad
+
+    batch = SimpleNamespace(ids=x, mask_rows=masked)  # all that loss_mlm reads of a CourseBatch
+    in_mlm = hidden_grad(masked, lambda h: loss_mlm(tiny_model, h, batch))[[0, 3]]
+    in_re_mlm = hidden_grad(regen[2], lambda h: loss_regeneration(tiny_model, h, regen,
+                                                                  len(masked)))
+    assert np.abs(in_mlm).max() > 0
+    np.testing.assert_allclose(in_re_mlm, in_mlm, rtol=1e-6, atol=0)
+    # a mean over pos4 alone would weigh each of its rows 1/2, twice a masked row
+    as_mean = hidden_grad(regen[2], lambda h: loss_regeneration(tiny_model, h, regen, 2))
+    np.testing.assert_allclose(as_mean, 2 * in_mlm, rtol=1e-6, atol=0)

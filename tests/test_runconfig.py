@@ -13,6 +13,7 @@ from multicourse.runconfig import (
     parse_config,
     save_config,
 )
+from multicourse import trainer as tr
 from multicourse.trainer import TrainConfig
 
 # the config keys are exactly these dataclass fields
@@ -37,10 +38,9 @@ def base_dict(**overrides):
 def test_defaults_parse():
     cfg = parse_config(base_dict())
     assert cfg.train.lambda_disc == 50.0
-    assert cfg.train.adam_beta1 == 0.9 and cfg.train.adam_beta2 == 0.98
-    assert cfg.train.adam_epsilon == 1e-6
-    assert cfg.train.grad_clip_norm == 2.0
-    assert cfg.train.weight_decay == 0.01
+    # the optimizer recipe is fixed in the trainer, not configured
+    assert (tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPSILON) == (0.9, 0.98, 1e-6)
+    assert (tr.GRAD_CLIP_NORM, tr.WEIGHT_DECAY) == (2.0, 0.01)
     assert cfg.rates.mask_rate == 0.15
     assert cfg.encoder_overrides["max_relative_position"] == 128
     enc = cfg.encoder_config(vocab_size=100)
@@ -89,11 +89,11 @@ def test_wrongly_typed_values_rejected(field):
     ("ffn_inner_size", 0), ("ffn_inner_size", -1),
     ("generator_layers", 0), ("generator_layers", -2), ("discriminator_layers", -1),
     ("max_seq_len", 1), ("max_seq_len", 0),
+    ("checkpoint_every", -1), ("correction_start_step", -1), ("seed", -1),
+    # keys of the fixed optimizer recipe: refused as unknown keys whatever the value
     ("grad_clip_norm", -1.0),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0),
-    ("adam_epsilon", 0.0),
-    ("checkpoint_every", -1), ("correction_start_step", -1),
-    ("seed", -1), ("weight_decay", -1.0),
+    ("adam_epsilon", 0.0), ("weight_decay", -1.0),
 ])
 def test_out_of_range_values_rejected_at_parse_time(key, value):
     with pytest.raises(ConfigError) as err:
@@ -118,11 +118,9 @@ def test_non_finite_floats_in_a_config_file_rejected(tmp_path):
 
 
 def test_boundary_values_stay_valid():
-    cfg = parse_config(base_dict(grad_clip_norm=0.0, checkpoint_every=0, adam_beta1=0.0,
-                                 generator_layers=1, discriminator_layers=1, max_seq_len=2,
-                                 seed=0, weight_decay=0.0))
-    assert cfg.train.grad_clip_norm == 0.0 and cfg.train.checkpoint_every == 0
-    assert cfg.train.seed == 0 and cfg.train.weight_decay == 0.0
+    cfg = parse_config(base_dict(checkpoint_every=0, generator_layers=1, discriminator_layers=1,
+                                 max_seq_len=2, seed=0))
+    assert cfg.train.checkpoint_every == 0 and cfg.train.seed == 0
 
 
 def test_rate_out_of_range_rejected_before_model_exists():

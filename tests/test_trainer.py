@@ -114,10 +114,16 @@ class ParameterHolder:
         return self.params
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("field", ["learning_rate", "lambda_disc"])
+def test_a_non_finite_learning_rate_or_lambda_is_refused(field, value):
+    # a NaN passes `<= 0`: it would train step 0 and write NaN into every parameter
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_adam_matches_scalar_recurrence():
-    cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, total_steps=10,
-                      adam_beta1=0.9, adam_beta2=0.98, adam_epsilon=1e-6,
-                      weight_decay=0.004, grad_clip_norm=0.0)
+    cfg = TrainConfig(learning_rate=1e-3, warmup_steps=2, total_steps=10)
     holder = ParameterHolder({"p": np.array([0.02], dtype=np.float32)})
     opt = Adam(holder, cfg)
     grads = [0.3, -0.14]
@@ -125,30 +131,34 @@ def test_adam_matches_scalar_recurrence():
         opt.step(holder, np.array([g], dtype=np.float32))
 
     # float64 hand recurrence, decoupled weight decay, linear warmup
+    b1, b2, eps, wd = tr.ADAM_BETA1, tr.ADAM_BETA2, tr.ADAM_EPSILON, tr.WEIGHT_DECAY
     p, m, v = 0.02, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
         lr = 1e-3 * min(t / 2, (10 - t) / 8)
-        m = 0.9 * m + 0.1 * g
-        v = 0.98 * v + 0.02 * g * g
-        mh = m / (1 - 0.9 ** t)
-        vh = v / (1 - 0.98 ** t)
-        p = p - lr * (mh / (np.sqrt(vh) + 1e-6) + 0.004 * p)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        mh = m / (1 - b1 ** t)
+        vh = v / (1 - b2 ** t)
+        p = p - lr * (mh / (np.sqrt(vh) + eps) + wd * p)
     assert abs(float(holder.params["p"].data[0]) - p) < 1e-8
 
 
-def test_adam_zero_grads_no_decay_is_identity(setup):
+def test_adam_zero_grads_apply_only_the_weight_decay_step(setup):
     model, seqs, _ = setup
-    cfg = small_train(weight_decay=0.0)
-    opt = Adam(model, cfg)
+    opt = Adam(model, small_train())
     before = model.state()
     model.zero_grad()
     params = model.named_parameters()
-    grad, _ = clip_gradients([params[n] for n in opt.names], cfg.grad_clip_norm)
-    opt.step(model, grad)  # all grads None -> zeros
+    grad, _ = clip_gradients([params[n] for n in opt.names], tr.GRAD_CLIP_NORM)
+    lr = np.float32(opt.step(model, grad))  # all grads None -> zeros
     after = model.state()
-    for name in before:
-        if name in opt.names:
-            np.testing.assert_array_equal(before[name], after[name])
+    wd = np.float32(tr.WEIGHT_DECAY)
+    for name in opt.names:
+        p = before[name]
+        # zero moments make the Adam term exactly 0, leaving p - lr * (0 + wd * p)
+        np.testing.assert_array_equal(after[name], p - lr * (np.float32(0) + wd * p), err_msg=name)
+    assert all(not np.array_equal(after[n], before[n]) for n in opt.names if before[n].any())
+    assert not opt.m.any() and not opt.v.any()
 
 
 def test_active_names_exclude_disabled_heads(setup):
@@ -222,16 +232,16 @@ class PerParameterAdam:
         cfg = self.cfg
         total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
                             for g in grads.values() if g is not None))
-        if cfg.grad_clip_norm > 0 and total > cfg.grad_clip_norm:
-            factor = np.float32(cfg.grad_clip_norm / total)
+        if total > tr.GRAD_CLIP_NORM:
+            factor = np.float32(tr.GRAD_CLIP_NORM / total)
             grads = {n: None if g is None else g * factor for n, g in grads.items()}
         self.t += 1
         lr = np.float32(learning_rate_at(self.t, cfg))
-        b1, b2 = np.float32(cfg.adam_beta1), np.float32(cfg.adam_beta2)
-        eps = np.float32(cfg.adam_epsilon)
-        wd = np.float32(cfg.weight_decay)
-        c1 = np.float32(1.0 - cfg.adam_beta1 ** self.t)
-        c2 = np.float32(1.0 - cfg.adam_beta2 ** self.t)
+        b1, b2 = np.float32(tr.ADAM_BETA1), np.float32(tr.ADAM_BETA2)
+        eps = np.float32(tr.ADAM_EPSILON)
+        wd = np.float32(tr.WEIGHT_DECAY)
+        c1 = np.float32(1.0 - tr.ADAM_BETA1 ** self.t)
+        c2 = np.float32(1.0 - tr.ADAM_BETA2 ** self.t)
         for n, p in self.params.items():
             g = grads[n] if grads[n] is not None else np.zeros_like(p)
             m = self.m[n] = b1 * self.m[n] + (np.float32(1) - b1) * g
@@ -242,8 +252,7 @@ class PerParameterAdam:
 
 
 def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
-    cfg = TrainConfig(learning_rate=1e-2, warmup_steps=2, total_steps=10, weight_decay=0.05,
-                      grad_clip_norm=2.0)
+    cfg = TrainConfig(learning_rate=1e-2, warmup_steps=2, total_steps=10)
     rng = np.random.default_rng(21)
     shapes = {"a": (3, 5), "b": (7,), "c": (2, 3, 4), "wide": (2, tr._ADAM_BLOCK // 2 + 19),
               "none": (4, 6), "d": (1,)}
@@ -259,10 +268,10 @@ def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
             grads["none"] = None
         for n, g in grads.items():
             holder.params[n].grad = g
-        grad, norm = clip_gradients([holder.params[n] for n in opt.names], cfg.grad_clip_norm)
+        grad, norm = clip_gradients([holder.params[n] for n in opt.names], tr.GRAD_CLIP_NORM)
         opt.step(holder, grad)
         expected = oracle.step(grads)
-        assert norm == expected and norm > cfg.grad_clip_norm  # clipping is active
+        assert norm == expected and norm > tr.GRAD_CLIP_NORM  # clipping is active
         for i, n in enumerate(opt.names):
             start, stop = opt.offsets[i], opt.offsets[i + 1]
             np.testing.assert_array_equal(holder.params[n].data, oracle.params[n], err_msg=n)
@@ -681,11 +690,12 @@ def _one_pass_per_course(model, batch, cfg):
         notebook = batch.notebooks.get(course)
         if regen in on:
             built = corr.build_regeneration(x, rows, notebook)
-            losses[regen] = corr.loss_regeneration(model, gen(built[0], built[2]), built)
+            losses[regen] = corr.loss_regeneration(model, gen(built[0], built[2]), built,
+                                                   len(rows))
         if redisc in on:
             built = corr.build_rediscrimination(x, view, notebook)
             losses[redisc] = corr.loss_rediscrimination(model, disc(built[0], rows=built[1]),
-                                                        course, built)
+                                                        course, built, len(x))
     return losses
 
 
