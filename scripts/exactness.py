@@ -11,7 +11,9 @@ rate), the sha256 of `checkpoint_final.bin`, the sha256 of the final model's
 frozen CLS features and its frozen-probe accuracy on them
 (`token_presence_dataset(200, seed=4)`, probe seed 3) agree; otherwise the
 first step whose record differs and the largest relative loss difference over
-all steps.
+all steps. It exits 0 when every configuration is identical; it exits 1
+after printing every configuration when one differs, and when a training
+process fails.
 
 Configurations: five course mixes on `generate_corpus(200, seed=5)`, hidden
 32, 1+2 layers, batch 8, seed 3 (correction from step 2), and `ragged`, every
@@ -142,9 +144,10 @@ def main(argv=None):
         print("error: a training process failed", file=sys.stderr)
         return 1
     parent, change = (json.loads(o) for o in outs)
-    for name in CONFIGS:
-        print(f"{name:<8} {compare(parent[name], change[name])}")
-    return 0
+    verdicts = {name: compare(parent[name], change[name]) for name in CONFIGS}
+    for name, verdict in verdicts.items():
+        print(f"{name:<8} {verdict}")
+    return 0 if all(v == "identical" for v in verdicts.values()) else 1
 
 
 if __name__ == "__main__":

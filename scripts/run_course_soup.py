@@ -33,8 +33,8 @@ def main():
     config = default_config_dict(
         corpus, work / "unused",
         hidden_size=48, generator_layers=1, discriminator_layers=2, ffn_inner_size=96,
-        max_seq_len=32, batch_size=12, total_steps=args.steps,
-        warmup_steps=max(args.steps // 20, 1), seed=args.seed,
+        max_seq_len=32, batch_size=48, learning_rate=4e-3, total_steps=args.steps,
+        warmup_steps=max(args.steps // 10, 1), seed=args.seed,
     )
     cfg_path = work / "config.json"
     save_config(config, cfg_path)

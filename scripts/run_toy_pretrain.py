@@ -33,9 +33,10 @@ def main():
     if args.full:
         overrides = {}
     else:
+        # the acceptance scale: batch 48 at lr 4e-3, warmup a tenth of the steps
         overrides = dict(hidden_size=48, generator_layers=1, discriminator_layers=2,
-                         ffn_inner_size=96, max_seq_len=32, batch_size=12,
-                         total_steps=args.steps, warmup_steps=max(args.steps // 20, 1))
+                         ffn_inner_size=96, max_seq_len=32, batch_size=48, learning_rate=4e-3,
+                         total_steps=args.steps, warmup_steps=max(args.steps // 10, 1))
     config = default_config_dict(corpus, work / "run", **overrides)
     cfg_path = work / "config.json"
     save_config(config, cfg_path)

@@ -702,9 +702,13 @@ def tensor_sum(x):
 def softmax_cross_entropy(logits, targets):
     """Mean over rows of -log softmax(logits)[target].
 
-    Empty target list yields an exact-zero constant with no gradient.
+    The logits are 2-D with one row per target (DimensionError otherwise).
+    An empty target list yields an exact-zero constant with no gradient.
     """
     targets = np.asarray(targets, dtype=np.int64)
+    if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1]:
+        raise DimensionError(f"targets shape {targets.shape} needs logits of one row per "
+                             f"target, got {logits.data.shape}")
     n = targets.shape[0]
     if n == 0:
         return constant(0.0, dtype=logits.data.dtype)

@@ -7,8 +7,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import probe as probe_mod
 from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
@@ -53,14 +51,20 @@ def _setup_parser():
     return parser
 
 
+def _check_run(config):
+    """The parsed flat config of one run, refused before anything is written
+    when another run used its run directory."""
+    cfg = parse_config(config)
+    for name in ("config.json", "metrics.csv"):
+        if (Path(cfg.run_dir) / name).exists():
+            raise InputError(f"{Path(cfg.run_dir) / name} already exists; use a new run directory")
+    return cfg
+
+
 def _run_pretrain(config):
     """Train one run from a flat config mapping; returns its final checkpoint."""
-    cfg = parse_config(config)
+    cfg = _check_run(config)
     run_dir = Path(cfg.run_dir)
-    # either file means another run used the directory: refuse before writing anything
-    for name in ("config.json", "metrics.csv"):
-        if (run_dir / name).exists():
-            raise InputError(f"{run_dir / name} already exists; use a new run directory")
     vocab = build_vocab(cfg.corpus_path, cfg.max_vocab_size)
     enc_cfg = cfg.encoder_config(len(vocab))
     seqs = load_corpus_sequences(cfg.corpus_path, vocab, enc_cfg.max_seq_len)
@@ -94,11 +98,17 @@ def cmd_sweep(args):
     base = read_json(manifest.config_path)
     if not isinstance(base, dict):
         raise ConfigError(f"{manifest.config_path}: config must be a flat JSON object")
-    for run in manifest.runs:
-        run_dir = Path(manifest.output_dir) / run.name
+    configs = [{**base, **{loss: loss in run.losses for loss in soups.CORRECTION_LOSSES},
+                "seed": run.seed, "run_dir": str(Path(manifest.output_dir) / run.name)}
+               for run in manifest.runs]
+    for run, config in zip(manifest.runs, configs):  # every run, before the first one trains
+        try:
+            _check_run(config)
+        except MulticourseError as exc:
+            raise type(exc)(f"sweep run {run.name}: {exc}") from None
+    for run, config in zip(manifest.runs, configs):
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))
-        switches = {loss: loss in run.losses for loss in soups.CORRECTION_LOSSES}
-        final = _run_pretrain({**base, **switches, "seed": run.seed, "run_dir": str(run_dir)})
+        final = _run_pretrain(config)
         target = Path(run.checkpoint)
         if target.resolve() != final.resolve():
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -125,14 +135,7 @@ def _load_weight_file(path, manifest):
                           f"an object keyed by run name")
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw):
         raise ConfigError(f"{path}: weights must be numbers, got {raw}")
-    try:
-        values = [float(v) for v in raw]
-    except OverflowError:  # an int beyond float range
-        raise ConfigError(f"{path}: weights must be finite with a positive sum") from None
-    total = sum(values)
-    if not 0 < total < float("inf"):
-        raise ConfigError(f"{path}: weights must be finite with a positive sum")
-    return soups.SoupWeights(np.asarray(values) / total)
+    return soups.SoupWeights.proportional(raw, f"{path}: weights")
 
 
 def cmd_soup(args):
@@ -145,15 +148,18 @@ def cmd_soup(args):
     if len(seeds) > 1:
         # weights from different initialisations do not average into one model
         raise ConfigError(f"{args.manifest}: soup ingredients must share one seed, got {seeds}")
-    checkpoints = [load_checkpoint(run.checkpoint) for run in manifest.runs]
+    out = Path(args.out) if args.out else Path(manifest.output_dir) / f"soup_{args.mode}.bin"
+    for run in manifest.runs:
+        if Path(run.checkpoint).resolve() == out.resolve():
+            raise ConfigError(f"{out} is run {run.name}'s checkpoint; the soup would replace it")
     if args.mode == "uniform":
-        weights = soups.SoupWeights.uniform(len(checkpoints))
+        weights = soups.SoupWeights.uniform(len(manifest.runs))
     elif args.weights:
         weights = _load_weight_file(args.weights, manifest)
     else:
         weights = soups.score_runs(manifest)
+    checkpoints = [load_checkpoint(run.checkpoint) for run in manifest.runs]
     merged = soups.merge_checkpoints(checkpoints, weights)
-    out = Path(args.out) if args.out else Path(manifest.output_dir) / f"soup_{args.mode}.bin"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, merged)
     report = out.with_name(f"{out.stem}_report.csv")

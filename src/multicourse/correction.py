@@ -82,17 +82,17 @@ def build_rediscrimination(ids, view, notebook: ConfusionNotebook):
     return redisc, rows, is_pos3[rows].astype(np.float32)
 
 
-def loss_regeneration(model, g_hidden, regen, course_rows, first_row=0):
+def loss_regeneration(model, g_hidden, regen, course_rows):
     """CE summed over pos4 and divided by `course_rows`, its first-pass course's rows (no pos4:
-    an exact 0). `g_hidden` holds the pos4 rows' hidden states from `first_row` on."""
+    an exact 0). `g_hidden` holds the pos4 rows' hidden states."""
     _, targets, _ = regen
-    loss = cross_entropy_at(model, g_hidden, first_row, targets)
+    loss = cross_entropy_at(model, g_hidden, targets)
     return ad.scale(loss, len(targets) / course_rows) if len(targets) else loss
 
 
-def loss_rediscrimination(model, d_hidden, head, redisc, course_rows, first_row=0):
+def loss_rediscrimination(model, d_hidden, head, redisc, course_rows):
     """BCE with the course's head summed over pos2|pos3 and divided by `course_rows`, as for
-    regeneration. `d_hidden` holds the retry rows' hidden states from `first_row` on."""
+    regeneration. `d_hidden` holds the retry rows' hidden states."""
     _, _, labels = redisc
-    loss = binary_detection_loss(model, d_hidden, head, first_row, labels)
+    loss = binary_detection_loss(model, d_hidden, head, labels)
     return ad.scale(loss, len(labels) / course_rows) if len(labels) else loss

@@ -143,39 +143,35 @@ def sample_rows(probs, rng):
 
 
 # -- losses over blocks of hidden rows -----------------------------------------
-# A loss reads one contiguous block of its encoder pass's output, one row per
-# target from `first_row` on: every row of a view set for rtd/std/itd, and for
-# the others the rows their pass was asked for (`rows` of `Model.encode_*`).
+# A loss reads one block of hidden rows, one row per target or label, and
+# refuses a block of another size: every row of a view set for rtd/std/itd,
+# and for the others the rows their pass was asked for (`rows` of
+# `Model.encode_*`). `run_courses` hands each view set its own block.
 
 
-def cross_entropy_at(model, g_hidden, first_row, targets):
-    """Mean CE over the hidden rows from `first_row` on, one per target,
-    full-vocabulary logits from the tied head."""
-    block = np.arange(first_row, first_row + len(targets))
-    logits = model.lm_logits(ad.gather_rows(g_hidden, block))
-    return ad.softmax_cross_entropy(logits, targets)
+def cross_entropy_at(model, g_hidden, targets):
+    """Mean CE over hidden rows, one per target, full-vocabulary logits from the tied head."""
+    return ad.softmax_cross_entropy(model.lm_logits(g_hidden), targets)
 
 
-def binary_detection_loss(model, d_hidden, head, first_row, labels):
-    """Mean BCE with the chosen head over the hidden rows from `first_row` on, one per label."""
-    block = np.arange(first_row, first_row + len(labels))
-    logits = model.detection_logits(ad.gather_rows(d_hidden, block), head)
-    return ad.sigmoid_bce(logits, labels)
+def binary_detection_loss(model, d_hidden, head, labels):
+    """Mean BCE with the chosen head over hidden rows, one per label."""
+    return ad.sigmoid_bce(model.detection_logits(d_hidden, head), labels)
 
 
 # -- the five self-supervision losses ----------------------------------------
 
 
-def loss_mlm(model, g_hidden, batch, first_row=0):
+def loss_mlm(model, g_hidden, batch):
     """CE at masked rows, targets = original tokens; `g_hidden` holds the
-    masked rows' hidden states in `mask_rows` order from `first_row` on."""
-    return cross_entropy_at(model, g_hidden, first_row, batch.ids[batch.mask_rows])
+    masked rows' hidden states in `mask_rows` order."""
+    return cross_entropy_at(model, g_hidden, batch.ids[batch.mask_rows])
 
 
-def loss_slm(model, g_hidden, batch, first_row=0):
+def loss_slm(model, g_hidden, batch):
     """CE at swapped rows, targets = original tokens, same full-vocab head;
-    `g_hidden` holds the swapped rows' hidden states from `first_row` on."""
-    return cross_entropy_at(model, g_hidden, first_row, batch.ids[batch.swap_rows])
+    `g_hidden` holds the swapped rows' hidden states."""
+    return cross_entropy_at(model, g_hidden, batch.ids[batch.swap_rows])
 
 
 def original_labels(view, ids):
@@ -183,14 +179,14 @@ def original_labels(view, ids):
     return (view == ids).astype(np.float32)
 
 
-def loss_rtd(model, d_hidden, view, ids, first_row=0):
+def loss_rtd(model, d_hidden, view, ids):
     """BCE with the rtd head over every row of the view."""
-    return binary_detection_loss(model, d_hidden, "rtd", first_row, original_labels(view, ids))
+    return binary_detection_loss(model, d_hidden, "rtd", original_labels(view, ids))
 
 
-def loss_std(model, d_hidden, view, ids, first_row=0):
+def loss_std(model, d_hidden, view, ids):
     """BCE with the std head; a swap resampled back to the original counts as original."""
-    return binary_detection_loss(model, d_hidden, "std", first_row, original_labels(view, ids))
+    return binary_detection_loss(model, d_hidden, "std", original_labels(view, ids))
 
 
 def itd_labels(n_rows, insert_rows):
@@ -200,11 +196,11 @@ def itd_labels(n_rows, insert_rows):
     return labels
 
 
-def loss_itd(model, d_hidden, batch, first_row=0):
+def loss_itd(model, d_hidden, batch):
     """BCE with the itd head over every row of the insert views; labels are
     by construction, independent of what the generator sampled."""
     labels = itd_labels(len(batch.inserted), batch.insert_rows)
-    return binary_detection_loss(model, d_hidden, "itd", first_row, labels)
+    return binary_detection_loss(model, d_hidden, "itd", labels)
 
 
 # -- batch assembly -----------------------------------------------------------

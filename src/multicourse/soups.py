@@ -9,17 +9,14 @@ the float32 cast.
 
 import itertools
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .errors import ConfigError, InputError, MergeError
+from .errors import ConfigError, MergeError
 from .fileio import atomic_open, read_json
-
-log = logging.getLogger(__name__)
 
 CORRECTION_LOSSES = ("re_mlm", "re_rtd", "re_slm", "re_std")
 # float64 elements per merge scratch array: the two arrays (256 KiB) stay in cache
@@ -160,23 +157,34 @@ class SoupWeights:
     def uniform(cls, k):
         return cls(np.full(k, 1.0 / k))
 
+    @classmethod
+    def proportional(cls, values, what="weights"):
+        """Weights proportional to `values`, each divided by float(values.sum()).
+        The values must be finite and nonnegative with a positive finite sum;
+        ConfigError names them `what` otherwise."""
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except OverflowError:  # an int beyond float range
+            raise ConfigError(f"{what} must be finite, got {values}") from None
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ConfigError(f"{what} must be finite and nonnegative, got {values.tolist()}")
+        with np.errstate(over="ignore"):  # a sum beyond float range is refused just below
+            total = float(values.sum())
+        if not 0.0 < total < np.inf:
+            raise ConfigError(f"{what} must have a positive finite sum, got {values.tolist()}")
+        return cls(values / total)
+
 
 def score_runs(manifest: SweepManifest, scores=None) -> SoupWeights:
-    """Weights proportional to per-run scores; uniform fallback when absent."""
-    k = len(manifest.runs)
+    """Weights proportional to per-run scores, the manifest's by default. A run
+    without a score, or scores summing to zero, raise ConfigError."""
     if scores is None:
         scores = [run.score for run in manifest.runs]
-    if any(s is None for s in scores):
-        log.warning("missing scores; falling back to uniform soup weights")
-        return SoupWeights.uniform(k)
-    scores = np.asarray(scores, dtype=np.float64)
-    if not (np.isfinite(scores) & (scores >= 0)).all():
-        raise InputError(f"scores must be finite and nonnegative, got {scores}")
-    total = float(scores.sum())
-    if total == 0.0:
-        log.warning("all scores are zero; falling back to uniform soup weights")
-        return SoupWeights.uniform(k)
-    return SoupWeights(scores / total)
+    unscored = [run.name for run, score in zip(manifest.runs, scores) if score is None]
+    if unscored:
+        raise ConfigError(f"runs {unscored} have no score; a weighted soup needs every run "
+                          f"scored (sweep with probe_data) or a weight file")
+    return SoupWeights.proportional(scores, "scores")
 
 
 def merge_checkpoints(checkpoints, weights: SoupWeights) -> Checkpoint:

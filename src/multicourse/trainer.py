@@ -160,72 +160,72 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
 
     The passes, in order: mlm+slm (generator), the off-tape insert pass,
     rtd+std+itd (discriminator), then for a `corrected` batch re_mlm+re_slm
-    and re_rtd+re_std from the rtd/std notebooks. A shared pass holds its
-    view sets one after another, each laid out by its own lengths: with t
-    the rows of one view set, the second set's rows start at t, and the
-    insert views follow the rtd and std ones. A pass computes only the rows
-    its caller reads: the generator passes the masked and swapped rows, the
-    inserted slots and pos4, the rediscrimination pass the retry rows, and
-    the rtd+std+itd pass every row. Each loss and splice reads its own
-    contiguous block of the output. Given an rng the step samples: generator
-    samples fill the rtd/std/itd views and the discriminator files its
-    notebooks in the batch. Without one it replays those from the batch,
+    and re_rtd+re_std from the rtd/std notebooks. A pass computes only the
+    rows its caller reads: the generator passes the masked and swapped rows,
+    the inserted slots and pos4, the rediscrimination pass the retry rows,
+    and the rtd+std+itd pass every row. `run_pass` alone knows where a view
+    set's rows sit in a shared pass; it hands each set its own block, which
+    its loss, splice or notebook reads whole. Given an rng the step samples:
+    generator samples fill the rtd/std/itd views and the discriminator files
+    its notebooks in the batch. Without one it replays those from the batch,
     dropout-free.
     """
     on = cfg.enabled_losses()
     sample = rng is not None
     x = batch.ids
-    t = len(x)  # the rows of one view set; only insert views are longer
     swap = "slm" in on
     losses = {}
 
-    def grid(views, lengths=None):
-        return crs.pad_batch(np.concatenate(views),
-                             np.concatenate(lengths or [batch.lengths] * len(views)))
+    def run_pass(encode, views, row_sets=None, lengths=None):
+        """Stack the view sets, each laid out by its own lengths (the batch's
+        by default), run `encode` once over them, and return one tensor per
+        set: the hidden states of its `row_sets` rows, or of its every row."""
+        sizes, rows = [len(v) for v in views], None
+        if row_sets is not None:
+            starts = np.cumsum([0] + sizes[:-1])
+            rows = np.concatenate([start + r for start, r in zip(starts, row_sets)])
+            sizes = [len(r) for r in row_sets]
+        lengths = np.concatenate(lengths or [batch.lengths] * len(views))
+        h = encode(*crs.pad_batch(np.concatenate(views), lengths), rng, rows)
+        ends = np.cumsum(sizes)
+        return [ad.gather_rows(h, np.arange(end - n, end)) for n, end in zip(sizes, ends)]
 
-    def read(row_sets):
-        """View set k's rows, shifted to its place in a shared pass, and where
-        each set's block starts in the pass's output."""
-        rows = np.concatenate([k * t + r for k, r in enumerate(row_sets)])
-        return rows, np.cumsum([0] + [len(r) for r in row_sets])
-
-    rows, first = read([batch.mask_rows, batch.swap_rows] if swap else [batch.mask_rows])
-    h = model.encode_generator(*grid([batch.masked, batch.swapped] if swap else [batch.masked]),
-                               rng, rows)
-    losses["mlm"] = crs.loss_mlm(model, h, batch)
+    gen = run_pass(model.encode_generator, [batch.masked, batch.swapped][:1 + swap],
+                   [batch.mask_rows, batch.swap_rows][:1 + swap])
+    losses["mlm"] = crs.loss_mlm(model, gen[0], batch)
     if sample:
-        batch.rtd_view = crs.splice_generator_samples(model, batch.masked, h.data[:first[1]],
+        batch.rtd_view = crs.splice_generator_samples(model, batch.masked, gen[0].data,
                                                       batch.mask_rows, rng)
     if swap:
-        losses["slm"] = crs.loss_slm(model, h, batch, first[1])
+        losses["slm"] = crs.loss_slm(model, gen[1], batch)
         if sample:
-            batch.std_view = crs.splice_generator_samples(model, batch.swapped, h.data[first[1]:],
+            batch.std_view = crs.splice_generator_samples(model, batch.swapped, gen[1].data,
                                                           batch.swap_rows, rng)
     if sample and batch.itd_kept:
         with ad.no_tape():
-            h = model.encode_generator(*crs.pad_batch(batch.inserted, batch.inserted_lengths), rng,
-                                       batch.insert_rows)
-        batch.itd_view = crs.splice_generator_samples(model, batch.inserted, h.data,
+            ins, = run_pass(model.encode_generator, [batch.inserted], [batch.insert_rows],
+                            [batch.inserted_lengths])
+        batch.itd_view = crs.splice_generator_samples(model, batch.inserted, ins.data,
                                                       batch.insert_rows, rng)
 
-    views = [batch.rtd_view, batch.std_view] if swap else [batch.rtd_view]
+    views = [batch.rtd_view, batch.std_view][:1 + swap]
     lengths = [batch.lengths] * len(views)
     itd = "itd" in on and batch.itd_kept
     if itd:
         views.append(batch.itd_view)
         lengths.append(batch.inserted_lengths)
-    h = model.encode_discriminator(*grid(views, lengths), rng)
-    losses["rtd"] = crs.loss_rtd(model, h, batch.rtd_view, x)
+    disc = run_pass(model.encode_discriminator, views, lengths=lengths)
+    losses["rtd"] = crs.loss_rtd(model, disc[0], batch.rtd_view, x)
     if sample:
         batch.notebooks["rtd"] = corr.classify_confusion(
-            x, batch.rtd_view, model.detection_probs_detached(h.data[:t], "rtd"))
+            x, batch.rtd_view, model.detection_probs_detached(disc[0].data, "rtd"))
     if swap:
-        losses["std"] = crs.loss_std(model, h, batch.std_view, x, t)
+        losses["std"] = crs.loss_std(model, disc[1], batch.std_view, x)
         if sample:
             batch.notebooks["std"] = corr.classify_confusion(
-                x, batch.std_view, model.detection_probs_detached(h.data[t:2 * t], "std"))
+                x, batch.std_view, model.detection_probs_detached(disc[1].data, "std"))
     if itd:
-        losses["itd"] = crs.loss_itd(model, h, batch, (len(views) - 1) * t)
+        losses["itd"] = crs.loss_itd(model, disc[-1], batch)
     if not batch.corrected:
         return losses
 
@@ -235,17 +235,17 @@ def run_courses(model, batch: crs.CourseBatch, cfg: TrainConfig, rng=None):
                                            ("re_slm", "std", batch.swap_rows)) if name in on}
     course_rows = {"re_mlm": len(batch.mask_rows), "re_slm": len(batch.swap_rows)}
     if regen:
-        rows, first = read([pos4 for _, _, pos4 in regen.values()])
-        h = model.encode_generator(*grid([view for view, _, _ in regen.values()]), rng, rows)
-        for k, (name, built) in enumerate(regen.items()):
-            losses[name] = corr.loss_regeneration(model, h, built, course_rows[name], first[k])
+        blocks = run_pass(model.encode_generator, [view for view, _, _ in regen.values()],
+                          [pos4 for _, _, pos4 in regen.values()])
+        for block, (name, built) in zip(blocks, regen.items()):
+            losses[name] = corr.loss_regeneration(model, block, built, course_rows[name])
     redisc = {name: corr.build_rediscrimination(x, view, books[name[3:]])
               for name, view in (("re_rtd", batch.rtd_view), ("re_std", batch.std_view)) if name in on}
     if redisc:
-        rows, first = read([retry for _, retry, _ in redisc.values()])
-        h = model.encode_discriminator(*grid([view for view, _, _ in redisc.values()]), rng, rows)
-        for k, (name, built) in enumerate(redisc.items()):
-            losses[name] = corr.loss_rediscrimination(model, h, name[3:], built, t, first[k])
+        blocks = run_pass(model.encode_discriminator, [view for view, _, _ in redisc.values()],
+                          [retry for _, retry, _ in redisc.values()])
+        for block, (name, built) in zip(blocks, redisc.items()):
+            losses[name] = corr.loss_rediscrimination(model, block, name[3:], built, len(x))
     return losses
 
 

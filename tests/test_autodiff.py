@@ -142,6 +142,15 @@ def test_cross_entropy_rejects_out_of_range_target():
         ad.softmax_cross_entropy(t(np.zeros((2, 3))), [0, 3])
 
 
+@pytest.mark.parametrize("shape, targets", [((3, 4), [1]), ((1, 4), [1, 2]), ((2, 4), []),
+                                             ((4,), [1]), ((1, 1, 4), [1])],
+                         ids=["more_rows", "fewer_rows", "rows_for_no_target", "1d", "3d"])
+def test_cross_entropy_refuses_logits_without_one_row_per_target(shape, targets):
+    with pytest.raises(DimensionError):
+        ad.softmax_cross_entropy(t(np.arange(np.prod(shape), dtype=np.float32).reshape(shape)),
+                                 targets)
+
+
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
     logits = t([[0.2, -0.4, 1.1]])
     with ad.Tape() as tape:

@@ -15,9 +15,9 @@ from multicourse.checkpoint import build_model, load_checkpoint, save_checkpoint
 from multicourse.cli import _run_pretrain, cli
 from multicourse.errors import ConfigError
 from multicourse.runconfig import default_config_dict, save_config
-from multicourse.soups import SweepManifest, SweepRun, save_manifest
+from multicourse.soups import SweepManifest, SweepRun, default_manifest, save_manifest
 from multicourse.toycorpus import write_corpus, write_probe_dataset
-from multicourse.trainer import METRICS_COLUMNS
+from multicourse.trainer import METRICS_COLUMNS, train
 
 from helpers import bad_metadata, save_with_metadata
 
@@ -321,6 +321,40 @@ def test_uniform_then_weighted_soup_keep_both_reports(run1, tmp_path):
     assert weights == {"uniform": [0.5, 0.5], "weighted": [0.25, 0.75]}
 
 
+@pytest.mark.parametrize("scores", [(None, None), (0.8, None), (0.0, 0.0)],
+                         ids=["no_scores", "one_missing", "zero_scores"])
+def test_soup_weighted_without_usable_scores_exits_1(run1, tmp_path, capsys, scores):
+    mpath = _two_copies_manifest(run1, tmp_path)
+    raw = json.loads(mpath.read_text())
+    for run, score in zip(raw["runs"], scores):
+        if score is not None:
+            run["score"] = score
+    mpath.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli(["soup", "--manifest", str(mpath), "--mode", "weighted"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if None in scores:
+        assert str([run["name"] for run in raw["runs"] if "score" not in run]) in err
+    assert not (tmp_path / "soup_weighted.bin").exists()
+
+
+@pytest.mark.parametrize("mode", ["uniform", "weighted"])
+def test_soup_refuses_an_out_that_is_an_ingredient(run1, tmp_path, capsys, monkeypatch, mode):
+    mpath = _two_copies_manifest(run1, tmp_path)
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps({"a": 1.0, "b": 3.0}), encoding="utf-8")
+    before = (tmp_path / "b.bin").read_bytes()
+    loaded = []
+    monkeypatch.setattr(multicourse.cli, "load_checkpoint", loaded.append)
+    weights = ["--weights", str(wpath)] if mode == "weighted" else []
+    out = tmp_path / "sub" / ".." / "b.bin"  # the ingredient by another spelling
+    (tmp_path / "sub").mkdir()
+    assert cli(["soup", "--manifest", str(mpath), "--mode", mode, *weights, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out} is run b's checkpoint")
+    assert loaded == []
+    assert (tmp_path / "b.bin").read_bytes() == before
+
+
 def test_soup_uniform_with_a_weight_file_exits_1(run1, tmp_path, capsys):
     mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
@@ -344,8 +378,9 @@ def test_soup_refuses_runs_of_different_seeds(run1, tmp_path, capsys, mode):
 @pytest.mark.parametrize("text", [
     '{"a": 1.0,', '{"a": NaN, "b": 1.0}', '[Infinity, 1.0]', '3', '["x", 1.0]', '{"a": 1.0}',
     '{"a": 1.0, "b": 1.0, "c": 1.0}', '["0.5", "1.5"]', '[true, true]', f'[1{"0" * 400}, 1.0]',
+    '[1e308, 1e308]', '[Infinity, -Infinity]', '[0, 0]',
 ], ids=["bad_json", "nan", "inf", "number", "string", "missing_run", "unknown_run",
-        "numeric_string", "bool", "int_overflow"])
+        "numeric_string", "bool", "int_overflow", "sum_overflow", "inf_minus_inf", "zero_sum"])
 def test_soup_with_a_malformed_weight_file_exits_1(run1, tmp_path, capsys, text):
     mpath = _two_copies_manifest(run1, tmp_path)
     wpath = tmp_path / "weights.json"
@@ -415,7 +450,7 @@ def test_sweep_runs_all_manifest_entries(workspace, tmp_path, capsys):
     assert run_cfg["re_slm"] is False and run_cfg["re_std"] is False
 
 
-def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path):
+def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path, monkeypatch):
     cfg_path = tmp_path / "sweep_cfg.json"
     save_config(tiny_overrides(workspace, tmp_path / "unused", total_steps=3, warmup_steps=1,
                                batch_size=4), cfg_path)
@@ -428,13 +463,54 @@ def test_sweep_saves_each_score_before_a_later_run_fails(workspace, tmp_path):
     )
     mpath = tmp_path / "manifest.json"
     save_manifest(manifest, mpath)
-    (sweep / "re_rtd").mkdir(parents=True)
-    (sweep / "re_rtd" / "metrics.csv").write_text("another run\n", encoding="utf-8")
+    trained = []
+
+    def train_once(*args, **kwargs):
+        trained.append(args)
+        if len(trained) > 1:
+            raise OSError("No space left on device")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(multicourse.cli, "train", train_once)
     assert cli(["sweep", "--manifest", str(mpath)]) == 1
     runs = json.loads(mpath.read_text())["runs"]
     assert 0.0 <= runs[0]["score"] <= 1.0
     assert "score" not in runs[1]
+
+
+def test_sweep_refuses_a_used_run_directory_before_the_first_run_trains(workspace, tmp_path,
+                                                                        capsys):
+    cfg_path = tmp_path / "sweep_cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "unused"), cfg_path)
+    sweep = tmp_path / "sweep"
+    manifest = SweepManifest(
+        config_path=str(cfg_path), output_dir=str(sweep),
+        runs=[SweepRun(name=n, losses=(n,), seed=1,
+                       checkpoint=str(sweep / n / "checkpoint_final.bin"))
+              for n in ("re_mlm", "re_rtd")],
+    )
+    mpath = tmp_path / "manifest.json"
+    save_manifest(manifest, mpath)
+    (sweep / "re_rtd").mkdir(parents=True)
+    (sweep / "re_rtd" / "metrics.csv").write_text("another run\n", encoding="utf-8")
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep run re_rtd: ")
+    assert sorted(p.name for p in sweep.iterdir()) == ["re_rtd"]
     assert (sweep / "re_rtd" / "metrics.csv").read_text(encoding="utf-8") == "another run\n"
+    assert "score" not in json.loads(mpath.read_text())["runs"][0]
+
+
+def test_sweep_refuses_a_run_whose_config_fails_before_the_first_run_trains(workspace, tmp_path,
+                                                                            capsys):
+    # without the swap course, the default manifest's re_slm and re_std runs cannot train
+    cfg_path = tmp_path / "sweep_cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "unused", std_course=False), cfg_path)
+    sweep = tmp_path / "sweep"
+    mpath = tmp_path / "manifest.json"
+    save_manifest(default_manifest(cfg_path, sweep), mpath)
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep run re_slm: ")
+    assert not sweep.exists()
 
 
 def test_sweep_copy_that_fails_midway_keeps_the_old_checkpoint(workspace, tmp_path, monkeypatch):

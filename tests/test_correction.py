@@ -22,7 +22,7 @@ from multicourse.courses import (
     plan_corruption,
 )
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ContractError
+from multicourse.errors import ContractError, DimensionError
 from multicourse.vocab import MASK_ID
 
 from helpers import scalar_bce, scalar_softmax_ce
@@ -244,7 +244,8 @@ def test_rediscrimination_empty_cells_zero_loss(tiny_model):
     nb = classify_confusion(x, x.copy(), [0.9] * 3)
     redisc = build_rediscrimination(x, x.copy(), nb)
     h = tiny_model.encode_discriminator(*pad_batch(redisc[0], [3]))
-    loss = loss_rediscrimination(tiny_model, h, "rtd", redisc, course_rows=3)
+    loss = loss_rediscrimination(tiny_model, ad.gather_rows(h, redisc[1]), "rtd", redisc,
+                                 course_rows=3)
     assert float(loss.data) == 0.0
 
 
@@ -253,7 +254,7 @@ def test_rediscrimination_empty_cells_zero_loss(tiny_model):
 
 def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
     # two packed sequences of 5 and 3 tokens, the second view set of a shared
-    # pass, whose pos4 rows follow two other rows of the loss's hidden block
+    # pass; the loss reads that set's own block, its pos4 rows
     x = seq([4, 5, 6, 7, 8, 6, 5, 4])
     view = seq([4, 9, 6, 9, 8, 6, 9, 4])
     nb = classify_confusion(x, view, [0.9, 0.1, 0.9, 0.2, 0.9, 0.9, 0.3, 0.9])
@@ -267,8 +268,7 @@ def test_loss_regeneration_matches_enumeration_oracle(tiny_model):
     summed = scalar_softmax_ce(rows, [int(t) for t in regen[1]]) * len(rows)
     # with its own rows as the course's rows the loss is the mean over pos4
     for course_rows in (len(rows), 7):
-        loss = loss_regeneration(tiny_model, ad.gather_rows(h, np.r_[0, 2, 8 + regen[2]]), regen,
-                                 course_rows, first_row=2)
+        loss = loss_regeneration(tiny_model, ad.gather_rows(h, 8 + regen[2]), regen, course_rows)
         assert abs(float(loss.data) - summed / course_rows) < 1e-6
 
 
@@ -295,7 +295,26 @@ def test_loss_regeneration_empty_is_zero(tiny_model):
     regen = build_regeneration(x, [], nb)
     h = tiny_model.encode_generator(*pad_batch(regen[0], [3]))
     # nothing was masked either: no rows over no course rows is 0, not 0/0
-    assert float(loss_regeneration(tiny_model, h, regen, course_rows=0).data) == 0.0
+    loss = loss_regeneration(tiny_model, ad.gather_rows(h, regen[2]), regen, course_rows=0)
+    assert float(loss.data) == 0.0
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("course", ["re_mlm", "re_rtd"])
+def test_each_correction_loss_refuses_a_block_of_the_wrong_size(tiny_model, course, extra):
+    x = seq([4, 5, 6, 7, 8])
+    view = seq([4, 9, 6, 9, 8])
+    nb = classify_confusion(x, view, [0.9, 0.1, 0.2, 0.8, 0.9])  # pos4 1, pos3 2, pos2 3
+    regen, redisc = build_regeneration(x, [1, 3], nb), build_rediscrimination(x, view, nb)
+    loss, n = {
+        "re_mlm": (lambda h: loss_regeneration(tiny_model, h, regen, 2), len(regen[2])),
+        "re_rtd": (lambda h: loss_rediscrimination(tiny_model, h, "rtd", redisc, 5),
+                   len(redisc[1])),
+    }[course]
+    rows = np.random.default_rng(0).normal(size=(n + 1, 8)).astype(np.float32)
+    assert np.isfinite(loss(ad.Tensor(rows[:n])).data)
+    with pytest.raises(DimensionError):
+        loss(ad.Tensor(rows[:n + extra]))
 
 
 def test_a_pos4_row_weighs_in_re_mlm_what_a_masked_row_weighs_in_loss_mlm(tiny_model):

@@ -27,7 +27,7 @@ from multicourse.courses import (
     splice_generator_samples,
 )
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ConfigError, ContractError, InputError
+from multicourse.errors import ConfigError, ContractError, DimensionError, InputError
 from multicourse.vocab import MASK_ID
 
 from helpers import scalar_bce, scalar_softmax_ce
@@ -317,7 +317,8 @@ def test_loss_mlm_empty_everywhere_is_zero(tiny_model):
     x = seq([4, 5, 6, 7])
     plan = plan_corruption(x, CorruptionRates(0, 0, 0), rng_())
     h = _hidden_for(tiny_model, [x.ids])
-    assert float(loss_mlm(tiny_model, h, _batch([x], [plan])).data) == 0.0
+    loss = loss_mlm(tiny_model, ad.gather_rows(h, plan.mask_positions), _batch([x], [plan]))
+    assert float(loss.data) == 0.0
 
 
 def _starts(seqs):
@@ -439,6 +440,27 @@ def test_loss_itd_labels_by_construction(tiny_model):
     loss = loss_itd(tiny_model, h, batch)
     oracle = _bce_oracle(tiny_model, h, "itd", exts, [range(10), range(5)], label_lists)
     assert abs(float(loss.data) - oracle) < 1e-7
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("course", ["mlm", "slm", "rtd", "std", "itd"])
+def test_each_loss_refuses_a_block_of_the_wrong_size(tiny_model, course, extra):
+    xs = [seq([4, 5, 6, 7, 8, 9, 4, 5]), seq([6, 7, 8, 9])]
+    plans = [plan_corruption(x, CorruptionRates(0.25, 0.25, 0.25), rng_(3)) for x in xs]
+    batch = course_batch(xs, plans, {i: apply_insert(x, p)
+                                     for i, (x, p) in enumerate(zip(xs, plans))})
+    view = apply_swap(batch.ids, batch.swap_rows, batch.swap_sources)
+    loss, n = {
+        "mlm": (lambda h: loss_mlm(tiny_model, h, batch), len(batch.mask_rows)),
+        "slm": (lambda h: loss_slm(tiny_model, h, batch), len(batch.swap_rows)),
+        "rtd": (lambda h: loss_rtd(tiny_model, h, view, batch.ids), len(view)),
+        "std": (lambda h: loss_std(tiny_model, h, view, batch.ids), len(view)),
+        "itd": (lambda h: loss_itd(tiny_model, h, batch), len(batch.inserted)),
+    }[course]
+    rows = rng_(0).normal(size=(n + 1, 8)).astype(np.float32)
+    assert np.isfinite(loss(ad.Tensor(rows[:n])).data)  # its own block: one row per target
+    with pytest.raises(DimensionError):
+        loss(ad.Tensor(rows[:n + extra]))
 
 
 def test_loss_itd_no_insertions_all_original():

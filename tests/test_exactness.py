@@ -23,20 +23,22 @@ def loss_regeneration(*args, **kwargs):
 
 
 def exactness(parent):
+    """The script's exit code and its verdict per configuration."""
     done = subprocess.run([sys.executable, str(SCRIPT), "--parent", str(parent), "--steps", "4"],
-                          capture_output=True, text=True, timeout=120, check=True)
-    return dict(line.split(None, 1) for line in done.stdout.splitlines())
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, dict(line.split(None, 1) for line in done.stdout.splitlines())
 
 
 def test_a_tree_against_itself_is_identical():
-    assert exactness(ROOT) == {name: "identical" for name in CONFIGS}
+    assert exactness(ROOT) == (0, {name: "identical" for name in CONFIGS})
 
 
 def test_a_rounding_change_differs_from_the_first_step_it_touches(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "multicourse" / "correction.py", "a", encoding="utf-8") as fh:
         fh.write(ONE_ULP_IN_RE_MLM)
-    report = exactness(tmp_path)
+    code, report = exactness(tmp_path)
+    assert code == 1 and list(report) == list(CONFIGS)  # every configuration, then the failure
     for name in ("rtd", "std", "itd"):
         assert report[name] == "identical"
     for name in ("re", "all", "ragged"):

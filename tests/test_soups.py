@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multicourse.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from multicourse.encoder import EncoderConfig, Model
-from multicourse.errors import ConfigError, InputError, MergeError
+from multicourse.errors import ConfigError, MergeError
 from multicourse.soups import (
     _MERGE_BLOCK,
     CORRECTION_LOSSES,
@@ -100,20 +100,26 @@ def test_equal_scores_yield_uniform():
     np.testing.assert_allclose(w.values, [0.5, 0.5])
 
 
-def test_zero_scores_fall_back_to_uniform(caplog):
-    w = score_runs(_manifest_with_scores([0.0, 0.0]))
-    np.testing.assert_allclose(w.values, [0.5, 0.5])
+def test_zero_scores_are_refused():
+    with pytest.raises(ConfigError, match="positive finite sum"):
+        score_runs(_manifest_with_scores([0.0, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_score_rejected(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         score_runs(_manifest_with_scores([0.9, bad]))
 
 
-def test_missing_scores_fall_back_to_uniform():
-    w = score_runs(_manifest_with_scores([None, 0.9]))
-    np.testing.assert_allclose(w.values, [0.5, 0.5])
+def test_missing_scores_are_refused_naming_the_runs():
+    with pytest.raises(ConfigError, match=r"\['r0', 'r2'\] have no score"):
+        score_runs(_manifest_with_scores([None, 0.9, None]))
+
+
+def test_proportional_weights_divide_by_the_float_sum():
+    values = np.array([0.1, 0.7, 0.2, 0.3])
+    np.testing.assert_array_equal(SoupWeights.proportional(values).values,
+                                  values / float(values.sum()))
 
 
 @settings(max_examples=40, deadline=None)
