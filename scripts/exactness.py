@@ -8,12 +8,13 @@ process with its own PYTHONPATH and BLAS pinned to one thread. For each
 configuration it prints `identical` when every step's record (every loss at
 full float precision, the confusion cells, the label tallies, the learning
 rate), the sha256 of `checkpoint_final.bin`, the sha256 of the final model's
-frozen CLS features and its frozen-probe accuracy on them
-(`token_presence_dataset(200, seed=4)`, probe seed 3) agree; otherwise the
-first step whose record differs and the largest relative loss difference over
-all steps. It exits 0 when every configuration is identical; it exits 1
-after printing every configuration when one differs, and when a training
-process fails.
+frozen CLS features (`token_presence_dataset(200, seed=4)`), the sha256 of the
+`(w, b)` that `probe._fit_logistic` fits on all of them (probe seed 3; an
+accuracy can agree while the weights differ) and the frozen-probe accuracy
+(probe seed 3) agree; otherwise the first step whose record differs and the
+largest relative loss difference over all steps. It exits 0 when every
+configuration is identical; it exits 1 after printing every configuration
+when one differs, and when a training process fails.
 
 Configurations: five course mixes on `generate_corpus(200, seed=5)`, hidden
 32, 1+2 layers, batch 8, seed 3 (correction from step 2), and `ragged`, every
@@ -58,14 +59,15 @@ def corpus_lines(name):
 
 
 def run_config(name, steps, dropout, work):
-    """One training run in this process's tree; its records, checkpoint and feature digests
-    and probe score."""
+    """One training run in this process's tree; its records, its checkpoint, feature and
+    fitted-layer digests and its probe score."""
     from multicourse import probe
     from multicourse.courses import CorruptionRates
     from multicourse.encoder import EncoderConfig, Model
     from multicourse.toycorpus import token_presence_dataset
     from multicourse.trainer import TrainConfig, load_corpus_sequences, train
     from multicourse.vocab import build_vocab
+    import numpy as np
 
     corpus = work / f"{name}.txt"
     corpus.write_text("\n".join(corpus_lines(name)) + "\n", encoding="utf-8")
@@ -82,9 +84,11 @@ def run_config(name, steps, dropout, work):
     digest = hashlib.sha256((run_dir / "checkpoint_final.bin").read_bytes()).hexdigest()
     examples = [(vocab.encode(s), y) for s, y in token_presence_dataset(200, seed=4)]
     features = probe._featurize(model, examples)
+    w, b = probe._fit_logistic(features, np.array([y for _, y in examples]), 3)
     return {"records": [vars(r) for r in records],
             "checkpoint": digest,
             "features": hashlib.sha256(features.tobytes()).hexdigest(),
+            "fit": hashlib.sha256(w.tobytes() + np.float64(b).tobytes()).hexdigest(),
             "probe": probe.probe_train_eval(model, examples, seed=3)}
 
 
@@ -112,7 +116,7 @@ def compare(a, b):
         return f"differs: {len(ra)} against {len(rb)} steps"
     first = next((i for i, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
     if first is None:
-        return "differs in the final checkpoint, features or probe only"
+        return "differs in the final checkpoint, features, fitted layer or probe only"
     worst = 0.0
     for x, y in zip(ra, rb):
         for name, u in x["losses"].items():

@@ -5,6 +5,7 @@ import csv
 import logging
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import probe as probe_mod
@@ -13,7 +14,7 @@ from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
 from .fileio import atomic_open, read_json, text_lines
-from .runconfig import parse_config, save_config
+from .runconfig import flat_config, parse_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
 
@@ -70,7 +71,9 @@ def _run_pretrain(config):
     seqs = load_corpus_sequences(cfg.corpus_path, vocab, enc_cfg.max_seq_len)
     model = Model(enc_cfg, seed=cfg.train.seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_config(config, run_dir / "config.json")
+    # every schema key at the value this run used, paths absolute, so the file alone pins the run
+    save_config(flat_config(replace(cfg, corpus_path=str(Path(cfg.corpus_path).absolute()),
+                                    run_dir=str(run_dir.absolute()))), run_dir / "config.json")
     log.info("pretraining: %d sequences, |V|=%d, %d steps",
              len(seqs), len(vocab), cfg.train.total_steps)
     train(model, seqs, cfg.train, cfg.rates, run_dir=run_dir, vocab=vocab)
@@ -83,13 +86,13 @@ def cmd_pretrain(args):
     return 0
 
 
-def _probe_checkpoint(path, data, seed):
-    """Held-out accuracy of the frozen-discriminator probe on a checkpoint."""
+def _probe_checkpoint(path, labeled, seed):
+    """Held-out accuracy of the frozen-discriminator probe on a checkpoint,
+    for (sentence, label) pairs as `probe.read_labeled_sentences` parses them."""
     ckpt = load_checkpoint(path)
     if not ckpt.vocab_tokens:
         raise InputError(f"{path} carries no vocabulary; cannot tokenize probe data")
-    examples = probe_mod.load_labeled_dataset(data, Vocab(ckpt.vocab_tokens),
-                                              ckpt.config.max_seq_len)
+    examples = probe_mod.encode_labeled(labeled, Vocab(ckpt.vocab_tokens), ckpt.config.max_seq_len)
     return probe_mod.probe_train_eval(build_model(ckpt), examples, seed=seed)
 
 
@@ -106,6 +109,7 @@ def cmd_sweep(args):
             _check_run(config)
         except MulticourseError as exc:
             raise type(exc)(f"sweep run {run.name}: {exc}") from None
+    labeled = probe_mod.read_labeled_sentences(manifest.probe_data) if manifest.probe_data else None
     for run, config in zip(manifest.runs, configs):
         log.info("sweep run %s (losses: %s)", run.name, ",".join(run.losses))
         final = _run_pretrain(config)
@@ -114,8 +118,8 @@ def cmd_sweep(args):
             target.parent.mkdir(parents=True, exist_ok=True)
             with open(final, "rb") as src, atomic_open(target, "wb") as dst:
                 shutil.copyfileobj(src, dst)
-        if manifest.probe_data:
-            run.score = _probe_checkpoint(run.checkpoint, manifest.probe_data, run.seed)
+        if labeled:
+            run.score = _probe_checkpoint(run.checkpoint, labeled, run.seed)
             log.info("run %s probe accuracy %.4f", run.name, run.score)
         # saved per run so a later failure keeps every score taken so far
         soups.save_manifest(manifest, args.manifest)
@@ -175,7 +179,8 @@ def cmd_soup(args):
 def cmd_probe(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    accuracy = _probe_checkpoint(args.checkpoint, args.data, args.seed)
+    accuracy = _probe_checkpoint(args.checkpoint, probe_mod.read_labeled_sentences(args.data),
+                                 args.seed)
     print(f"probe accuracy: {accuracy:.4f}")
     return 0
 

@@ -3,7 +3,9 @@
 Each sentence is encoded with a prepended CLS token; the discriminator runs
 in eval mode and a single logistic layer is trained on the CLS hidden
 state. A pass computes only the CLS rows it reads. The encoder stays
-frozen, so the probe featurizes once and fits fast.
+frozen, so the probe featurizes once and fits fast: the layer is one flat
+float32 [w; b] under full-batch Adam on the closed-form BCE gradient, off
+the autodiff tape, bit for bit the same fit run through the tape.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ FEATURIZE_BATCH = 64  # sequences per frozen encoder pass
 FIT_EPOCHS, FIT_LR = 300, 0.05  # full-batch Adam on the logistic layer
 
 
-def load_labeled_dataset(path, vocab, max_seq_len):
-    """Read 'label<TAB>sentence' lines into (ids, label) pairs."""
-    examples = []
+def read_labeled_sentences(path):
+    """Parse 'label<TAB>sentence' lines into (sentence, label) pairs; no vocabulary needed."""
+    labeled = []
     for lineno, line in enumerate(text_lines(path), 1):
         line = line.rstrip("\n")
         if not line:
@@ -33,10 +35,22 @@ def load_labeled_dataset(path, vocab, max_seq_len):
             raise InputError(f"{path}:{lineno}: expected 'label<TAB>sentence'") from exc
         if label not in (0, 1):
             raise InputError(f"{path}:{lineno}: label must be 0 or 1")
-        examples.append((vocab.encode(text), label))
-    if not examples:
+        labeled.append((text, label))
+    if not labeled:
         raise InputError(f"probe dataset {path} is empty")
-    return [(ids[: max_seq_len - 1], label) for ids, label in examples]
+    if len({label for _, label in labeled}) < 2:
+        raise InputError(f"probe dataset {path} contains a single class")
+    return labeled
+
+
+def encode_labeled(labeled, vocab, max_seq_len):
+    """(ids, label) pairs, each sentence cut to leave room for the CLS token."""
+    return [(vocab.encode(text)[: max_seq_len - 1], label) for text, label in labeled]
+
+
+def load_labeled_dataset(path, vocab, max_seq_len):
+    """Read 'label<TAB>sentence' lines into (ids, label) pairs."""
+    return encode_labeled(read_labeled_sentences(path), vocab, max_seq_len)
 
 
 def _featurize(model, examples):
@@ -54,28 +68,35 @@ def _featurize(model, examples):
 
 
 def _fit_logistic(features, labels, seed):
-    """Full-batch Adam on BCE for a single linear layer."""
+    """Full-batch Adam on mean BCE for a single linear layer, without the tape.
+
+    The parameters are one float32 vector [w; b], and each epoch takes the
+    closed-form gradient, x.T @ g for w and the sum of g for b, where
+    g = (sigmoid(x @ w + b) - y) / n. Each element goes through the float32
+    arithmetic of `ad.matmul` with a bias and `ad.sigmoid_bce` on a tape, in
+    the same order, so the fit has the taped loop's bits (tests/test_probe.py
+    keeps that loop as the oracle).
+    """
     rng = np.random.default_rng(seed)
     n, dim = features.shape
-    w = ad.Tensor(rng.normal(0, 0.01, (dim, 1)).astype(np.float32), requires_grad=True)
-    b = ad.Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    x = ad.Tensor(features.astype(np.float32))
+    p = np.zeros(dim + 1, dtype=np.float32)
+    p[:dim] = rng.normal(0, 0.01, dim)
+    x = np.asarray(features, dtype=np.float32)
     y = labels.astype(np.float32)
-    m = {id(w): 0.0, id(b): 0.0}
-    v = {id(w): 0.0, id(b): 0.0}
+    grad = np.empty_like(p)
+    m = v = 0.0
     for t in range(1, FIT_EPOCHS + 1):
-        w.grad = b.grad = None
-        with ad.Tape() as tape:
-            logits = ad.reshape(ad.matmul(x, w, b), (n,))
-            loss = ad.sigmoid_bce(logits, y)
-            tape.backward(loss)
-        for p in (w, b):
-            m[id(p)] = 0.9 * m[id(p)] + 0.1 * p.grad
-            v[id(p)] = 0.999 * v[id(p)] + 0.001 * p.grad ** 2
-            mh = m[id(p)] / (1 - 0.9 ** t)
-            vh = v[id(p)] / (1 - 0.999 ** t)
-            p.data = p.data - FIT_LR * mh / (np.sqrt(vh) + 1e-8)
-    return w.data[:, 0], float(b.data[0])
+        z = x @ p[:dim]
+        z += p[dim]
+        g = (1.0 / (1.0 + np.exp(-z)) - y) / np.float32(n)
+        grad[:dim] = x.T @ g
+        grad[dim] = g.sum()
+        m = 0.9 * m + 0.1 * grad
+        v = 0.999 * v + 0.001 * grad ** 2
+        mh = m / (1 - 0.9 ** t)
+        vh = v / (1 - 0.999 ** t)
+        p = p - FIT_LR * mh / (np.sqrt(vh) + 1e-8)
+    return p[:dim], float(p[dim])
 
 
 def probe_train_eval(model, examples, seed=0):

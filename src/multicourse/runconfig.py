@@ -11,7 +11,7 @@ allocated.
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
@@ -83,6 +83,13 @@ def default_config_dict(corpus_path, run_dir, **overrides):
     """A complete flat config: every key at its dataclass default."""
     defaults = {k: f.default for k, f in _SCHEMA.items() if f.default is not MISSING}
     return {"corpus_path": str(corpus_path), "run_dir": str(run_dir), **defaults, **overrides}
+
+
+def flat_config(cfg: RunConfig) -> dict:
+    """The complete flat mapping of a parsed config: every key at the value it parsed to."""
+    return default_config_dict(cfg.corpus_path, cfg.run_dir, **cfg.encoder_overrides,
+                               **asdict(cfg.rates), **asdict(cfg.train),
+                               max_vocab_size=cfg.max_vocab_size)
 
 
 def save_config(config_dict, path):

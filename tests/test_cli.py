@@ -14,7 +14,7 @@ import multicourse
 from multicourse.checkpoint import build_model, load_checkpoint, save_checkpoint
 from multicourse.cli import _run_pretrain, cli
 from multicourse.errors import ConfigError
-from multicourse.runconfig import default_config_dict, save_config
+from multicourse.runconfig import default_config_dict, parse_config, save_config
 from multicourse.soups import SweepManifest, SweepRun, default_manifest, save_manifest
 from multicourse.toycorpus import write_corpus, write_probe_dataset
 from multicourse.trainer import METRICS_COLUMNS, train
@@ -511,6 +511,54 @@ def test_sweep_refuses_a_run_whose_config_fails_before_the_first_run_trains(work
     assert cli(["sweep", "--manifest", str(mpath)]) == 1
     assert capsys.readouterr().err.startswith("error: sweep run re_slm: ")
     assert not sweep.exists()
+
+
+@pytest.mark.parametrize("probe_text", [None, "1\tthe fox .\n2\ta river .\n",
+                                        "1\tthe fox .\n1\ta river .\n"],
+                         ids=["missing", "label_2", "single_class"])
+def test_sweep_refuses_a_bad_probe_file_before_the_first_run_trains(workspace, tmp_path, capsys,
+                                                                   probe_text):
+    cfg_path = tmp_path / "sweep_cfg.json"
+    save_config(tiny_overrides(workspace, tmp_path / "unused", total_steps=3, warmup_steps=1,
+                               batch_size=4), cfg_path)
+    data = tmp_path / "probe.tsv"
+    if probe_text is not None:
+        data.write_text(probe_text, encoding="utf-8")
+    sweep = tmp_path / "sweep"
+    manifest = SweepManifest(
+        config_path=str(cfg_path), output_dir=str(sweep), probe_data=str(data),
+        runs=[SweepRun(name=n, losses=(n,), seed=1, checkpoint=str(sweep / n / "checkpoint_final.bin"))
+              for n in ("re_mlm", "re_rtd")],
+    )
+    mpath = tmp_path / "manifest.json"
+    save_manifest(manifest, mpath)
+    assert cli(["sweep", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(data) in err
+    assert not sweep.exists()
+
+
+def test_pretrain_config_json_holds_every_schema_key(workspace, tmp_path, monkeypatch):
+    monkeypatch.chdir(workspace)
+    config = {"corpus_path": "corpus.txt", "run_dir": "pinned_run", "hidden_size": 32,
+              "generator_layers": 1, "discriminator_layers": 2, "attention_heads": 2,
+              "ffn_inner_size": 48, "max_seq_len": 24, "total_steps": 2, "warmup_steps": 1,
+              "batch_size": 4, "checkpoint_every": 0, "learning_rate": 1}
+    _run_pretrain(config)
+    saved = json.loads((workspace / "pinned_run" / "config.json").read_text(encoding="utf-8"))
+    assert set(saved) == set(default_config_dict("c", "r"))
+    assert type(saved["learning_rate"]) is float  # the parsed value, not the JSON 1
+    for key, target in (("corpus_path", "corpus.txt"), ("run_dir", "pinned_run")):
+        assert Path(saved[key]).is_absolute() and Path(saved[key]).samefile(workspace / target)
+
+    def resolved(raw):
+        cfg = parse_config(raw)
+        return (cfg.encoder_config(100), cfg.rates, cfg.train, cfg.corpus_path, cfg.run_dir,
+                cfg.max_vocab_size)
+
+    expected = resolved({**config, "corpus_path": saved["corpus_path"], "run_dir": saved["run_dir"]})
+    monkeypatch.chdir(tmp_path)  # the file names the same run from another working directory
+    assert resolved(saved) == expected
 
 
 def test_sweep_copy_that_fails_midway_keeps_the_old_checkpoint(workspace, tmp_path, monkeypatch):
