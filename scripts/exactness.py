@@ -12,7 +12,11 @@ frozen CLS features (`token_presence_dataset(200, seed=4)`), the sha256 of the
 `(w, b)` that `probe._fit_logistic` fits on all of them (probe seed 3; an
 accuracy can agree while the weights differ) and the frozen-probe accuracy
 (probe seed 3) agree; otherwise the first step whose record differs and the
-largest relative loss difference over all steps. It exits 0 when every
+largest relative loss difference over all steps, then the first step whose
+integer counts differ (the confusion cells and the label tallies, `COUNTS`)
+with the fields that differ there, or `counts identical on every step`. Loss
+drift under identical counts points to rounding; a moved count means a
+confusion cell or a sampled token changed. It exits 0 when every
 configuration is identical; it exits 1 after printing every configuration
 when one differs, and when a training process fails.
 
@@ -44,6 +48,8 @@ CONFIGS = {
     "all": dict(correction_start_step=2),
     "ragged": dict(correction_start_step=2),
 }
+# the integer fields of a step's record
+COUNTS = ("pos_counts", "d_nonoriginal", "d_corrupted", "itd_nonoriginal", "itd_positions")
 
 
 def corpus_lines(name):
@@ -123,8 +129,14 @@ def compare(a, b):
             v = y["losses"][name]
             if u != v:
                 worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+    counts = "counts identical on every step"
+    for x, y in zip(ra, rb):
+        moved = [k for k in COUNTS if x[k] != y[k]]
+        if moved:
+            counts = f"counts first differ at step {x['step']} ({', '.join(moved)})"
+            break
     return (f"first differs at step {ra[first]['step']}; "
-            f"largest relative loss difference {worst:.3g}")
+            f"largest relative loss difference {worst:.3g}; {counts}")
 
 
 def main(argv=None):

@@ -16,6 +16,11 @@ A tape runs backward once. Backward takes each op's output gradient off its
 slot as the op consumes it, so afterwards only leaves hold a `.grad`: the
 parameters, and any tensor that no recorded op produced.
 
+Every last-axis row reduction of softmax, layer norm and cross-entropy is one
+numpy call over all rows, where numpy would reduce a short axis row by row:
+`_row_max` is an exact `np.maximum.reduceat`, and `_row_sum` a matrix-vector
+product with ones, which rounds unlike a pairwise `sum(axis=-1)`.
+
 `ffn` and `add_layer_norm` record their chain of these ops on the active
 tape, op by op. `attention` takes packed query, key and value rows and
 builds each group's padded grids inside itself, so no op moves rows into
@@ -393,27 +398,43 @@ def gather_rows(x, index):
     return out
 
 
+def _row_max(x):
+    """x.max(axis=-1, keepdims=True), bit for bit (max is exact in any order),
+    as one reduceat over the flat rows."""
+    w = x.shape[-1]
+    flat = x.reshape(-1)
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, w)).reshape(*x.shape[:-1], 1)
+
+
+def _row_sum(x):
+    """Each last-axis row's sum, keepdims, as one matrix-vector product with
+    ones: within w * eps * sum|x| of the exact sum for width w."""
+    w = x.shape[-1]
+    return (x.reshape(-1, w) @ np.ones(w, x.dtype)).reshape(*x.shape[:-1], 1)
+
+
 def _softmax_grad(g, p, out=None):
     """The gradient (g - sum(g * p)) * p reaching a softmax's input from the
     gradient g of its output p, written into `out` when given (it may be g)."""
-    dot = (g * p).sum(axis=-1, keepdims=True)
+    dot = _row_sum(g * p)
     gx = np.subtract(g, dot, out=out)
     gx *= p
     return gx
 
 
 def softmax(x, bias=None):
-    """Row softmax over the last axis, shift-stabilized. A constant `bias`
-    array (no gradient), broadcast against x, is added into the output
-    buffer first: a large negative bias, such as a key-padding mask, gives
-    its entries an exact-zero probability and gradient."""
+    """Row softmax over the last axis, shift-stabilized by the row's exact max
+    and normalized by its `_row_sum`. A constant `bias` array (no gradient),
+    broadcast against x, is added into the output buffer first: a large
+    negative bias, such as a key-padding mask, gives its entries an
+    exact-zero probability and gradient."""
     if bias is None:
-        s = x.data - x.data.max(axis=-1, keepdims=True)
+        s = x.data - _row_max(x.data)
     else:
         s = x.data + bias
-        s -= s.max(axis=-1, keepdims=True)
+        s -= _row_max(s)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s /= _row_sum(s)
     out = Tensor(s, x.requires_grad)
     gx = x.grad_slot
 
@@ -487,11 +508,12 @@ def gelu(x):
 
 
 def layer_norm(x, gain, bias):
-    """Normalize the last axis to zero mean / unit variance, then gain*x+bias."""
+    """Normalize the last axis to zero mean / unit variance, then gain*x+bias.
+    Every row mean, forward and backward, is its `_row_sum` divided by the
+    width; the variance is the mean square of the centred row."""
     h = x.data.shape[-1]
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    # np.var's own arithmetic, on the centred values already at hand
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / h
+    xhat = x.data - _row_sum(x.data) / h
+    var = _row_sum(xhat * xhat) / h
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(_LAYER_NORM_EPS))
     xhat *= inv
     y = xhat * gain.data
@@ -506,8 +528,8 @@ def layer_norm(x, gain, bias):
             g_bias.accumulate(_unbroadcast(g, g_bias.shape))
         if g_x is not None:
             gx = g * gain_data
-            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
+            mean_gx_xhat = _row_sum(gx * xhat) / h
+            gx -= _row_sum(gx) / h
             gx -= xhat * mean_gx_xhat
             gx *= inv
             g_x.accumulate(gx)
@@ -704,6 +726,8 @@ def softmax_cross_entropy(logits, targets):
 
     The logits are 2-D with one row per target (DimensionError otherwise).
     An empty target list yields an exact-zero constant with no gradient.
+    Each row's log-sum-exp, and the backward's softmax, shift by the row's
+    exact max and sum by `_row_sum`.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1]:
@@ -716,8 +740,8 @@ def softmax_cross_entropy(logits, targets):
     if targets.min() < 0 or targets.max() >= vocab:
         raise IndexError(f"target id outside [0, {vocab})")
     z = logits.data
-    m = z.max(axis=-1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=-1))
+    m = _row_max(z)
+    lse = m[:, 0] + np.log(_row_sum(np.exp(z - m))[:, 0])
     rows = np.arange(n)
     losses = lse - z[rows, targets]
     out = Tensor(np.asarray(losses.mean(), dtype=z.dtype), logits.requires_grad)
@@ -725,7 +749,7 @@ def softmax_cross_entropy(logits, targets):
 
     def backward(g):
         soft = np.exp(z - m)
-        soft /= soft.sum(axis=-1, keepdims=True)
+        soft /= _row_sum(soft)
         soft[rows, targets] -= 1.0
         gz.accumulate(g * soft / z.dtype.type(n))
 

@@ -2,18 +2,21 @@
 
 import argparse
 import csv
+import hashlib
 import logging
 import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import probe as probe_mod
 from . import soups
 from .checkpoint import build_model, load_checkpoint, save_checkpoint
 from .encoder import Model
 from .errors import ConfigError, InputError, MulticourseError
-from .fileio import atomic_open, read_json, text_lines
+from .fileio import atomic_open, read_json, text_lines, write_json
 from .runconfig import flat_config, parse_config, save_config
 from .trainer import METRICS_COLUMNS, train, load_corpus_sequences
 from .vocab import Vocab, build_vocab
@@ -56,10 +59,23 @@ def _check_run(config):
     """The parsed flat config of one run, refused before anything is written
     when another run used its run directory."""
     cfg = parse_config(config)
-    for name in ("config.json", "metrics.csv"):
+    for name in ("config.json", "run.json", "metrics.csv"):
         if (Path(cfg.run_dir) / name).exists():
             raise InputError(f"{Path(cfg.run_dir) / name} already exists; use a new run directory")
     return cfg
+
+
+def _run_record(corpus_path, vocab):
+    """What `run.json` pins beside `config.json`: the corpus file's sha256 and
+    line count, the vocabulary's size and the sha256 of its tokens joined by
+    newlines, and the numpy version."""
+    data = Path(corpus_path).read_bytes()
+    tokens = "\n".join(vocab.id_to_token).encode("utf-8")
+    return {"corpus_sha256": hashlib.sha256(data).hexdigest(),
+            "corpus_lines": len(data.splitlines()),
+            "vocab_size": len(vocab),
+            "vocab_sha256": hashlib.sha256(tokens).hexdigest(),
+            "numpy_version": np.__version__}
 
 
 def _run_pretrain(config):
@@ -74,6 +90,7 @@ def _run_pretrain(config):
     # every schema key at the value this run used, paths absolute, so the file alone pins the run
     save_config(flat_config(replace(cfg, corpus_path=str(Path(cfg.corpus_path).absolute()),
                                     run_dir=str(run_dir.absolute()))), run_dir / "config.json")
+    write_json(_run_record(cfg.corpus_path, vocab), run_dir / "run.json")
     log.info("pretraining: %d sequences, |V|=%d, %d steps",
              len(seqs), len(vocab), cfg.train.total_steps)
     train(model, seqs, cfg.train, cfg.rates, run_dir=run_dir, vocab=vocab)

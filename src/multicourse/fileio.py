@@ -21,6 +21,13 @@ def read_json(path):
             raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def write_json(value, path):
+    """Write a value as indented JSON with sorted keys, atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def text_lines(path):
     """The lines of a UTF-8 text file, as iterating the open file yields them;
     bytes that are not UTF-8 raise InputError naming the file."""

@@ -9,14 +9,13 @@ invalidate an experiment. Validation happens before any model memory is
 allocated.
 """
 
-import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .courses import CorruptionRates
 from .encoder import EncoderConfig
 from .errors import ConfigError
-from .fileio import atomic_open
+from .fileio import write_json
 from .trainer import TrainConfig
 
 
@@ -93,6 +92,4 @@ def flat_config(cfg: RunConfig) -> dict:
 
 
 def save_config(config_dict, path):
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_dict, path)

@@ -285,17 +285,18 @@ def active_parameter_names(model, cfg: TrainConfig):
 def clip_gradients(tensors, max_norm):
     """The tensors' gradients as one new flat float32 array, in tensor order
     (zeros where a gradient is None), scaled so their global norm is at most
-    max_norm, and that norm before scaling. The norm adds one float64 sum of
-    squares per tensor, in tensor order. A non-finite norm raises
-    NonFiniteLossError; no gradient is ever changed."""
+    max_norm, and that norm before scaling. The norm is one float64 sum of
+    squares over the flat array; einsum casts it in blocks, so no float64 copy
+    of the whole array is made. A non-finite norm raises NonFiniteLossError;
+    no gradient is ever changed."""
     parts = []
     for t in tensors:
         g = t.grad
         parts.append(np.zeros(t.data.size, np.float32) if g is None else g.reshape(-1))
-    total = np.sqrt(sum(float(np.square(part, dtype=np.float64).sum()) for part in parts))
+    flat = np.concatenate(parts, dtype=np.float32)
+    total = np.sqrt(np.einsum("i,i->", flat, flat, dtype=np.float64))
     if not np.isfinite(total):
         raise NonFiniteLossError(f"global gradient norm is {total} — aborting step")
-    flat = np.concatenate(parts, dtype=np.float32)
     if total > max_norm:
         flat *= np.float32(max_norm / total)
     return flat, total

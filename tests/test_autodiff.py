@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import zlib
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf as exact_erf
+from scipy.special import logsumexp, softmax
 
 from multicourse import autodiff as ad
 from multicourse.encoder import NUM_REL_BUCKETS, _bucket_matrix
@@ -336,6 +338,90 @@ def test_a_taped_chain_holds_only_what_its_backwards_read():
     # caller holds, and 24 masks; the rest is the tape's bookkeeping
     rows_and_masks = 24 * one_array + 24 * one_mask
     assert rows_and_masks <= held < rows_and_masks + one_array // 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("vocab", [4, 106, 8192])
+def test_cross_entropy_matches_scipy_logsumexp(vocab, dtype):
+    rng = np.random.default_rng(vocab)
+    z = (rng.normal(size=(37, vocab)) * 6).astype(dtype)
+    targets = rng.integers(0, vocab, size=37)
+    logits = ad.Tensor(z, requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.softmax_cross_entropy(logits, targets)
+        tape.backward(loss)
+    z64 = z.astype(np.float64)
+    expected = (logsumexp(z64, axis=-1) - z64[np.arange(37), targets]).mean()
+    grad = softmax(z64, axis=-1)
+    grad[np.arange(37), targets] -= 1.0
+    eps = np.finfo(dtype).eps
+    assert abs(float(loss.data) - expected) <= 16 * eps * abs(expected)
+    np.testing.assert_allclose(logits.grad, grad / 37, rtol=0, atol=32 * eps / 37)
+
+
+# -- row reductions ---------------------------------------------------------------
+
+ROW_WIDTHS = (1, 2, 7, 8, 9, 11, 16, 100, 128, 129)
+
+
+def row_cases(width, dtype):
+    """(name, array) pairs to reduce along the last axis: plain rows, rows of
+    -1e9 padding, +-inf and NaN, 4-D and non-contiguous views, and no rows."""
+    rng = np.random.default_rng(width)
+    x = (rng.normal(size=(48, width)) * 10).astype(dtype)
+    x[3, ::2] = -1e9
+    x[4] = -1e9
+    x[5, 0] = np.inf
+    x[6, -1] = -np.inf
+    x[7] = -np.inf
+    x[8, width // 2] = np.nan
+    x[9, 0] = x[9, -1] = np.nan
+    return [("2d", x), ("4d", x.reshape(2, 3, 8, width)),
+            ("transposed", np.ascontiguousarray(x.T).T),
+            ("4d_transposed", x.reshape(2, 3, 8, width).transpose(2, 0, 1, 3)),
+            ("no_rows", x[:0])]
+
+
+def bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", ROW_WIDTHS)
+def test_row_max_is_numpys_last_axis_max_bit_for_bit(width, dtype):
+    for name, x in row_cases(width, dtype):
+        got, expected = ad._row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        np.testing.assert_array_equal(bits(got), bits(expected), err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", ROW_WIDTHS)
+def test_row_sum_is_within_width_eps_of_the_exact_sum(width, dtype):
+    for name, x in row_cases(width, dtype):
+        x = np.where(np.isfinite(x), x, dtype(1.5))  # a sum over inf or NaN has no error bound
+        got = ad._row_sum(x)
+        assert got.dtype == x.dtype and got.shape == x.shape[:-1] + (1,), name
+        exact = np.array([math.fsum(row) for row in x.reshape(-1, width).astype(np.float64)])
+        bound = width * np.finfo(dtype).eps * np.abs(x).reshape(-1, width).sum(axis=-1)
+        assert (np.abs(got.reshape(-1) - exact) <= bound).all(), name
+
+
+@pytest.mark.parametrize("width", [11, 128])
+def test_a_padded_key_gets_exact_zero_probability_and_gradient(width):
+    rng = np.random.default_rng(width)
+    x = t(rng.normal(size=(3, 4, width, width)) * 4)  # (groups, heads, queries, keys)
+    pad = np.zeros((3, 1, 1, width), dtype=np.float32)
+    pad[0, ..., width // 2:] = -1e9
+    pad[2, ..., 1:] = -1e9  # one real key
+    with ad.Tape() as tape:
+        s = ad.softmax(x, pad)
+        tape.backward(ad.tensor_sum(ad.mul(s, t(rng.normal(size=x.data.shape), grad=False))))
+    padded = np.broadcast_to(pad < 0, x.data.shape)
+    assert (s.data[padded] == 0.0).all() and (x.grad[padded] == 0.0).all()
+    assert (s.data[~padded] > 0.0).all()
+    assert (s.data[2, ..., 0] == 1.0).all()
+    np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=width * np.finfo(np.float32).eps)
 
 
 # -- structural ops -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -63,7 +64,8 @@ def test_pretrain_writes_metrics_and_checkpoint(run1):
 
 def test_pretrain_refuses_a_used_run_directory(workspace, run1):
     run_dir = run1[0]
-    before = {name: (run_dir / name).read_bytes() for name in ("config.json", "metrics.csv")}
+    before = {name: (run_dir / name).read_bytes()
+              for name in ("config.json", "run.json", "metrics.csv")}
     cfg_path = workspace / "cfg_again.json"
     save_config(tiny_overrides(workspace, run_dir, seed=1), cfg_path)
     assert cli(["pretrain", "--config", str(cfg_path)]) == 1
@@ -84,6 +86,49 @@ def test_pretrain_refuses_a_run_directory_holding_only_metrics_and_writes_nothin
     save_config(tiny_overrides(workspace, run_dir), cfg_path)
     assert cli(["pretrain", "--config", str(cfg_path)]) == 1
     assert snapshot() == before
+
+
+def test_pretrain_refuses_a_run_directory_holding_only_run_json(workspace, run1, tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "run.json").write_bytes((run1[0] / "run.json").read_bytes())
+    cfg_path = tmp_path / "cfg.json"
+    save_config(tiny_overrides(workspace, run_dir), cfg_path)
+    assert cli(["pretrain", "--config", str(cfg_path)]) == 1
+    assert [p.name for p in run_dir.iterdir()] == ["run.json"]
+
+
+def pretrain_two_steps(corpus, run_dir):
+    config = default_config_dict(
+        corpus, run_dir, hidden_size=32, generator_layers=1, discriminator_layers=2,
+        attention_heads=2, ffn_inner_size=48, max_seq_len=24, total_steps=2, warmup_steps=1,
+        batch_size=4, checkpoint_every=0)
+    _run_pretrain(config)
+    return json.loads((run_dir / "run.json").read_text(encoding="utf-8"))
+
+
+def test_pretrain_writes_a_run_json_that_pins_the_corpus_and_vocabulary(workspace, tmp_path):
+    corpus = workspace / "corpus.txt"
+    record = pretrain_two_steps(corpus, tmp_path / "run")
+    data = corpus.read_bytes()
+    assert record["corpus_sha256"] == hashlib.sha256(data).hexdigest()
+    assert record["corpus_lines"] == len(corpus.read_text(encoding="utf-8").splitlines()) == 150
+    vocab = load_checkpoint(tmp_path / "run" / "checkpoint_final.bin").vocab_tokens
+    assert record["vocab_size"] == len(vocab)
+    assert record["vocab_sha256"] == hashlib.sha256("\n".join(vocab).encode("utf-8")).hexdigest()
+    assert record["numpy_version"] == np.__version__
+    # config.json refuses unknown keys, so the record stays out of it
+    config = json.loads((tmp_path / "run" / "config.json").read_text(encoding="utf-8"))
+    assert not set(record) & set(config)
+
+    edited = tmp_path / "edited.txt"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    lines[17] = lines[17].replace(" ", "  ", 1)  # same tokens, so the same vocabulary
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    other = pretrain_two_steps(edited, tmp_path / "run_edited")
+    assert other["corpus_sha256"] != record["corpus_sha256"]
+    assert other["corpus_lines"] == record["corpus_lines"]
+    assert other["vocab_sha256"] == record["vocab_sha256"]
 
 
 # the optimizer recipe's five keys, at the defaults they had while configurable

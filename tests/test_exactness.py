@@ -1,5 +1,7 @@
 """scripts/exactness.py: a tree against itself, and against a one-ulp change."""
 
+import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -42,4 +44,25 @@ def test_a_rounding_change_differs_from_the_first_step_it_touches(tmp_path):
     for name in ("rtd", "std", "itd"):
         assert report[name] == "identical"
     for name in ("re", "all", "ragged"):
-        assert report[name].startswith("first differs at step 2;"), report[name]
+        assert re.fullmatch(r"first differs at step 2; largest relative loss difference \S+; "
+                            r"(counts identical on every step|counts first differ at step \d \(.+\))",
+                            report[name]), report[name]
+
+
+def test_the_verdict_names_the_first_step_whose_counts_differ():
+    spec = importlib.util.spec_from_file_location("exactness", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def run(*steps):
+        return {"records": [dict(step=i, losses={"mlm": loss}, pos_counts=cells, d_nonoriginal=0,
+                                 d_corrupted=nonorig, itd_nonoriginal=0, itd_positions=0)
+                            for i, (loss, cells, nonorig) in enumerate(steps)]}
+
+    parent = run((2.0, [1, 2], 3), (1.5, [2, 1], 3), (1.25, [0, 3], 4))
+    rounded = run((2.0, [1, 2], 3), (1.5 + 1e-7, [2, 1], 3), (1.25, [0, 3], 4))
+    assert script.compare(parent, rounded).endswith("; counts identical on every step")
+    moved = run((2.0, [1, 2], 3), (1.5, [2, 1], 3), (1.25 + 1e-7, [1, 2], 5))
+    assert script.compare(parent, moved) == (
+        "first differs at step 2; largest relative loss difference 8e-08; "
+        "counts first differ at step 2 (pos_counts, d_corrupted)")

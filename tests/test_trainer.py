@@ -204,6 +204,30 @@ def test_clip_leaves_small_gradients_alone():
     assert t2.grad is None
 
 
+def global_norm(grads, shapes):
+    """np.linalg.norm of the gradients' float64 concatenation, a None read as zeros."""
+    return np.linalg.norm(np.concatenate([
+        np.zeros(int(np.prod(shapes[n]))) if g is None else g.astype(np.float64).ravel()
+        for n, g in grads.items()]))
+
+
+def test_clip_norm_is_the_float64_norm_of_the_flat_gradient():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (40, 3), "b": (1000,), "none": (7, 11, 13), "c": (2, 9000), "d": (5,)}
+    tensors = {n: ad.Tensor(np.zeros(s, np.float32), requires_grad=True) for n, s in shapes.items()}
+    grads = {n: None if n == "none" else rng.normal(0, 0.5, s).astype(np.float32)
+             for n, s in shapes.items()}
+    for n, g in grads.items():
+        tensors[n].grad = g
+    grad, pre = clip_gradients(list(tensors.values()), 2.0)
+    size = sum(int(np.prod(s)) for s in shapes.values())
+    # a float64 sum of `size` squares is within size * eps of the exact sum
+    assert pre == pytest.approx(global_norm(grads, shapes), rel=size * np.finfo(np.float64).eps)
+    flat = np.concatenate([np.zeros(int(np.prod(shapes[n])), np.float32) if g is None
+                           else g.ravel() for n, g in grads.items()])
+    np.testing.assert_array_equal(grad, flat * np.float32(2.0 / pre))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_clip_rejects_non_finite_norm(bad):
     t1 = ad.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
@@ -217,8 +241,8 @@ def test_clip_rejects_non_finite_norm(bad):
 
 
 class PerParameterAdam:
-    """The per-parameter global-norm clip and AdamW update that the flat
-    optimizer replaced, on a dict of arrays: the reference it must match
+    """The per-parameter clip by a given global norm and AdamW update that the
+    flat optimizer replaced, on a dict of arrays: the reference it must match
     bit for bit."""
 
     def __init__(self, arrays, cfg):
@@ -228,10 +252,8 @@ class PerParameterAdam:
         self.v = {n: np.zeros_like(a) for n, a in arrays.items()}
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grads, total):
         cfg = self.cfg
-        total = np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
-                            for g in grads.values() if g is not None))
         if total > tr.GRAD_CLIP_NORM:
             factor = np.float32(tr.GRAD_CLIP_NORM / total)
             grads = {n: None if g is None else g * factor for n, g in grads.items()}
@@ -248,7 +270,6 @@ class PerParameterAdam:
             v = self.v[n] = b2 * self.v[n] + (np.float32(1) - b2) * (g * g)
             update = (m / c1) / (np.sqrt(v / c2) + eps)
             self.params[n] = p - lr * (update + wd * p)
-        return total
 
 
 def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
@@ -270,8 +291,10 @@ def test_flat_adam_matches_the_per_parameter_update_bit_for_bit():
             holder.params[n].grad = g
         grad, norm = clip_gradients([holder.params[n] for n in opt.names], tr.GRAD_CLIP_NORM)
         opt.step(holder, grad)
-        expected = oracle.step(grads)
-        assert norm == expected and norm > tr.GRAD_CLIP_NORM  # clipping is active
+        oracle.step(grads, norm)
+        assert norm == pytest.approx(global_norm(grads, shapes),
+                                     rel=total * np.finfo(np.float64).eps)
+        assert norm > tr.GRAD_CLIP_NORM  # clipping is active
         for i, n in enumerate(opt.names):
             start, stop = opt.offsets[i], opt.offsets[i + 1]
             np.testing.assert_array_equal(holder.params[n].data, oracle.params[n], err_msg=n)
